@@ -29,4 +29,8 @@ class NotApplicable(Exception):
 
 
 class QuadratureError(Exception):
-    """Time-integral quadrature failed to converge within the refinement cap."""
+    """A step-refinement loop did not settle within its cap.
+
+    Raised by spectral_flow.integrate_flow when halving ds has not
+    stabilized the endpoint flow error after HALVING_CAP passes.
+    """

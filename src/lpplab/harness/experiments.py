@@ -36,14 +36,18 @@ from ..interactions import (
     xi,
 )
 from ..kernels import EmbeddingPlan, apply_embedded
-from ..operators import LocalOperator, embed_matrix, operator_norm
+from ..operators import (
+    LocalOperator,
+    embed_matrix,
+    operator_norm,
+    sigma_x,
+    sigma_y,
+    sigma_z,
+)
 from ..sectors import HamiltonianPath
 from .fitting import DecayRecord
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = {"x": SX, "y": SY, "z": SZ}
+PAULI = {"x": sigma_x, "y": sigma_y, "z": sigma_z}
 
 
 # ------------------------------------------------------------- utilities
@@ -873,7 +877,7 @@ def run_tqo(config, workers=1, rng=None):
     for j in range(n_rand):
         q = int(rng.integers(nq))
         c = rng.normal(size=3)
-        M = (c[0] * SX + c[1] * SY + c[2] * SZ) / np.linalg.norm(c)
+        M = (c[0] * sigma_x + c[1] * sigma_y + c[2] * sigma_z) / np.linalg.norm(c)
         probes.append((f"rand{j}.q{q}", LocalOperator((q,), (2,), M)))
 
     def bulk_one(item):

@@ -12,10 +12,13 @@ The construction chain:
         R_i = sum_lambda a_lambda sqrt(a/pi) int_{-T}^{T} dt e^{-a t^2}
               e^{it(lambda_i0 - lambda)} e^{itH} e^{-itH0}
 
-     by adaptive composite Gauss-Legendre quadrature in the shared
-     eigenbasis pair, with the zeroth Dyson term carried at its full
-     (untruncated) value: the |t| >= T remainder of that scalar term
-     belongs to R^{<=T}, which is what makes the eps = 0 step exact.
+     in closed form: in the eigenbasis pair the integrand is diagonal,
+     so R_i = V (C o Phi_i) V0^dagger with C = V^dagger V0 and Phi_i
+     the truncated Gaussian integral (a Faddeeva expression) at
+     kappa_a - kappa0_b + lambda_i0 - lambda.  The zeroth Dyson term is
+     carried at its full (untruncated) value: the |t| >= T remainder of
+     that scalar term belongs to R^{<=T}, which is what makes the
+     eps = 0 step exact.
   4. localize_R takes the normalized partial trace onto K_l.
   5. path_transport iterates localized steps through the coefficient
      recursion L^(m) = c(m) R^(m) L^(m-1) entirely on H_{K_l}.
@@ -28,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import wofz
 
 from . import kernels, lattice
-from .exceptions import GapClosed, QuadratureError, StepTooLarge
+from .exceptions import GapClosed, StepTooLarge
 from .operators import (
     LocalOperator,
     embed_matrix,
@@ -41,8 +44,7 @@ from .operators import (
 from .sectors import align_phases, solve_step_coefficients, verify_gap_along_path
 
 CLUSTER_TOL = 1e-9
-QUAD_TOL = 1e-10
-MAX_PANELS = 1 << 13
+PHI_BLOCK = 1 << 16  # entries of Phi evaluated per row block in build_R
 STEP_CAP = 10_000
 
 
@@ -121,94 +123,32 @@ def solve_filter_coefficients(sigma_in, alpha):
     return nodes, a, {"cond": cond, "warnings": warns}
 
 
-# ------------------------------------------------------ quadrature engine
-
-
-def _opnorm_estimate(M, iters=12):
-    """Power-iteration estimate of the spectral norm (deterministic start)."""
-    D = M.shape[-1]
-    v = 1.0 + np.arange(D) / (2.0 * D)
-    v = v.astype(complex) / np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = M @ v
-        est = np.linalg.norm(w)
-        if est == 0.0:
-            return 0.0
-        v = M.conj().T @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return est
-        v /= nv
-    return float(est)
-
-
-def _stack_norm_estimate(stack):
-    return max(_opnorm_estimate(M) for M in stack)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
-def _composite_nodes(T, panels):
-    edges = np.linspace(-T, T, panels + 1)
-    half = (edges[1] - edges[0]) / 2
-    mids = (edges[:-1] + edges[1:]) / 2
-    t = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
-    q = np.broadcast_to(half * _GL_WEIGHTS[None, :], (panels, 12)).ravel()
-    return t, q
-
-
-def _refine(apply_fn, T, measure, tol=QUAD_TOL, start_panels=2):
-    """Panel-doubling until successive evaluations differ by < tol."""
-    prev = None
-    panels = start_panels
-    while panels <= MAX_PANELS:
-        cur = apply_fn(*_composite_nodes(T, panels))
-        if prev is not None and measure(cur, prev) < tol:
-            return cur, panels
-        prev = cur
-        panels *= 2
-    raise QuadratureError(
-        f"time-integral quadrature did not converge within {MAX_PANELS} panels"
-    )
+# ------------------------------------------------- truncated Gaussian
 
 
 def _gauss_truncated(omega, alpha, T):
-    """sqrt(a/pi) int_{-T}^{T} e^{-a t^2} e^{i omega t} dt, closed form."""
+    """sqrt(a/pi) int_{-T}^{T} e^{-a t^2} e^{i omega t} dt, closed form.
+
+    Faddeeva form e^{-omega^2/4a} - e^{-aT^2} Re[e^{-i omega T} w(iz)] with
+    z = sqrt(a) T + i omega / (2 sqrt(a)).  Im(iz) = sqrt(a) T > 0, where
+    w is bounded, so no omega overflows and none needs a cutoff: far off
+    resonance the value decays like 2 e^{-aT^2} sin(omega T) / omega.
+    """
     omega = np.asarray(omega, dtype=float)
-    expo = omega**2 / (4 * alpha)
-    out = np.zeros_like(omega)
-    ok = expo < 500  # beyond that both the full and truncated values vanish
-    z = np.sqrt(alpha) * T + 1j * omega[ok] / (2 * np.sqrt(alpha))
-    out[ok] = np.exp(-expo[ok]) * np.real(erf(z))
-    return out
+    ra = np.sqrt(alpha)
+    iz = -omega / (2 * ra) + 1j * ra * T
+    edge = np.real(np.exp(-1j * T * omega) * wofz(iz))
+    return np.exp(-(omega**2) / (4 * alpha)) - np.exp(-alpha * T * T) * edge
 
 
-def gaussian_filtered_projector(S, lam, alpha, method="spectral", tail=1e-16):
-    """P_lambda = sum_kappa e^{-(kappa-lam)^2/4a} Q_kappa.
+def gaussian_filtered_projector(S, lam, alpha):
+    """P_lambda = sum_kappa e^{-(kappa-lam)^2/4a} Q_kappa, from the spectrum.
 
-    method="spectral" evaluates the Gaussian weights directly;
-    method="quadrature" integrates sqrt(a/pi) e^{-a t^2} e^{it(H-lam)}
-    over a window wide enough that the discarded tail is below `tail`,
-    using the same panel-doubling engine as build_R.
+    This is the full-time filter sqrt(a/pi) int e^{-a t^2} e^{it(H-lam)} dt
+    with the Gaussian weights evaluated in the eigenbasis.
     """
     S.require_complete("gaussian_filtered_projector")
-    kappa = S.values
-    if method == "spectral":
-        w = np.exp(-((kappa - lam) ** 2) / (4 * alpha))
-    elif method == "quadrature":
-        T_inf = np.sqrt(np.log(1.0 / tail) / alpha)
-        pref = np.sqrt(alpha / np.pi)
-
-        def apply_fn(t, q):
-            phases = np.exp(1j * np.outer(t, kappa - lam))
-            return pref * ((q * np.exp(-alpha * t * t)) @ phases)
-
-        w, _ = _refine(apply_fn, T_inf, lambda a, b: np.abs(a - b).max())
-        w = w.real
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    w = np.exp(-((S.values - lam) ** 2) / (4 * alpha))
     return (S.vectors * w) @ S.vectors.conj().T
 
 
@@ -218,10 +158,17 @@ def gaussian_filtered_projector(S, lam, alpha, method="spectral", tail=1e-16):
 def _build_R_batch(S0, S, lam0s, params: FilterParams, overlap=None):
     """R_i^{<=T} for several sector eigenvalues lambda_i0 in one sweep.
 
-    Returns (stack, diagnostics).  The zeroth Dyson term is included at
-    its full-time value: the quadrature handles the |t| <= T product
-    integral, and the same-node scalar part is replaced by the analytic
-    untruncated Gaussian (see module docstring).
+    With C = V^dagger V0 the integrand is diagonal in the eigenbasis pair,
+    so the truncated integral is exact:
+
+        R_i = V (C o Phi_i) V0^dagger,
+        Phi_i[a, b] = sum_lambda a_lambda g_T(kappa_a - kappa0_b + lambda_i0 - lambda),
+
+    g_T = _gauss_truncated.  The zeroth Dyson term is then lifted to its
+    full-time value by adding sum_lambda a_lambda (e^{-w^2/4a} - g_T(w)),
+    w = lambda_i0 - lambda, on the diagonal (see module docstring).  Phi
+    is evaluated in row blocks to keep the D x D temporaries few.
+    Returns (stack, diagnostics).
     """
     if params.nodes is None or params.a is None:
         raise ValueError("filter coefficients not solved; call with_coefficients")
@@ -230,52 +177,35 @@ def _build_R_batch(S0, S, lam0s, params: FilterParams, overlap=None):
     lam0s = np.asarray(lam0s, dtype=float)
     alpha, T = params.alpha, params.T
     nodes, a = params.nodes, params.a
-    pref = np.sqrt(alpha / np.pi)
     C = overlap if overlap is not None else S.vectors.conj().T @ S0.vectors
     kap, kap0 = S.values, S0.values
     n_i, D = len(lam0s), C.shape[0]
+    shifts = lam0s[:, None] - nodes[None, :]
+    V0h = S0.vectors.conj().T
+    rows = max(1, PHI_BLOCK // D)
 
-    def apply_fn(t, q):
-        acc = np.zeros((n_i, D, D), dtype=complex)
-        scal = np.zeros(n_i, dtype=complex)
-        gauss = q * np.exp(-alpha * t * t)
-        for k in range(len(t)):
-            tk = t[k]
-            # w_i(t) = e^{it lam_i0} sum_lambda a_lambda e^{-it lambda}
-            w = np.exp(1j * tk * lam0s) * np.sum(a * np.exp(-1j * tk * nodes))
-            mid = (np.exp(1j * tk * kap)[:, None] * C) * np.exp(-1j * tk * kap0)[None, :]
-            acc += (gauss[k] * w)[:, None, None] * mid[None, :, :]
-            scal += gauss[k] * w
-        return pref * acc, pref * scal
-
-    def measure(cur, prev):
-        return _stack_norm_estimate(cur[0] - prev[0])
-
-    (acc, scal_quad), panels = _refine(apply_fn, T, measure)
+    stack = np.empty((n_i, D, D), dtype=complex)
+    for i in range(n_i):
+        for r in range(0, D, rows):
+            omega = kap[r : r + rows, None] - kap0[None, :]
+            phi = sum(w * _gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shifts[i]))
+            np.multiply(C[r : r + rows], phi, out=stack[i, r : r + rows])
+        np.matmul(S.vectors @ stack[i], V0h, out=stack[i])
 
     # full-time value of the zeroth Dyson term, per i
-    scal_full = np.array(
-        [np.sum(a * np.exp(-((lam0 - nodes) ** 2) / (4 * alpha))) for lam0 in lam0s]
+    comp = np.sum(
+        a * (np.exp(-(shifts**2) / (4 * alpha)) - _gauss_truncated(shifts, alpha, T)),
+        axis=1,
     )
-    comp = scal_full - scal_quad
-    stack = np.einsum("ab,ibc->iac", S.vectors, acc) @ S0.vectors.conj().T
-    stack += comp[:, None, None] * np.eye(D)[None, :, :]
-
-    norms = [_opnorm_estimate(M) for M in stack]
-    diag = {
-        "panels": panels,
-        "sum_a": float(a.sum()),
-        "norms": norms,
-        "tail_compensation": comp,
-    }
-    return stack, diag
+    idx = np.arange(D)
+    stack[:, idx, idx] += comp[:, None]
+    return stack, {"sum_a": float(a.sum()), "tail_compensation": comp}
 
 
 def build_R(S0, S, lam0, params: FilterParams, overlap=None):
     """Single-eigenvalue wrapper around the batched evaluation."""
     stack, diag = _build_R_batch(S0, S, [lam0], params, overlap=overlap)
-    diag["norm"] = diag.pop("norms")[0]
-    diag["tail_compensation"] = complex(diag["tail_compensation"][0])
+    diag["tail_compensation"] = float(diag["tail_compensation"][0])
     return stack[0], diag
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from quadrature_oracle import quadrature_projector
 
 from lpplab import lattice, models, quasilocal
 from lpplab import spectral_flow as sflow
@@ -60,8 +61,8 @@ def test_criterion_1_filter_identity_and_equalities():
     S = model.spectral(mode="dense")
     lam = float(S.values[0])
     alpha = 2.0
-    P_spec = quasilocal.gaussian_filtered_projector(S, lam, alpha, method="spectral")
-    P_quad = quasilocal.gaussian_filtered_projector(S, lam, alpha, method="quadrature")
+    P_spec = quasilocal.gaussian_filtered_projector(S, lam, alpha)
+    P_quad = quadrature_projector(S, lam, alpha)
     dev = float(np.linalg.norm(P_spec - P_quad, 2))
 
     rng = np.random.default_rng(11)

@@ -1,21 +1,22 @@
-"""Filter parameters, the time-integral engine, and localized transport.
+"""Filter parameters, the closed-form R, and localized transport.
 
-The strongest oracles here are closed forms: the truncated-Gaussian
-integral has an erf expression, commuting (H, H0) reduce the whole R
-matrix to scalar Gaussians at eigenvalue differences, and an unperturbed
-step must return the identity exactly because the sector eigenvalue sits
-on an interpolation node.
+The strongest oracles here are independent evaluations: the truncated
+Gaussian against adaptive quadrature, the closed-form R against the
+panel-doubling time quadrature in quadrature_oracle, commuting (H, H0)
+reducing the whole R matrix to scalar Gaussians at eigenvalue
+differences, and an unperturbed step that must return the identity
+exactly because the sector eigenvalue sits on an interpolation node.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quadrature_oracle import quadrature_projector, quadrature_R_batch
 from scipy.integrate import quad
 
 from lpplab import interactions as itx
 from lpplab import lattice, quasilocal as ql, sectors
-from lpplab.exceptions import QuadratureError
 from lpplab.operators import (
     LocalOperator,
     SpectralData,
@@ -137,23 +138,18 @@ def test_coefficients_out_of_range_warn():
 # ------------------------------------------------- truncated Gaussian
 
 
-@pytest.mark.parametrize("omega", [0.0, 0.7, 3.1])
-@pytest.mark.parametrize("alpha,T", [(0.25, 1.0), (2.0, 3.0)])
+# omega = 30 and 1e4 lie far off resonance (omega^2 / 4a up to 1e8), where
+# the truncated integral still goes like 2 e^{-aT^2} sin(omega T) / omega
+@pytest.mark.parametrize("omega", [0.0, 0.7, 3.1, 30.0, 1e4])
+@pytest.mark.parametrize("alpha,T", [(0.25, 1.0), (2.0, 3.0), (0.05, 3.0), (0.25, 2.0)])
 def test_gauss_truncated_matches_quadrature(omega, alpha, T):
     val = ql._gauss_truncated(np.array([omega]), alpha, T)[0]
 
-    def integrand(t):
-        return np.sqrt(alpha / np.pi) * np.exp(-alpha * t * t) * np.cos(omega * t)
+    def envelope(t):
+        return np.sqrt(alpha / np.pi) * np.exp(-alpha * t * t)
 
-    ref, _ = quad(integrand, -T, T, epsabs=1e-13, epsrel=1e-13)
+    ref, _ = quad(envelope, -T, T, weight="cos", wvar=omega, epsabs=1e-13, epsrel=1e-13)
     assert val == pytest.approx(ref, rel=1e-11, abs=1e-13)
-
-
-def test_gauss_truncated_overflow_guard():
-    # erf(x + iy) grows like e^{y^2}; far off resonance both the full and
-    # truncated integrals are zero to machine precision
-    out = ql._gauss_truncated(np.array([1e4]), alpha=0.25, T=2.0)
-    assert out[0] == 0.0
 
 
 # ------------------------------------------------- filtered projector
@@ -179,18 +175,9 @@ def test_projector_quadrature_matches_spectral():
     )
     S = eigendecompose(H, mode="dense")
     lam = float(S.values[0])
-    P_spec = ql.gaussian_filtered_projector(S, lam, alpha=0.6, method="spectral")
-    P_quad = ql.gaussian_filtered_projector(S, lam, alpha=0.6, method="quadrature")
+    P_spec = ql.gaussian_filtered_projector(S, lam, alpha=0.6)
+    P_quad = quadrature_projector(S, lam, alpha=0.6)
     assert np.abs(P_spec - P_quad).max() < 1e-10
-
-
-def test_refinement_cap_raises():
-    # an evaluation that never stabilizes must hit the panel cap
-    def never_converges(t, q):
-        return np.array([float(len(t))])
-
-    with pytest.raises(QuadratureError):
-        ql._refine(never_converges, 1.0, lambda a, b: np.abs(a - b).max())
 
 
 def test_filtered_sum_acts_as_identity_on_sector():
@@ -293,6 +280,41 @@ def test_build_R_matches_entrywise_quadrature():
     )
     ref += comp * np.eye(4)
     assert np.abs(R - ref).max() < 1e-8
+
+
+def _R_case(name):
+    """(S0, S1, params, lam0s) for the closed-form vs quadrature oracle."""
+    if name == "unperturbed":
+        S0 = S1 = eigendecompose(random_hermitian(6, seed=11), mode="dense")
+        return S0, S1, _manual_params(0.4, 1.3, S1.values[:2]), S0.values[:2]
+    if name == "commuting":
+        vals0 = np.array([0.0, 0.3, 1.1, 2.0])
+        vals1 = vals0 + np.array([0.05, -0.02, 0.03, 0.08])
+        S0 = SpectralData(vals0, np.eye(4, dtype=complex), "dense", 0.0, 4)
+        S1 = SpectralData(vals1, np.eye(4, dtype=complex), "dense", 0.0, 4)
+        return S0, S1, _manual_params(0.4, 1.7, vals1[:2]), vals0[:1]
+    if name == "two-site":
+        G = lattice.chain(2)
+        H0 = itx.assemble_hamiltonian(tfim_family(G, 0.6, 0.3), G, mode="dense")
+        S0 = eigendecompose(H0, mode="dense")
+        S1 = eigendecompose(H0 + np.kron(0.2 * sigma_z, np.eye(2)), mode="dense")
+        return S0, S1, _manual_params(0.5, 1.2, S1.values[:1]), S0.values[:1]
+    # non-commuting pair with a spectral width far past omega^2/4a = 500
+    H0 = 6.0 * random_hermitian(8, seed=23)
+    S0 = eigendecompose(H0, mode="dense")
+    S1 = eigendecompose(H0 + 0.5 * random_hermitian(8, seed=29), mode="dense")
+    return S0, S1, _manual_params(0.05, 3.0, S1.values[:2]), S0.values[:2]
+
+
+@pytest.mark.parametrize("name", ["unperturbed", "commuting", "two-site", "past-cutoff"])
+def test_build_R_matches_time_quadrature(name):
+    S0, S1, params, lam0s = _R_case(name)
+    if name == "past-cutoff":
+        widest = np.abs(S1.values[:, None] - S0.values[None, :]).max()
+        assert widest**2 / (4 * params.alpha) > 500
+    stack, _ = ql._build_R_batch(S0, S1, lam0s, params)
+    ref = quadrature_R_batch(S0, S1, lam0s, params)
+    assert np.abs(stack - ref).max() <= 1e-12
 
 
 def test_build_R_requires_coefficients():
