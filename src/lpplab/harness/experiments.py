@@ -734,19 +734,39 @@ def run_sequential_coupling(config, workers=1, rng=None):
     def omega(Ps, Xs):
         return sum(float(np.trace(P @ X).real) for P, X in zip(Ps, Xs)) / D
 
-    def chain_steps(sxy, sx, sy, l):
-        """The four approximation steps at one truncation radius."""
-        p_xy = [sflow.BlockSectorPath(sxy, n) for n in ns]
+    def chain_steps(sxy, sx, sy, radii):
+        """The four approximation steps at each truncation radius.
+
+        One flow pass per (system, block) serves every radius; these
+        passes are independent, so they are what the workers split.
+        """
+        jobs = [
+            (system, n, K)
+            for n in ns
+            for system, K in ((sxy, (x0, y0)), (sx, (x0,)), (sy, (y0,)))
+        ]
+
+        def flows(job):
+            system, n, K = job
+            path = sflow.BlockSectorPath(system, n)
+            return path, sflow.integrate_flows(path, radii, ds, K=K)
+
+        done = _pmap(flows, jobs, workers)
+        p_xy = [path for path, _ in done[0::3]]
         P0 = [p.projector(0.0) for p in p_xy]
         P1 = [p.projector(1.0) for p in p_xy]
-        U_xy, U_f, flow_errs = [], [], []
-        for n, p in zip(ns, p_xy):
-            st, _, errs = sflow.integrate_flow(p, l, ds, K=(x0, y0))
-            stx, _, _ = sflow.integrate_flow(sflow.BlockSectorPath(sx, n), l, ds, K=(x0,))
-            sty, _, _ = sflow.integrate_flow(sflow.BlockSectorPath(sy, n), l, ds, K=(y0,))
-            U_xy.append(st.U)
-            U_f.append(stx.U @ sty.U)
-            flow_errs.append(float(np.max(errs)) if np.size(errs) else 0.0)
+        flows_xy, flows_x, flows_y = ([f for _, f in done[k::3]] for k in range(3))
+        return [
+            one_radius(l, P0, P1, [f[i] for f in flows_xy],
+                       [f[i][0].U @ g[i][0].U for f, g in zip(flows_x, flows_y)])
+            for i, l in enumerate(radii)
+        ]
+
+    def one_radius(l, P0, P1, flows_xy, U_f):
+        """The four steps at radius l, from the flows of the coupled
+        system (U_xy) and the product of the one-impurity flows (U_f)."""
+        U_xy = [st.U for st, _, _ in flows_xy]
+        flow_errs = [float(np.max(errs)) for _, _, errs in flows_xy]
         PU = [U @ P @ U.conj().T for U, P in zip(U_xy, P0)]
         PF = [U @ P @ U.conj().T for U, P in zip(U_f, P0)]
         w_ab, wu_ab, wf_ab = omega(P1, AB), omega(PU, AB), omega(PF, AB)
@@ -764,7 +784,7 @@ def run_sequential_coupling(config, workers=1, rng=None):
 
     checks, warnings = [], []
     try:
-        rows = _pmap(lambda l: chain_steps(sys_xy, sys_x, sys_y, l), ls, workers)
+        rows = chain_steps(sys_xy, sys_x, sys_y, ls)
     except GapClosed as exc:
         return {
             "experiment": "sequential-coupling",
@@ -797,7 +817,7 @@ def run_sequential_coupling(config, workers=1, rng=None):
 
     if config.get("control", True):
         c_xy, c_x, c_y = systems(0.0)
-        r0 = chain_steps(c_xy, c_x, c_y, ls[0])
+        r0 = chain_steps(c_xy, c_x, c_y, ls[:1])[0]
         resid = max(r0[1], r0[2], r0[3], r0[4], r0[5])
         checks.append(
             _check(
@@ -1007,11 +1027,16 @@ def run_kato_flow(config, workers=1, rng=None):
     ns = list(range(n_max + 1))
     checks, warnings, rows = [], [], []
 
-    # untruncated flows, one per block, plus the step-halving probe
+    # one flow pass per block serves the untruncated flow and every radius
+    def block_errors(n):
+        path = sflow.BlockSectorPath(system, n)
+        flows = sflow.integrate_flows(path, [None, *ls], ds, K=(site,))
+        return [errs for _, _, errs in flows]
+
+    errors = _pmap(block_errors, ns, workers)
     unt = {}
-    for n in ns:
-        _, _, errs = sflow.integrate_flow(sflow.BlockSectorPath(system, n), None, ds)
-        unt[n] = float(np.max(errs)) if np.size(errs) else 0.0
+    for n, errs in zip(ns, errors):
+        unt[n] = float(np.max(errs[0]))
         rows.append((math.inf, n, unt[n]))
     flow_tol = _tol(config, "flow_error", 1e-6)
     checks.append(
@@ -1048,17 +1073,9 @@ def run_kato_flow(config, workers=1, rng=None):
     else:
         warnings.append("no nontrivial block with finite error; halving check skipped")
 
-    def sweep_one(l):
-        per_block = []
-        for n in ns:
-            p = sflow.BlockSectorPath(system, n)
-            _, _, errs = sflow.integrate_flow(p, l, ds, K=(site,))
-            per_block.append(float(errs[-1]) if np.size(errs) else 0.0)
-        return per_block
-
-    per_l = _pmap(sweep_one, ls, workers)
     pts = []
-    for l, per_block in zip(ls, per_l):
+    for i, l in enumerate(ls, start=1):
+        per_block = [float(errs[i][-1]) for errs in errors]
         for n, e in zip(ns, per_block):
             rows.append((l, n, e))
         pts.append((l, max(per_block)))

@@ -211,7 +211,7 @@ def eigendecompose(H, mode="auto", k=6, tol=0.0):
         if np.abs(M - M.conj().T).max() > 1e-10 * scale:
             raise ValueError("operator is not hermitian")
         vals, vecs = np.linalg.eigh(M)
-        res = _max_residual(lambda x: M @ x, vals, vecs)
+        res = float(np.linalg.norm(M @ vecs - vecs * vals, axis=0).max())
         return SpectralData(vals, vecs, "dense", res, dim)
 
     if mode == "iterative":

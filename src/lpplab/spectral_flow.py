@@ -7,6 +7,11 @@ G = i[P, dP]; truncating G to configurations with all particles near
 the coupling region gives a strictly local unitary whose defect against
 the true sector projector decays exponentially in the truncation radius.
 
+Only the truncation depends on the radius, so `integrate_flows` walks
+the s-grid once for a list of radii: it diagonalizes each grid point
+and forms dP and G once, then truncates, exponentiates and measures the
+flow error per radius.  Nothing is kept beyond the current grid point.
+
 Blocks with more particles than the impurity can hold carry an empty
 sector: P = 0, G = 0, and the flow is exactly the identity.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +34,7 @@ PROJECTOR_TOL = 1e-8
 GAP_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 HALVING_CAP = 14
+CACHE_SIZE = 3  # grid points whose block spectra a BlockSectorPath keeps
 _FD_H = 1e-4
 _SCALAR_H = 1e-6
 
@@ -153,22 +160,29 @@ class SectorBlockHamiltonian:
         for site, mode, _ in system._pairs:
             struct[site].append(mode)
             struct[mode].append(site)
-        self._targets = [tuple(t) for t in struct]
+        # index arrays: the modes of each configuration, and every hop
+        # x -> y taking configuration ci to cj
+        self._modes = np.array(self.configs, dtype=np.intp).reshape(self.dim, n)
+        hops = []
+        for ci, cfg in enumerate(self.configs):
+            occ = set(cfg)
+            for x in cfg:
+                for y in struct[x]:
+                    if y not in occ:
+                        cj = self.index[tuple(sorted((occ - {x}) | {y}))]
+                        hops.append((cj, ci, y, x))
+        self._hops = np.array(hops, dtype=np.intp).reshape(-1, 4).T
 
     def positions(self, cfg):
         return tuple(self.system.mode_site[m] for m in cfg)
 
     def _assemble(self, sp):
-        H = np.zeros((self.dim, self.dim))
-        for ci, cfg in enumerate(self.configs):
-            H[ci, ci] = sum(sp[x, x] for x in cfg)
-            occ = set(cfg)
-            for x in cfg:
-                for y in self._targets[x]:
-                    if y in occ:
-                        continue
-                    cj = self.index[tuple(sorted((occ - {x}) | {y}))]
-                    H[cj, ci] += sp[y, x]
+        diag = np.zeros(self.dim)
+        for col in self._modes.T:
+            diag += sp[col, col]
+        H = np.diag(diag)
+        cj, ci, y, x = self._hops
+        np.add.at(H, (cj, ci), sp[y, x])
         return H
 
     def matrix(self, s):
@@ -183,7 +197,8 @@ class BlockSectorPath:
 
     The sector dimension is C(capacity, n): at s=0 exactly the
     configurations with every particle on an impurity mode have zero
-    energy, anything else costs at least the bulk gap.
+    energy, anything else costs at least the bulk gap.  Spectra are
+    cached in a small LRU window, since a flow walks the grid forward.
     """
 
     def __init__(self, system: BosonSystem, n):
@@ -191,7 +206,7 @@ class BlockSectorPath:
         self.block = system.block(n)
         self.n = int(n)
         self.d = math.comb(system.capacity, self.n)
-        self._cache = {}
+        self._cache = OrderedDict()
 
     @property
     def dim(self):
@@ -205,9 +220,12 @@ class BlockSectorPath:
 
     def spectral(self, s):
         key = float(s)
-        if key not in self._cache:
-            vals, vecs = np.linalg.eigh(self.block.matrix(key))
-            self._cache[key] = (vals, vecs)
+        if key in self._cache:
+            self._cache.move_to_end(key)
+            return self._cache[key]
+        self._cache[key] = np.linalg.eigh(self.block.matrix(key))
+        while len(self._cache) > CACHE_SIZE:
+            self._cache.popitem(last=False)
         return self._cache[key]
 
     def gap(self, s):
@@ -284,7 +302,11 @@ def truncate_generator(G, K, l, block: SectorBlockHamiltonian):
     Configurations that are only partially inside are dropped entirely;
     the resulting generator is supported in K_l plus the impurity.
     """
-    G = np.asarray(G, dtype=complex)
+    return _truncate(G, _window_mask(K, l, block))
+
+
+def _window_mask(K, l, block):
+    """Boolean mask of the (row, column) pairs truncate_generator keeps."""
     system = block.system
     allowed_sites = lattice.fatten(system.graph, set(K), l)
     imp = set(system.impurity_modes)
@@ -294,7 +316,11 @@ def truncate_generator(G, K, l, block: SectorBlockHamiltonian):
             for cfg in block.configs
         ]
     )
-    Gl = np.where(np.outer(keep, keep), G, 0.0)
+    return np.outer(keep, keep)
+
+
+def _truncate(G, mask):
+    Gl = np.where(mask, np.asarray(G, dtype=complex), 0.0)
     return (Gl + Gl.conj().T) / 2
 
 
@@ -319,54 +345,67 @@ def integrate_flow(path, l, ds, K=None, method="resolvent", refine_tol=None):
     defaults to the impurity anchor sites.  With refine_tol set, ds is
     halved until the endpoint error stabilizes, up to a cap.
     """
-    if l is not None and K is None:
+    if refine_tol is None:
+        return integrate_flows(path, [l], ds, K=K, method=method)[0]
+    prev = None
+    step = ds
+    for _ in range(HALVING_CAP):
+        out = integrate_flows(path, [l], step, K=K, method=method)[0]
+        err = out[2][-1]
+        if prev is not None and abs(err - prev) <= refine_tol:
+            return out
+        prev = err
+        step /= 2
+    raise QuadratureError(f"flow step halving hit the cap at ds={step:.3e}")
+
+
+def integrate_flows(path, ls, ds, K=None, method="resolvent"):
+    """integrate_flow for every radius in `ls`, in one pass over the grid.
+
+    Returns one (FlowState, grid, errors) per radius, in the order of
+    `ls`, each equal to what integrate_flow gives for that radius alone.
+    P, dP and G are formed once per grid point and shared by the radii;
+    only the truncation, the step exponential and the error norm are
+    per radius.
+    """
+    ls = list(ls)
+    if K is None and any(l is not None for l in ls):
         system = getattr(path, "system", None)
         if system is None:
             raise ValueError("truncated flow needs the coupling region K")
         K = system.anchor_sites
+    masks = [None if l is None else _window_mask(K, l, path.block) for l in ls]
 
-    if refine_tol is not None:
-        prev = None
-        step = ds
-        for _ in range(HALVING_CAP):
-            out = _flow_pass(path, l, step, K, method)
-            err = out[2][-1]
-            if prev is not None and abs(err - prev) <= refine_tol:
-                return out
-            prev = err
-            step /= 2
-        raise QuadratureError(
-            f"flow step halving hit the cap at ds={step:.3e}"
-        )
-    return _flow_pass(path, l, ds, K, method)
-
-
-def _flow_pass(path, l, ds, K, method):
     n_steps = max(1, int(round(1.0 / ds)))
     ds = 1.0 / n_steps
     dim = path.dim
     P0 = path.projector(0.0)
-    U = np.eye(dim, dtype=complex)
+    Us = [np.eye(dim, dtype=complex) for _ in ls]
+    Gs = [None] * len(ls)
     grid = [0.0]
-    errors = [0.0]
-    G = np.zeros((dim, dim), dtype=complex)
+    errors = [[0.0] for _ in ls]
     for j in range(n_steps):
         smid = (j + 0.5) * ds
         dP = projector_derivative(path, smid, method=method)
         G = kato_generator(path.projector(smid), dP)
-        if l is not None:
-            G = truncate_generator(G, K, l, path.block)
-        if np.any(G):
-            U = _expm_i(ds * G) @ U
         s1 = (j + 1) * ds
-        errors.append(
-            operator_norm(path.projector(s1) - U @ P0 @ U.conj().T, hermitian=True)
-        )
+        P1 = path.projector(s1)
+        for i, mask in enumerate(masks):
+            Gs[i] = G if mask is None else _truncate(G, mask)
+            if np.any(Gs[i]):
+                Us[i] = _expm_i(ds * Gs[i]) @ Us[i]
+            errors[i].append(
+                operator_norm(P1 - Us[i] @ P0 @ Us[i].conj().T, hermitian=True)
+            )
         grid.append(s1)
-    defect = operator_norm(U.conj().T @ U - np.eye(dim), hermitian=True)
-    if defect > UNITARITY_TOL:
-        raise RuntimeError(f"flow lost unitarity: {defect:.3e}")
-    return FlowState(1.0, U, G, ds), np.array(grid), np.array(errors)
+    grid = np.array(grid)
+    out = []
+    for U, G, errs in zip(Us, Gs, errors):
+        defect = operator_norm(U.conj().T @ U - np.eye(dim), hermitian=True)
+        if defect > UNITARITY_TOL:
+            raise RuntimeError(f"flow lost unitarity: {defect:.3e}")
+        out.append((FlowState(1.0, U, G, ds), grid.copy(), np.array(errs)))
+    return out
 
 
 # ------------------------------------------------- number conservation

@@ -1,0 +1,76 @@
+"""Per-call oracles for the one-pass code in lpplab.spectral_flow.
+
+  loop_assemble   a block Hamiltonian built by looping over the
+                  configurations and their hops in Python, one matrix
+                  entry at a time;
+  flow_pass       the flow for a single truncation radius, walking the
+                  s-grid with that radius alone: P, dP and G are formed
+                  afresh for every radius.
+
+Both do the same floating-point operations as the library code they
+check, in the same order per matrix entry, so results must agree bit
+for bit.
+"""
+
+import numpy as np
+
+from lpplab import spectral_flow as sf
+from lpplab.operators import operator_norm
+
+
+def loop_assemble(block, sp):
+    """The block matrix of the one-particle matrix sp, entry by entry."""
+    system = block.system
+    targets = [[] for _ in range(system.n_modes)]
+    for a, b in system.graph.edges:
+        targets[a].append(b)
+        targets[b].append(a)
+    for site, mode, _ in system._pairs:
+        targets[site].append(mode)
+        targets[mode].append(site)
+    H = np.zeros((block.dim, block.dim))
+    for ci, cfg in enumerate(block.configs):
+        H[ci, ci] = sum(sp[x, x] for x in cfg)
+        occ = set(cfg)
+        for x in cfg:
+            for y in targets[x]:
+                if y in occ:
+                    continue
+                cj = block.index[tuple(sorted((occ - {x}) | {y}))]
+                H[cj, ci] += sp[y, x]
+    return H
+
+
+def _expm_i(A):
+    w, V = np.linalg.eigh(A)
+    return (V * np.exp(1j * w)) @ V.conj().T
+
+
+def flow_pass(path, l, ds, K, method="resolvent"):
+    """(FlowState, grid, errors) of the flow truncated at radius l
+    (None: untruncated), integrated on its own."""
+    n_steps = max(1, int(round(1.0 / ds)))
+    ds = 1.0 / n_steps
+    dim = path.dim
+    P0 = path.projector(0.0)
+    U = np.eye(dim, dtype=complex)
+    grid = [0.0]
+    errors = [0.0]
+    G = np.zeros((dim, dim), dtype=complex)
+    for j in range(n_steps):
+        smid = (j + 0.5) * ds
+        dP = sf.projector_derivative(path, smid, method=method)
+        G = sf.kato_generator(path.projector(smid), dP)
+        if l is not None:
+            G = sf.truncate_generator(G, K, l, path.block)
+        if np.any(G):
+            U = _expm_i(ds * G) @ U
+        s1 = (j + 1) * ds
+        errors.append(
+            operator_norm(path.projector(s1) - U @ P0 @ U.conj().T, hermitian=True)
+        )
+        grid.append(s1)
+    defect = operator_norm(U.conj().T @ U - np.eye(dim), hermitian=True)
+    if defect > sf.UNITARITY_TOL:
+        raise RuntimeError(f"flow lost unitarity: {defect:.3e}")
+    return sf.FlowState(1.0, U, G, ds), np.array(grid), np.array(errors)

@@ -312,6 +312,61 @@ def test_cli_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+FLOW_CONFIGS = {
+    "kato-flow": {
+        "model": {"kind": "xy-ring", "L": 8},
+        "impurity": {"site": 2, "n_spins": 1, "strength": 0.5},
+        "flow": {"ds": 0.1, "n_max": 2, "l_values": [0, 1, 2]},
+        "ct": {"z_values": [-0.5]},
+        "tolerances": {"flow_error": 1e-3},
+    },
+    "sequential-coupling": {
+        "model": {"kind": "xy-ring", "L": 6},
+        "impurity": {"sites": [0, 3], "n_spins": 1, "strength": 0.5},
+        "flow": {"ds": 0.1, "n_max": 2, "l_values": [1, 2]},
+    },
+}
+
+
+def _csv_cells(out):
+    return {
+        p.name: [line.split(",") for line in p.read_text(encoding="utf-8").splitlines()]
+        for p in sorted(out.glob("*.csv"))
+    }
+
+
+@pytest.mark.parametrize("experiment", sorted(FLOW_CONFIGS))
+def test_flow_runners_agree_across_workers(experiment, tmp_path):
+    # the workers split independent (system, block) flow passes; BLAS
+    # rounds differently under their thread cap, so values agree to
+    # 1e-12 across worker counts and bit for bit at a fixed count
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"schema_version": 1, "experiment": experiment,
+                    **FLOW_CONFIGS[experiment]}),
+        encoding="utf-8",
+    )
+    outs = {}
+    for name, workers in (("w1", 1), ("w2", 2), ("w2-again", 2)):
+        out = tmp_path / name
+        argv = [experiment, "--config", str(cfg), "--out", str(out),
+                "--workers", str(workers)]
+        assert main(argv) == 0
+        outs[name] = out
+    assert _csv_cells(outs["w2"]).keys() == _csv_cells(outs["w1"]).keys()
+    for name, rows in _csv_cells(outs["w1"]).items():
+        other = _csv_cells(outs["w2"])[name]
+        assert rows[0] == other[0]
+        a = np.array(rows[1:], dtype=float)
+        b = np.array(other[1:], dtype=float)
+        assert a.shape == b.shape
+        assert np.array_equal(np.isinf(a), np.isinf(b))
+        finite = np.isfinite(a)
+        assert np.abs(a[finite] - b[finite]).max() <= 1e-12
+    for name in _csv_cells(outs["w2"]):
+        assert (outs["w2"] / name).read_bytes() == (outs["w2-again"] / name).read_bytes()
+
+
 def test_cli_failing_check_exits_2(tmp_path, capsys):
     cfg = _ct_config(tmp_path, tolerances={"ct_rel_error": 1e-12})
     code = main(["ct-profile", "--config", str(cfg), "--out", str(tmp_path / "o")])

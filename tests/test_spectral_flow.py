@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_oracle import flow_pass, loop_assemble
 from lpplab import lattice, models
 from lpplab import spectral_flow as sf
 from lpplab.exceptions import GapClosed, QuadratureError
@@ -19,6 +20,17 @@ def ring_system(L=10, site=2, theta=0.5, u=1.0):
     G = lattice.chain(L, periodic=True)
     imp = sf.ImpurityModes(site, 1, lambda s: theta * s)
     return sf.BosonSystem(G, u, [imp])
+
+
+def two_impurity_system(L=8, theta=0.5, potential=0.0):
+    """Impurities at sites 0 and L // 2, both ramped, as in the
+    sequential-coupling experiment."""
+    G = lattice.chain(L, periodic=True)
+    imps = [
+        sf.ImpurityModes(site, 1, lambda s: theta * s, potential)
+        for site in (0, L // 2)
+    ]
+    return sf.BosonSystem(G, 1.0, imps)
 
 
 class TinyPath:
@@ -97,6 +109,19 @@ def test_block_dimensions_and_order():
 def test_one_particle_block_is_single_particle_matrix():
     system = ring_system(L=6)
     assert np.allclose(system.block(1).matrix(0.7), system.single_particle(0.7))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_block_assembly_matches_loop_oracle(n):
+    system = two_impurity_system(L=6, potential=lambda s: 0.3 - 0.7 * s)
+    blk = system.block(n)
+    for s in (0.0, 0.35, 1.0):
+        assert np.array_equal(
+            blk.matrix(s), loop_assemble(blk, system.single_particle(s))
+        )
+        assert np.array_equal(
+            blk.dmatrix(s), loop_assemble(blk, system.dsingle_particle(s))
+        )
 
 
 def test_block_spectra_match_spin_model():
@@ -387,6 +412,33 @@ def test_flow_halving_cap_raises():
     path = TinyPath(H, dH, 1)
     with pytest.raises(QuadratureError, match="halving"):
         sf.integrate_flow(path, None, 0.25, refine_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "system, n, K",
+    [(ring_system(), 1, (2,)), (two_impurity_system(), 2, (0, 4))],
+    ids=["ring-one-impurity", "two-impurities-n2"],
+)
+def test_integrate_flows_matches_per_radius_oracle(system, n, K):
+    radii = [None, 1, 2, 3]
+    flows = sf.integrate_flows(sf.BlockSectorPath(system, n), radii, 0.1, K=K)
+    assert len(flows) == len(radii)
+    for l, (state, grid, errs) in zip(radii, flows):
+        ref, ref_grid, ref_errs = flow_pass(sf.BlockSectorPath(system, n), l, 0.1, K)
+        assert np.array_equal(state.U, ref.U)
+        assert np.array_equal(state.G, ref.G)
+        assert state.ds == ref.ds
+        assert np.array_equal(grid, ref_grid)
+        assert np.array_equal(errs, ref_errs)
+
+
+def test_block_path_cache_is_bounded():
+    path = sf.BlockSectorPath(ring_system(), 1)
+    P0 = path.projector(0.0)
+    sf.integrate_flows(path, [None, 1], 0.1)
+    assert len(path._cache) <= sf.CACHE_SIZE
+    assert 0.0 not in path._cache
+    assert np.array_equal(path.projector(0.0), P0)
 
 
 def test_flow_needs_region_for_truncation():
