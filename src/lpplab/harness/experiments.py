@@ -38,6 +38,7 @@ from ..interactions import (
 from ..kernels import EmbeddingPlan, apply_embedded
 from ..operators import (
     LocalOperator,
+    compress,
     embed_matrix,
     operator_norm,
     sigma_x,
@@ -133,6 +134,17 @@ def build_model(mcfg):
 def _expectation(psi, matrix, sites, dims):
     plan = EmbeddingPlan(dims, tuple(sites))
     return float(np.vdot(psi, apply_embedded(matrix, plan, psi)).real)
+
+
+def _sector_deviation(B, sigma, site, dims, value):
+    """max |<psi, sigma_site psi> - value| over unit psi in the span of B.
+
+    sigma is Hermitian, so this is ||B^dag sigma_site B - value 1||: the
+    same for every orthonormal basis B of a (possibly degenerate) sector,
+    unlike a maximum over B's columns.
+    """
+    M = compress(B, sigma, (site,), dims) - value * np.eye(B.shape[1])
+    return operator_norm(M, hermitian=True)
 
 
 def _internal_mixer(dI):
@@ -482,12 +494,12 @@ def run_impurity_lppl(config, workers=1, rng=None):
         if not xs:
             warnings.append(f"no probe site at distance {int(l)} from the impurity")
             continue
-        devs = []
-        for x in xs:
-            ref = _expectation(gs, sigma, (x,), G.site_dims)
-            for i in range(B1.shape[1]):
-                val = _expectation(B1[:, i], sigma, (x,), G2.site_dims)
-                devs.append(abs(val - ref))
+        devs = [
+            _sector_deviation(
+                B1, sigma, x, G2.site_dims, _expectation(gs, sigma, (x,), G.site_dims)
+            )
+            for x in xs
+        ]
         exp_pts.append((l, float(max(devs))))
         rows.append(("expectation", l, float(max(devs))))
 
@@ -521,10 +533,7 @@ def run_impurity_lppl(config, workers=1, rng=None):
         B0 = path0.sector(1.0).basis
         far = max(G.sites(), key=lambda x: G.distance(x, k))
         ref0 = _expectation(gs, sigma, (far,), G.site_dims)
-        dev0 = max(
-            abs(_expectation(B0[:, i], sigma, (far,), G2.site_dims) - ref0)
-            for i in range(B0.shape[1])
-        )
+        dev0 = _sector_deviation(B0, sigma, far, G2.site_dims, ref0)
         ctol = _tol(config, "control_residual", 1e-10)
         checks.append(
             _check("control-transform", err0 <= ctol, f"W=0 projector error {err0:.3e}")
@@ -857,7 +866,6 @@ def run_tqo(config, workers=1, rng=None):
     warnings = []
 
     vals, gsB, degeneracy, gap = models.ground_sector_data(model, k=8)
-    P = gsB @ gsB.conj().T
     checks = [
         _check(
             "ground-degeneracy",
@@ -903,7 +911,7 @@ def run_tqo(config, workers=1, rng=None):
     def bulk_one(item):
         label, op = item
         try:
-            z, dev = models.tqo_check(P, op, Lstar, geom)
+            z, dev = models.tqo_check(gsB, op, Lstar, geom)
             return (label, float(complex(z).real), float(dev))
         except NotApplicable as exc:
             return (label, None, str(exc))
@@ -959,13 +967,7 @@ def run_tqo(config, workers=1, rng=None):
                 zq = z_of.get(f"{pk}{q}")
                 if zq is None:
                     continue
-                plan = EmbeddingPlan(G2.site_dims, (q,))
-                cols = np.stack(
-                    [apply_embedded(PAULI[pk], plan, B1[:, i]) for i in range(B1.shape[1])],
-                    axis=1,
-                )
-                M = B1.conj().T @ cols - zq * np.eye(B1.shape[1])
-                devs.append(float(np.abs(M).max()))
+                devs.append(_sector_deviation(B1, PAULI[pk], q, G2.site_dims, zq))
                 used += 1
         if not devs:
             warnings.append(f"no applicable probes outside the {int(l)}-fattening")

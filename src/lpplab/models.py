@@ -24,7 +24,9 @@ from . import interactions as itx
 from . import lattice
 from .exceptions import NotApplicable
 from .operators import (
+    DENSE_LIMIT,
     LocalOperator,
+    compress,
     embed_matrix,
     eigendecompose,
     operator_norm,
@@ -47,18 +49,30 @@ GAP_WARN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Model:
-    """A lattice graph with its interaction family."""
+    """A lattice graph with its interaction family.
+
+    Spectral data is computed once per resolved solver mode (and, in
+    iterative mode, per eigen-depth k) and kept for the model's lifetime,
+    so a builder's gap and every later consumer share one decomposition.
+    """
 
     graph: lattice.LatticeGraph
     family: itx.InteractionFamily
     kind: str
     params: dict = field(default_factory=dict)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hamiltonian(self, mode="dense"):
         return itx.assemble_hamiltonian(self.family, self.graph, mode=mode)
 
     def spectral(self, mode="auto", k=6):
-        return eigendecompose(self.hamiltonian("matvec"), mode=mode, k=k)
+        if mode == "auto":
+            mode = "dense" if self.graph.dimension() <= DENSE_LIMIT else "iterative"
+        key = (mode, None if mode == "dense" else k)
+        if key not in self._spectra:
+            H = self.hamiltonian("dense" if mode == "dense" else "matvec")
+            self._spectra[key] = eigendecompose(H, mode=mode, k=k)
+        return self._spectra[key]
 
 
 # --------------------------------------------------------- gapped chains
@@ -513,20 +527,21 @@ def ground_sector_data(model: Model, k=8, deg_tol=1e-8):
     return vals, S.vectors[:, :degeneracy], degeneracy, gap
 
 
-def tqo_check(P, A: LocalOperator, Lstar, geom: ToricGeometry, G=None):
+def tqo_check(B, A: LocalOperator, Lstar, geom: ToricGeometry):
     """(z, deviation) for PAP = zP; NotApplicable outside the regime.
 
-    P is the full-space ground projector; A a local observable whose
-    support must fit an Lstar-window.
+    B is an orthonormal basis of the ground space (columns), so P = BB^dag;
+    A a local observable whose support must fit an Lstar-window.  Since B
+    is an isometry, ||PAP - zP|| = ||B^dag A B - z 1||, and the check runs
+    on the deg x deg compression with A applied locally to B's columns:
+    z = tr(B^dag A B) / deg, deviation = ||B^dag A B - z 1||.
     """
     if not geom.in_square(A.support, Lstar):
         raise NotApplicable(
             f"support {A.support} does not fit a side-{Lstar} window"
         )
-    dims = (2,) * (2 * geom.L * geom.L)
-    A_full = embed_matrix(A.matrix, A.support, dims)
-    PAP = P @ A_full @ P
-    trP = np.trace(P).real
-    z = complex(np.trace(PAP) / trP)
-    deviation = operator_norm(PAP - z * P)
+    M = compress(B, A.matrix, A.support, (2,) * (2 * geom.L * geom.L))
+    deg = B.shape[1]
+    z = complex(np.trace(M) / deg)
+    deviation = operator_norm(M - z * np.eye(deg))
     return z, float(deviation)

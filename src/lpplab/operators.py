@@ -4,6 +4,11 @@ Conventions: site 0 is the slowest tensor axis (kron order by ascending
 site id), operators on a region are matrices over the sites of the region
 sorted ascending.  Dense spectral work is intended for total dimension up
 to 2**13; above that use matvec assembly and the iterative eigensolver.
+
+Dense embeddings and assembled Hamiltonians are float64 whenever no
+input matrix has a nonzero imaginary part, and complex128 otherwise;
+the dense eigensolver keeps the dtype it is given, so real Hamiltonians
+are diagonalized in real arithmetic.
 """
 
 from __future__ import annotations
@@ -89,14 +94,18 @@ def embed_matrix(A, positions, all_dims):
     """Embed matrix A acting on `positions` (sorted) into prod(all_dims).
 
     Tensors A with the identity on the remaining sites and permutes the
-    axes back to site order.
+    axes back to site order.  The result is float64 when A has no
+    nonzero imaginary part.
     """
     positions = tuple(sorted(int(p) for p in positions))
     n = len(all_dims)
     rest = [p for p in range(n) if p not in positions]
     d_rest = int(np.prod([all_dims[p] for p in rest], dtype=np.int64)) if rest else 1
     sup_dims = [all_dims[p] for p in positions]
-    full = np.kron(np.asarray(A, dtype=complex), np.eye(d_rest, dtype=complex))
+    A = np.asarray(A)
+    if np.iscomplexobj(A) and not A.imag.any():
+        A = A.real
+    full = np.kron(A, np.eye(d_rest, dtype=np.result_type(A, float)))
     # axes currently ordered (support..., rest...) on both sides
     shaped = full.reshape(
         tuple(sup_dims) + tuple(all_dims[p] for p in rest) + tuple(sup_dims) + tuple(all_dims[p] for p in rest)
@@ -106,6 +115,14 @@ def embed_matrix(A, positions, all_dims):
     shaped = shaped.transpose(tuple(perm) + tuple(perm + n))
     D = int(np.prod(all_dims, dtype=np.int64))
     return np.ascontiguousarray(shaped.reshape(D, D))
+
+
+def compress(B, matrix, sites, dims):
+    """B^dag (A x 1) B for A = matrix on `sites` of a product space with
+    local dimensions `dims`; A is applied locally to each column of B."""
+    plan = EmbeddingPlan(dims, tuple(sites))
+    AB = np.stack([apply_embedded(matrix, plan, b) for b in B.T], axis=1)
+    return B.conj().T @ AB
 
 
 def partial_trace_localize(A, X, G):
@@ -122,7 +139,7 @@ def partial_trace_localize(A, X, G):
     n = G.n_sites
     dims = G.site_dims
     D = int(np.prod(dims, dtype=np.int64))
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
     if A.shape != (D, D):
         raise ValueError("matrix does not live on the full volume")
     env = [p for p in range(n) if p not in X]
@@ -178,7 +195,9 @@ class HamiltonianAction:
         return y
 
     def dense(self):
-        H = np.zeros((self.dim, self.dim), dtype=complex)
+        """The full matrix; float64 unless a term has an imaginary part."""
+        real = not any(t.matrix.imag.any() for t in self.terms)
+        H = np.zeros((self.dim, self.dim), dtype=float if real else complex)
         for t in self.terms:
             H += embed(t, self.graph)
         return H
@@ -196,9 +215,11 @@ def eigendecompose(H, mode="auto", k=6, tol=0.0):
     """Eigenpairs of a hermitian operator.
 
     H is a dense matrix or a HamiltonianAction.  mode "dense" produces the
-    full decomposition (LAPACK); "iterative" produces the k lowest pairs
-    (ARPACK Lanczos over the matvec kernels); "auto" picks dense up to
-    2**13 total dimension.
+    full decomposition (LAPACK) in the dtype of H (a HamiltonianAction is
+    densified, real when all its terms are); "iterative" produces the k
+    lowest pairs (ARPACK Lanczos over the matvec kernels) from a fixed
+    start vector, so its results repeat run to run; "auto" picks dense up
+    to 2**13 total dimension.
     """
     is_action = isinstance(H, HamiltonianAction)
     dim = H.dim if is_action else int(H.shape[0])
@@ -206,7 +227,7 @@ def eigendecompose(H, mode="auto", k=6, tol=0.0):
         mode = "dense" if dim <= DENSE_LIMIT else "iterative"
 
     if mode == "dense":
-        M = H.dense() if is_action else np.asarray(H, dtype=complex)
+        M = H.dense() if is_action else np.asarray(H)
         scale = max(np.abs(M).max(), 1.0)
         if np.abs(M - M.conj().T).max() > 1e-10 * scale:
             raise ValueError("operator is not hermitian")
@@ -218,9 +239,10 @@ def eigendecompose(H, mode="auto", k=6, tol=0.0):
         if k >= dim - 1:
             raise ValueError("iterative mode needs k < dim - 1")
         op = H.as_linear_operator() if is_action else spla.aslinearoperator(
-            np.asarray(H, dtype=complex)
+            np.asarray(H)
         )
-        vals, vecs = spla.eigsh(op, k=k, which="SA", tol=tol)
+        v0 = np.random.default_rng(0).standard_normal(dim).astype(op.dtype)
+        vals, vecs = spla.eigsh(op, k=k, which="SA", tol=tol, v0=v0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         mv = H.matvec if is_action else (lambda x: np.asarray(H) @ x)

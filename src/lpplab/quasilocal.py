@@ -34,14 +34,19 @@ import numpy as np
 from scipy.special import wofz
 
 from . import kernels, lattice
-from .exceptions import GapClosed, StepTooLarge
+from .exceptions import StepTooLarge
 from .operators import (
     LocalOperator,
     embed_matrix,
     operator_norm,
     partial_trace_localize,
 )
-from .sectors import align_phases, solve_step_coefficients, verify_gap_along_path
+from .sectors import (
+    align_phases,
+    solve_step_coefficients,
+    split_sector,
+    verify_gap_along_path,
+)
 
 CLUSTER_TOL = 1e-9
 PHI_BLOCK = 1 << 16  # entries of Phi evaluated per row block in build_R
@@ -167,7 +172,8 @@ def _build_R_batch(S0, S, lam0s, params: FilterParams, overlap=None):
     g_T = _gauss_truncated.  The zeroth Dyson term is then lifted to its
     full-time value by adding sum_lambda a_lambda (e^{-w^2/4a} - g_T(w)),
     w = lambda_i0 - lambda, on the diagonal (see module docstring).  Phi
-    is evaluated in row blocks to keep the D x D temporaries few.
+    is evaluated in row blocks to keep the D x D temporaries few.  Phi is
+    real, so the stack is real when both eigenbases are.
     Returns (stack, diagnostics).
     """
     if params.nodes is None or params.a is None:
@@ -184,7 +190,7 @@ def _build_R_batch(S0, S, lam0s, params: FilterParams, overlap=None):
     V0h = S0.vectors.conj().T
     rows = max(1, PHI_BLOCK // D)
 
-    stack = np.empty((n_i, D, D), dtype=complex)
+    stack = np.empty((n_i, D, D), dtype=np.result_type(C, S.vectors, V0h))
     for i in range(n_i):
         for r in range(0, D, rows):
             omega = kap[r : r + rows, None] - kap0[None, :]
@@ -219,20 +225,10 @@ def localize_R(R, K, l, G) -> LocalOperator:
 
 def _step_gap(path, s0, s1):
     gaps = [path.sector(s0).gap, path.sector(s1).gap]
-    vals = path.sector_values((s0 + s1) / 2)
-    if path.rule[0] == "fixed_d":
-        d = int(path.rule[1])
-        gaps.append(float(vals[d] - vals[d - 1]))
-    else:
-        lo, hi = float(path.rule[1]), float(path.rule[2])
-        mask = (vals >= lo) & (vals <= hi)
-        if not mask.any() or mask.all():
-            raise GapClosed((s0 + s1) / 2, None)
-        gaps.append(float(np.abs(vals[~mask][:, None] - vals[mask][None, :]).min()))
-    g = min(gaps)
-    if g < 1e-10:
-        raise GapClosed((s0 + s1) / 2, g)
-    return g
+    mid = (s0 + s1) / 2
+    vals = path.sector_values(mid)
+    _, _, g_mid = split_sector(vals, path.rule, s=mid, complete=len(vals) == path.dim)
+    return min(gaps + [g_mid])
 
 
 def weak_step(path, s0, eps, l, g=None):

@@ -58,8 +58,16 @@ class SectorSpectrum:
         return self.basis @ self.basis.conj().T
 
 
-def identify_sector(S: SpectralData, rule, s=None) -> SectorSpectrum:
-    values = S.values
+def split_sector(values, rule, s=None, complete=True):
+    """(in_idx, out_idx, gap): the sector `rule` picks from ascending
+    eigenvalues, its complement, and the distance between the two.
+
+    complete says whether `values` is the whole spectrum (a window rule
+    must not reach past a partial one).  Raises ValueError when the rule
+    cannot pick a proper sector from these values, and GapClosed(s, gap)
+    when the gap is below GAP_TOL.
+    """
+    values = np.asarray(values)
     if rule[0] == "fixed_d":
         d = int(rule[1])
         if d < 1:
@@ -73,22 +81,26 @@ def identify_sector(S: SpectralData, rule, s=None) -> SectorSpectrum:
         out_idx = np.arange(d, len(values))
     elif rule[0] == "window":
         lo, hi = float(rule[1]), float(rule[2])
-        if not S.complete and hi >= values[-1]:
+        if not complete and hi >= values[-1]:
             raise ValueError("window reaches beyond the computed part of the spectrum")
         mask = (values >= lo) & (values <= hi)
         if not mask.any():
-            raise ValueError(f"no eigenvalues inside window [{lo}, {hi}]")
+            raise ValueError(f"no eigenvalues inside window [{lo}, {hi}] at s={s!r}")
         if mask.all():
-            raise ValueError("window must leave a nonempty sigma_out")
+            raise ValueError(f"window must leave a nonempty sigma_out (s={s!r})")
         in_idx = np.flatnonzero(mask)
         out_idx = np.flatnonzero(~mask)
     else:
         raise ValueError(f"unknown sector rule {rule!r}")
-
-    vin, vout = values[in_idx], values[out_idx]
-    gap = float(np.abs(vout[:, None] - vin[None, :]).min())
+    gap = float(np.abs(values[out_idx][:, None] - values[in_idx][None, :]).min())
     if gap < GAP_TOL:
         raise GapClosed(s, gap)
+    return in_idx, out_idx, gap
+
+
+def identify_sector(S: SpectralData, rule, s=None) -> SectorSpectrum:
+    in_idx, out_idx, gap = split_sector(S.values, rule, s=s, complete=S.complete)
+    vin, vout = S.values[in_idx], S.values[out_idx]
     warns = ()
     if gap < CLUSTER_TOL:
         warns = ("sector boundary lies inside an eigenvalue cluster",)
@@ -122,7 +134,8 @@ def align_phases(prev: SectorSpectrum, next: SectorSpectrum, singular_tol=1e-8):
     if prev.dim != next.dim:
         raise ValueError("sector dimensions differ")
     O = prev.basis.conj().T @ next.basis
-    B = next.basis.copy()
+    # a complex previous basis mixes complex phases into a real next one
+    B = next.basis.astype(np.result_type(prev.basis, next.basis))
     for sl in _cluster_slices(next.values_in):
         block = O[sl, sl]
         U, sing, Vh = np.linalg.svd(block)
@@ -249,13 +262,7 @@ class HamiltonianPath:
         if self.dim <= DENSE_LIMIT:
             return np.linalg.eigvalsh(self.hamiltonian(s, mode="dense"))
         act = self.hamiltonian(s, mode="matvec")
-        import scipy.sparse.linalg as spla
-
-        vals = spla.eigsh(
-            act.as_linear_operator(), k=self._solver_k(), which="SA",
-            return_eigenvectors=False,
-        )
-        return np.sort(vals)
+        return eigendecompose(act, mode="iterative", k=self._solver_k()).values
 
     def constants(self):
         """The decay-framework constants attached to this path's graph."""
@@ -280,20 +287,10 @@ def verify_gap_along_path(path: HamiltonianPath, n_check=9):
     g_min, width_max = np.inf, 0.0
     for s in np.linspace(0.0, 1.0, n_check):
         values = path.sector_values(s)
-        if path.rule[0] == "fixed_d":
-            d = int(path.rule[1])
-            if len(values) < d + 1:
-                raise ValueError("spectrum depth too small for the sector rule")
-            vin, vout = values[:d], values[d:]
-        else:
-            lo, hi = float(path.rule[1]), float(path.rule[2])
-            mask = (values >= lo) & (values <= hi)
-            if not mask.any() or mask.all():
-                raise GapClosed(s, None)
-            vin, vout = values[mask], values[~mask]
-        gap = float(np.abs(vout[:, None] - vin[None, :]).min())
-        if gap < GAP_TOL:
-            raise GapClosed(s, gap)
+        in_idx, _, gap = split_sector(
+            values, path.rule, s=s, complete=len(values) == path.dim
+        )
+        vin = values[in_idx]
         g_min = min(g_min, gap)
         width_max = max(width_max, float(vin.max() - vin.min()))
     return g_min, width_max

@@ -3,11 +3,15 @@
 import json
 import math
 import os
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from tqo_oracle import full_space_tqo_check
 
+from lpplab import models, sectors
 from lpplab.blas import blas_thread_counts
 from lpplab.cli import main
 from lpplab.exceptions import InsufficientData
@@ -20,9 +24,21 @@ from lpplab.harness import (
     write_csv,
     write_manifest,
 )
-from lpplab.harness.experiments import _pmap, build_model, run_lr_cone, run_weak_step
+from lpplab.harness.experiments import (
+    _pmap,
+    _ramp_path,
+    build_model,
+    run_clustering,
+    run_impurity_lppl,
+    run_lr_cone,
+    run_tqo,
+    run_weak_step,
+)
 from lpplab.harness.io import format_cell
+from lpplab.interactions import DecayFunctions
 from lpplab.operators import commutator_norm, embed_matrix, sigma_x, sigma_y, sigma_z
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # ------------------------------------------------------------- fit_decay
@@ -269,6 +285,120 @@ def test_weak_step_runner_is_deterministic():
     by_name = {c["name"]: c["passed"] for c in r1["checks"]}
     assert by_name["decay-rate-positive"]
     assert by_name["fit-quality"]
+
+
+def test_sigma_y_ramp_runs_complex_and_passes():
+    cfg = {
+        "schema_version": 1,
+        "experiment": "weak-step",
+        "model": {"kind": "transverse-field-Ising", "n": 7, "h": 200.0},
+        "perturbation": {"site": 0, "pauli": "y", "epsilon": 0.05},
+        "sweep": {"l_values": [1, 3, 5]},
+    }
+    model, _ = build_model(cfg["model"])
+    path = _ramp_path(cfg, model, DecayFunctions(model.graph, 1.0))
+    assert path.hamiltonian(0.0).dtype == np.float64
+    for s in (0.05, 1.0):
+        assert path.hamiltonian(s).dtype == np.complex128
+        assert path.spectral(s).vectors.dtype == np.complex128
+    rep = run_weak_step(cfg)
+    assert all(c["passed"] for c in rep["checks"]), rep["checks"]
+
+
+def _tqo_config():
+    cfg = load_config(ROOT / "configs" / "tqo.json")
+    return cfg, np.random.default_rng(cfg["seed"])
+
+
+def test_tqo_check_matches_full_space_oracle(monkeypatch):
+    # every bulk probe of the shipped tqo config, checked both ways
+    compressed = models.tqo_check
+    seen = []
+
+    def both(B, A, Lstar, geom):
+        z, dev = compressed(B, A, Lstar, geom)
+        z_ref, dev_ref = full_space_tqo_check(B @ B.conj().T, A, Lstar, geom)
+        seen.append((A.support, abs(z - z_ref), dev, dev_ref))
+        return z, dev
+
+    monkeypatch.setattr(models, "tqo_check", both)
+    cfg, rng = _tqo_config()
+    run_tqo(cfg, rng=rng)
+    assert len(seen) > 50
+    for support, dz, dev, dev_ref in seen:
+        assert dz <= 1e-12, support
+        assert dev <= 1e-10 and dev_ref <= 1e-10, support
+
+
+IMPURITY_SMALL = {
+    "schema_version": 1,
+    "experiment": "impurity-lppl",
+    "model": {"kind": "transverse-field-Ising", "n": 6, "J": 1.0, "h": 30.0},
+    "impurity": {"site": 3, "dim": 2, "strength": 1.0, "pauli": "z"},
+    "sweep": {"l_values": [1, 2, 3], "n_steps": 4},
+}
+
+
+@pytest.mark.parametrize("experiment", ["tqo", "impurity-lppl"])
+def test_dressed_deviations_ignore_the_sector_basis(experiment, monkeypatch):
+    # the dressed sector at s=1 is exactly degenerate in both runners, so
+    # the eigensolver's choice of basis inside it is arbitrary; a random
+    # unitary rotation of that basis must leave every row unchanged
+    def run():
+        if experiment == "tqo":
+            cfg, rng = _tqo_config()
+            return run_tqo(cfg, rng=rng)
+        return run_impurity_lppl(IMPURITY_SMALL)
+
+    ref = run()
+    original = sectors.HamiltonianPath.sector
+    rot_rng = np.random.default_rng(5)
+
+    def rotated(self, s):
+        sec = original(self, s)
+        if s != 1.0:
+            return sec
+        d = sec.basis.shape[1]
+        M = rot_rng.normal(size=(d, d)) + 1j * rot_rng.normal(size=(d, d))
+        U, _ = np.linalg.qr(M)
+        return replace(sec, basis=sec.basis @ U)
+
+    monkeypatch.setattr(sectors.HamiltonianPath, "sector", rotated)
+    got = run()
+    assert all(c["passed"] for c in got["checks"]), got["checks"]
+    rows, ref_rows = got["tables"][0]["rows"], ref["tables"][0]["rows"]
+    assert len(rows) == len(ref_rows)
+    for row, ref_row in zip(rows, ref_rows):
+        for cell, ref_cell in zip(row, ref_row):
+            if isinstance(ref_cell, str):
+                assert cell == ref_cell
+            else:
+                assert abs(cell - ref_cell) <= 1e-12, (row, ref_row)
+
+
+def test_runners_diagonalize_each_model_once(monkeypatch):
+    calls = {"models": 0, "sectors": 0}
+
+    def counting(module, fn):
+        def wrapped(*args, **kwargs):
+            calls[module] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(models, "eigendecompose", counting("models", models.eigendecompose))
+    monkeypatch.setattr(sectors, "eigendecompose", counting("sectors", sectors.eigendecompose))
+    small = {"kind": "transverse-field-Ising", "n": 6}
+    run_lr_cone({
+        "schema_version": 1, "experiment": "lr-cone", "model": small,
+        "sweep": {"t_max": 0.5, "n_times": 2, "distances": [1]},
+    })
+    assert calls == {"models": 1, "sectors": 0}
+    run_clustering({"schema_version": 1, "experiment": "clustering", "model": small})
+    assert calls == {"models": 2, "sectors": 0}
+    cfg, rng = _tqo_config()
+    run_tqo(cfg, rng=rng)
+    # the bulk toric code once, the dressed impurity path once (at s=1)
+    assert calls == {"models": 3, "sectors": 1}
 
 
 # ------------------------------------------------------------------ cli

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tqo_oracle import full_space_tqo_check
 
 from lpplab import interactions as itx
 from lpplab import lattice, models, sectors
@@ -392,25 +393,86 @@ def test_in_square_translation_invariant(da, db, data):
 
 def test_tqo_check_local_observables(toric2):
     model, geom, _, gs, _, _ = toric2
-    P = gs @ gs.conj().T
     A = LocalOperator((0,), (2,), sigma_z, hermitian=True)
-    z, dev = models.tqo_check(P, A, 1, geom)
+    z, dev = models.tqo_check(gs, A, 1, geom)
     assert abs(z) < 1e-10
     assert dev < 1e-10
     # an in-window pair
     pair = tuple(sorted((geom.h_edge(0, 0), geom.v_edge(0, 0))))
     A2 = LocalOperator(pair, (2, 2), np.kron(sigma_x, sigma_x), hermitian=True)
-    z2, dev2 = models.tqo_check(P, A2, 1, geom)
+    z2, dev2 = models.tqo_check(gs, A2, 1, geom)
     assert dev2 < 1e-10
 
 
 def test_tqo_check_rejects_wrapping_support(toric2):
     model, geom, _, gs, _, _ = toric2
-    P = gs @ gs.conj().T
     loop = tuple(sorted(geom.h_edge(0, j) for j in range(2)))
     A = LocalOperator(loop, (2, 2), np.kron(sigma_z, sigma_z), hermitian=True)
     with pytest.raises(NotApplicable):
-        models.tqo_check(P, A, 1, geom)
+        models.tqo_check(gs, A, 1, geom)
+
+
+def _complex_oracle(H, d):
+    """Eigenvalues and the lowest-d projector of H, in complex arithmetic."""
+    w, V = np.linalg.eigh(np.asarray(H, dtype=complex))
+    return w, V[:, :d] @ V[:, :d].conj().T
+
+
+def _real_spectral_cases():
+    tfim, _ = models.build_gapped_chain("transverse-field-Ising", {"n": 6})
+    xy, _ = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0, u=[1.0, 1.5] * 3))
+    toric, _ = models.build_toric_code(2)
+    _, impurity = _xy_with_impurity()
+    yield "tfim-n6", tfim.hamiltonian("dense"), tfim.spectral(), 1
+    yield "xy-ring", xy.hamiltonian("dense"), xy.spectral(), 1
+    yield "toric-L2", toric.hamiltonian("dense"), toric.spectral(), 4
+    yield "impurity-s1", impurity.hamiltonian(1.0), impurity.spectral(1.0), 2
+
+
+def test_real_spectra_match_the_complex_path():
+    for name, H, S, d in _real_spectral_cases():
+        assert H.dtype == np.float64, name
+        assert S.vectors.dtype == np.float64, name
+        w, P = _complex_oracle(H, d)
+        assert np.abs(S.values - w).max() <= 1e-12, name
+        B = S.vectors[:, :d]
+        assert np.abs(B @ B.T - P).max() <= 1e-10, name
+
+
+def test_model_spectral_is_computed_once():
+    model, meta = models.build_gapped_chain("transverse-field-Ising", {"n": 5})
+    S = model.spectral(mode="dense")
+    assert model.spectral() is S  # "auto" resolves to the same dense data
+    assert meta["gap"] == S.values[1] - S.values[0]
+    it4 = model.spectral(mode="iterative", k=4)
+    assert model.spectral(mode="iterative", k=4) is it4
+    assert len(model.spectral(mode="iterative", k=6).values) == 6
+    assert model == models.Model(model.graph, model.family, model.kind, model.params)
+
+
+def test_tqo_check_matches_full_space_oracle_with_nonzero_z(toric2):
+    # a stabilizer (z = 1), a noncontractible loop (z = 0, deviation 1)
+    # and their sum, in a window that holds the whole torus
+    model, geom, _, gs, _, _ = toric2
+    star = tuple(sorted(geom.star(0, 0)))
+    loop = tuple(sorted(geom.h_edge(0, j) for j in range(2)))
+    X4 = np.kron(np.kron(sigma_x, sigma_x), np.kron(sigma_x, sigma_x))
+    Z2 = np.kron(sigma_z, sigma_z)
+    both = tuple(sorted(set(star) | set(loop)))
+    probes = [
+        LocalOperator(star, (2,) * 4, X4),
+        LocalOperator(loop, (2, 2), Z2),
+        LocalOperator(both, (2,) * len(both),
+                      embed_matrix(X4, [both.index(q) for q in star], (2,) * len(both))
+                      + embed_matrix(Z2, [both.index(q) for q in loop], (2,) * len(both))),
+    ]
+    P = gs @ gs.conj().T
+    expected = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    for A, (z_want, dev_want) in zip(probes, expected):
+        z, dev = models.tqo_check(gs, A, 2, geom)
+        z_ref, dev_ref = full_space_tqo_check(P, A, 2, geom)
+        assert abs(z - z_ref) <= 1e-12 and abs(dev - dev_ref) <= 1e-10
+        assert abs(z - z_want) <= 1e-10 and abs(dev - dev_want) <= 1e-10
 
 
 def test_toric_size_validation():

@@ -200,6 +200,52 @@ def test_matvec_agrees_with_dense_assembly():
     assert np.allclose(act.matvec(x), H @ x, atol=1e-12)
 
 
+def _tfim_action(G, pauli_field=sigma_x):
+    terms = [
+        LocalOperator.from_graph(G, (a, b), -np.kron(sigma_z, sigma_z), hermitian=True)
+        for a, b in G.edges
+    ] + [
+        LocalOperator.from_graph(G, (x,), -2.0 * pauli_field, hermitian=True)
+        for x in G.sites()
+    ]
+    return HamiltonianAction(G, terms)
+
+
+def test_embedding_is_real_exactly_when_the_input_is():
+    dims = (2, 3, 2)
+    rng = np.random.default_rng(4)
+    real_in_complex = (rng.normal(size=(6, 6)) + 0j)
+    for A, dtype in ((sigma_x, np.float64), (sigma_y, np.complex128)):
+        got = embed_matrix(A, (2,), dims)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.kron(np.eye(6), A))
+    got = embed_matrix(real_in_complex, (0, 1), dims)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.kron(real_in_complex, np.eye(2)).real)
+
+
+def test_dense_assembly_and_spectrum_stay_real_for_real_terms():
+    G = lattice.chain(5)
+    for field, dtype in ((sigma_x, np.float64), (sigma_y, np.complex128)):
+        act = _tfim_action(G, field)
+        H = act.dense()
+        assert H.dtype == dtype
+        S = eigendecompose(act, mode="dense")
+        assert S.vectors.dtype == dtype
+        # oracle: the same matrix diagonalized in complex arithmetic
+        ref = np.linalg.eigvalsh(H.astype(complex))
+        assert np.abs(S.values - ref).max() <= 1e-12
+    assert eigendecompose(np.diag([2.0, 1.0]), mode="dense").vectors.dtype == np.float64
+
+
+def test_iterative_start_vector_is_fixed():
+    act = _tfim_action(lattice.chain(8))
+    first = eigendecompose(act, mode="iterative", k=4)
+    again = eigendecompose(act, mode="iterative", k=4)
+    assert np.array_equal(first.values, again.values)
+    assert np.array_equal(first.vectors, again.vectors)
+
+
 def test_eigendecompose_rejects_nonhermitian():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]), mode="dense")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lpplab import interactions as itx
-from lpplab import lattice, sectors
+from lpplab import lattice, quasilocal, sectors
 from lpplab.exceptions import GapClosed, StepTooLarge
 from lpplab.operators import LocalOperator, eigendecompose, sigma_x, sigma_z
 
@@ -160,6 +160,23 @@ def test_align_unmixes_degenerate_cluster():
     assert np.allclose(out.basis, sec.basis, atol=1e-10)
 
 
+def test_align_keeps_the_phases_of_a_complex_previous_basis():
+    # a real eigenbasis aligned against a complex one (an impurity path's
+    # initial basis) must take on the complex phase, not drop it
+    phase = np.exp(0.4j)
+    mk = lambda B: sectors.SectorSpectrum(
+        values_in=np.array([0.0]),
+        values_out=np.array([1.0]),
+        basis=B,
+        gap=1.0,
+        width=0.0,
+    )
+    prev = mk(phase * np.eye(4)[:, :1])
+    out = sectors.align_phases(prev, mk(np.eye(4)[:, :1]))
+    assert out.basis.dtype == np.complex128
+    assert np.allclose(out.basis, prev.basis, atol=1e-14)
+
+
 def test_align_rejects_orthogonal_step():
     basis_a = np.eye(4)[:, :1].astype(complex)
     basis_b = np.eye(4)[:, 1:2].astype(complex)
@@ -256,16 +273,58 @@ def test_path_gap_constant_without_perturbation():
     assert np.ptp(gaps) < 1e-12
 
 
-def test_path_detects_crossing():
+def _crossing_path(rule):
     # single site, levels 0 and 1 - 2s cross at s = 1/2
     G = lattice.LatticeGraph(1, [])
     phi = itx.InteractionFamily(
         [LocalOperator((0,), (2,), np.diag([0.0, 1.0]).astype(complex), hermitian=True)]
     )
     W = itx.PerturbationPath(G, [(0, lambda s: s * np.diag([0.0, -2.0]))])
-    path = sectors.HamiltonianPath(G, phi, W=W, rule=("fixed_d", 1))
+    return sectors.HamiltonianPath(G, phi, W=W, rule=rule)
+
+
+def test_path_detects_crossing():
+    path = _crossing_path(("fixed_d", 1))
     with pytest.raises(GapClosed):
         sectors.verify_gap_along_path(path, n_check=9)
+
+
+def test_split_sector_rules():
+    vals = np.array([0.0, 0.1, 1.5, 2.0])
+    in_idx, out_idx, gap = sectors.split_sector(vals, ("fixed_d", 2))
+    assert list(in_idx) == [0, 1] and list(out_idx) == [2, 3]
+    assert gap == pytest.approx(1.4)
+    in_idx, out_idx, gap = sectors.split_sector(vals, ("window", 1.0, 1.8))
+    assert list(in_idx) == [2] and list(out_idx) == [0, 1, 3]
+    assert gap == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="beyond"):
+        sectors.split_sector(vals, ("window", 1.0, 2.5), complete=False)
+    with pytest.raises(GapClosed) as hit:
+        sectors.split_sector(np.array([0.0, 0.0, 1.0]), ("fixed_d", 1), s=0.3)
+    assert hit.value.s == 0.3 and hit.value.gap == 0.0
+
+
+def test_one_sector_rule_for_every_gap_consumer():
+    # identify_sector, verify_gap_along_path and the weak-step gap agree
+    # on where the gap closes and on an ill-posed window
+    path = _crossing_path(("fixed_d", 1))
+    with pytest.raises(GapClosed) as at_sector:
+        path.sector(0.5)
+    with pytest.raises(GapClosed) as at_grid:
+        sectors.verify_gap_along_path(path, n_check=3)
+    with pytest.raises(GapClosed) as at_step:
+        quasilocal._step_gap(path, 0.25, 0.75)
+    assert at_sector.value.s == at_grid.value.s == at_step.value.s == 0.5
+    assert at_sector.value.gap == at_grid.value.gap == at_step.value.gap == 0.0
+
+    empty = _crossing_path(("window", 5.0, 6.0))
+    for probe in (
+        lambda: empty.sector(0.0),
+        lambda: sectors.verify_gap_along_path(empty, n_check=3),
+        lambda: quasilocal._step_gap(empty, 0.0, 0.1),
+    ):
+        with pytest.raises(ValueError, match="no eigenvalues inside window"):
+            probe()
 
 
 def test_path_spectral_cache_reuse_and_eviction():
