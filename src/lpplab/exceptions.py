@@ -34,3 +34,30 @@ class QuadratureError(Exception):
     Raised by spectral_flow.integrate_flow when halving ds has not
     stabilized the endpoint flow error after HALVING_CAP passes.
     """
+
+
+class EigensolverFailed(Exception):
+    """LAPACK or ARPACK produced no eigenpairs.
+
+    Carries the operator's dimension, dtype and the solver mode; the
+    solver's own exception is chained as __cause__.
+    """
+
+    def __init__(self, dim, dtype, mode):
+        self.dim = dim
+        self.dtype = dtype
+        self.mode = mode
+        super().__init__(f"{mode} eigensolver failed on a {dtype} operator of dim {dim}")
+
+
+class UnitarityLost(Exception):
+    """An integrated flow drifted from unitarity beyond UNITARITY_TOL.
+
+    Carries the truncation radius (None for the untruncated flow) and the
+    defect ||U^dag U - 1||.
+    """
+
+    def __init__(self, l, defect):
+        self.l = l
+        self.defect = defect
+        super().__init__(f"flow at radius l={l!r} lost unitarity: defect {defect:.3e}")

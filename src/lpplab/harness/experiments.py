@@ -35,7 +35,7 @@ from ..interactions import (
     lr_velocity,
     xi,
 )
-from ..kernels import EmbeddingPlan, apply_embedded
+from ..kernels import apply_embedded
 from ..operators import (
     LocalOperator,
     compress,
@@ -132,8 +132,7 @@ def build_model(mcfg):
 
 
 def _expectation(psi, matrix, sites, dims):
-    plan = EmbeddingPlan(dims, tuple(sites))
-    return float(np.vdot(psi, apply_embedded(matrix, plan, psi)).real)
+    return float(np.vdot(psi, apply_embedded(matrix, sites, dims, psi)).real)
 
 
 def _sector_deviation(B, sigma, site, dims, value):
@@ -604,9 +603,7 @@ def run_clustering(config, workers=1, rng=None):
 
     def corr(xy):
         x, y = xy
-        plan = EmbeddingPlan(G.site_dims, (x, y))
-        val = float(np.vdot(psi, apply_embedded(pair_mat, plan, psi)).real)
-        return abs(val - single[x] * single[y])
+        return abs(_expectation(psi, pair_mat, (x, y), G.site_dims) - single[x] * single[y])
 
     vals = _pmap(corr, pairs, workers)
     r2_min = _tol(config, "r_squared_min", 0.9)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
+from .kernels import embed_sparse
 from .operators import HamiltonianAction, LocalOperator, embed_matrix, operator_norm
 
 
@@ -149,17 +150,25 @@ def lr_bound_rhs(A: LocalOperator, B: LocalOperator, t, phi, decay):
     return pref * A.norm() * B.norm() * min(bx, by) * np.exp(-decay.mu * (d - v * abs(t)))
 
 
+def add_terms(H, terms, G):
+    """H plus each local term embedded on G as CSR, added in order."""
+    for t in terms:
+        H = H + embed_sparse(t.matrix, t.support, G.site_dims)
+    return HamiltonianAction(H)
+
+
 def assemble_hamiltonian(phi: InteractionFamily, G, W=None, s=0.0, mode="matvec"):
-    """sum(Phi) + W(s), either dense or as a kernel-backed matvec action."""
-    terms = list(phi.terms)
-    if W is not None:
-        terms.extend(W.terms(s))
-    act = HamiltonianAction(G, terms)
-    if mode == "dense":
-        return act.dense()
-    if mode == "matvec":
-        return act
-    raise ValueError(f"unknown mode {mode!r}")
+    """sum(Phi) + W(s) as a HamiltonianAction (CSR, mode "matvec") or its
+    dense array.
+
+    The terms are added in order, W's last; the sum is float64 unless a
+    term has an imaginary part.
+    """
+    if mode not in ("dense", "matvec"):
+        raise ValueError(f"unknown mode {mode!r}")
+    terms = list(phi.terms) + ([] if W is None else W.terms(s))
+    H = add_terms(HamiltonianAction((G.dimension(),) * 2), terms, G)
+    return H.dense() if mode == "dense" else H
 
 
 _SMOOTHNESS_GRID = 1001

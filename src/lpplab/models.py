@@ -70,8 +70,7 @@ class Model:
             mode = "dense" if self.graph.dimension() <= DENSE_LIMIT else "iterative"
         key = (mode, None if mode == "dense" else k)
         if key not in self._spectra:
-            H = self.hamiltonian("dense" if mode == "dense" else "matvec")
-            self._spectra[key] = eigendecompose(H, mode=mode, k=k)
+            self._spectra[key] = eigendecompose(self.hamiltonian("matvec"), mode=mode, k=k)
         return self._spectra[key]
 
 
@@ -263,12 +262,6 @@ class MMCorrespondence:
         if obj.ndim == 1:
             return obj[inv]
         return obj[np.ix_(inv, inv)]
-
-
-def matsubara_matsueda_map(obj, G):
-    """Boson representation of a spin state or operator (see
-    MMCorrespondence for the ordering)."""
-    return MMCorrespondence(G).to_boson(obj)
 
 
 # ------------------------------------------------------------- impurities

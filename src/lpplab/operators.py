@@ -3,7 +3,8 @@
 Conventions: site 0 is the slowest tensor axis (kron order by ascending
 site id), operators on a region are matrices over the sites of the region
 sorted ascending.  Dense spectral work is intended for total dimension up
-to 2**13; above that use matvec assembly and the iterative eigensolver.
+to 2**13; above that the iterative eigensolver works on the sparse
+(CSR) Hamiltonian directly.
 
 Dense embeddings and assembled Hamiltonians are float64 whenever no
 input matrix has a nonzero imaginary part, and complex128 otherwise;
@@ -13,11 +14,13 @@ are diagonalized in real arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .exceptions import EigensolverFailed
 from .kernels import EmbeddingPlan, apply_embedded
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -91,38 +94,23 @@ def embed(op: LocalOperator, G):
 
 
 def embed_matrix(A, positions, all_dims):
-    """Embed matrix A acting on `positions` (sorted) into prod(all_dims).
+    """Embed matrix A acting on `positions` into prod(all_dims).
 
-    Tensors A with the identity on the remaining sites and permutes the
-    axes back to site order.  The result is float64 when A has no
-    nonzero imaginary part.
+    The dense form of `kernels.embed_sparse`: A is written into the full
+    matrix by the index table, with the identity on the remaining sites.
+    The result is float64 when A has no nonzero imaginary part.
     """
-    positions = tuple(sorted(int(p) for p in positions))
-    n = len(all_dims)
-    rest = [p for p in range(n) if p not in positions]
-    d_rest = int(np.prod([all_dims[p] for p in rest], dtype=np.int64)) if rest else 1
-    sup_dims = [all_dims[p] for p in positions]
-    A = np.asarray(A)
-    if np.iscomplexobj(A) and not A.imag.any():
-        A = A.real
-    full = np.kron(A, np.eye(d_rest, dtype=np.result_type(A, float)))
-    # axes currently ordered (support..., rest...) on both sides
-    shaped = full.reshape(
-        tuple(sup_dims) + tuple(all_dims[p] for p in rest) + tuple(sup_dims) + tuple(all_dims[p] for p in rest)
-    )
-    order = list(positions) + rest
-    perm = np.argsort(order)
-    shaped = shaped.transpose(tuple(perm) + tuple(perm + n))
-    D = int(np.prod(all_dims, dtype=np.int64))
-    return np.ascontiguousarray(shaped.reshape(D, D))
+    plan = EmbeddingPlan(all_dims, positions)
+    A, idx = plan.local(A), plan.idx
+    full = np.zeros((idx.size,) * 2, dtype=np.result_type(A, float))
+    full[idx[:, None, :], idx[None, :, :]] = A[:, :, None]
+    return full
 
 
 def compress(B, matrix, sites, dims):
     """B^dag (A x 1) B for A = matrix on `sites` of a product space with
-    local dimensions `dims`; A is applied locally to each column of B."""
-    plan = EmbeddingPlan(dims, tuple(sites))
-    AB = np.stack([apply_embedded(matrix, plan, b) for b in B.T], axis=1)
-    return B.conj().T @ AB
+    local dimensions `dims`; A is applied locally to the columns of B."""
+    return B.conj().T @ apply_embedded(matrix, sites, dims, B)
 
 
 def partial_trace_localize(A, X, G):
@@ -176,36 +164,16 @@ class SpectralData:
             raise ValueError(f"{what} needs a full eigendecomposition")
 
 
-class HamiltonianAction:
-    """Sum of embedded local terms, applied through the matvec kernels."""
+class HamiltonianAction(sp.csr_matrix):
+    """An assembled Hamiltonian: the CSR sum of its embedded local terms.
 
-    def __init__(self, G, terms):
-        self.graph = G
-        self.terms = list(terms)
-        self._plans = [
-            EmbeddingPlan(G.site_dims, t.support) for t in self.terms
-        ]
-        self.dim = G.dimension()
-
-    def matvec(self, x):
-        x = np.asarray(x, dtype=complex).ravel()
-        y = np.zeros(self.dim, dtype=complex)
-        for t, plan in zip(self.terms, self._plans):
-            apply_embedded(t.matrix, plan, x, y)
-        return y
+    `dense()` is the one place an assembled H is densified, so perfbench
+    times it as its own span (operators.HamiltonianAction.dense).
+    """
 
     def dense(self):
-        """The full matrix; float64 unless a term has an imaginary part."""
-        real = not any(t.matrix.imag.any() for t in self.terms)
-        H = np.zeros((self.dim, self.dim), dtype=float if real else complex)
-        for t in self.terms:
-            H += embed(t, self.graph)
-        return H
-
-    def as_linear_operator(self):
-        return spla.LinearOperator(
-            (self.dim, self.dim), matvec=self.matvec, dtype=complex
-        )
+        """The full matrix, in the dtype of the sum."""
+        return self.toarray()
 
 
 DENSE_LIMIT = 2**13
@@ -214,50 +182,40 @@ DENSE_LIMIT = 2**13
 def eigendecompose(H, mode="auto", k=6, tol=0.0):
     """Eigenpairs of a hermitian operator.
 
-    H is a dense matrix or a HamiltonianAction.  mode "dense" produces the
-    full decomposition (LAPACK) in the dtype of H (a HamiltonianAction is
-    densified, real when all its terms are); "iterative" produces the k
-    lowest pairs (ARPACK Lanczos over the matvec kernels) from a fixed
+    H is a dense array or a sparse matrix, which is taken as a
+    HamiltonianAction (CSR).  mode "dense" produces the full
+    decomposition (LAPACK) of the densified H in its dtype; "iterative"
+    produces the k lowest pairs (ARPACK Lanczos on H itself) from a fixed
     start vector, so its results repeat run to run; "auto" picks dense up
     to 2**13 total dimension.
+    residual_tol is max_j ||H v_j - w_j v_j|| in either mode.  A solver
+    failure is raised as EigensolverFailed carrying dim, dtype and mode.
     """
-    is_action = isinstance(H, HamiltonianAction)
-    dim = H.dim if is_action else int(H.shape[0])
+    H = HamiltonianAction(H) if sp.issparse(H) else np.asarray(H)
+    dim = int(H.shape[0])
     if mode == "auto":
         mode = "dense" if dim <= DENSE_LIMIT else "iterative"
+    if mode not in ("dense", "iterative"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "iterative" and k >= dim - 1:
+        raise ValueError("iterative mode needs k < dim - 1")
 
-    if mode == "dense":
-        M = H.dense() if is_action else np.asarray(H)
-        scale = max(np.abs(M).max(), 1.0)
-        if np.abs(M - M.conj().T).max() > 1e-10 * scale:
-            raise ValueError("operator is not hermitian")
-        vals, vecs = np.linalg.eigh(M)
-        res = float(np.linalg.norm(M @ vecs - vecs * vals, axis=0).max())
-        return SpectralData(vals, vecs, "dense", res, dim)
-
-    if mode == "iterative":
-        if k >= dim - 1:
-            raise ValueError("iterative mode needs k < dim - 1")
-        op = H.as_linear_operator() if is_action else spla.aslinearoperator(
-            np.asarray(H)
-        )
-        v0 = np.random.default_rng(0).standard_normal(dim).astype(op.dtype)
-        vals, vecs = spla.eigsh(op, k=k, which="SA", tol=tol, v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        mv = H.matvec if is_action else (lambda x: np.asarray(H) @ x)
-        res = _max_residual(mv, vals, vecs)
-        return SpectralData(vals, vecs, "iterative", res, dim)
-
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _max_residual(mv, vals, vecs):
-    worst = 0.0
-    for j in range(vals.shape[0]):
-        r = mv(vecs[:, j]) - vals[j] * vecs[:, j]
-        worst = max(worst, float(np.linalg.norm(r)))
-    return worst
+    try:
+        if mode == "dense":
+            M = H.dense() if sp.issparse(H) else H
+            scale = max(np.abs(M).max(), 1.0)
+            if np.abs(M - M.conj().T).max() > 1e-10 * scale:
+                raise ValueError("operator is not hermitian")
+            vals, vecs = np.linalg.eigh(M)
+        else:
+            v0 = np.random.default_rng(0).standard_normal(dim).astype(H.dtype)
+            vals, vecs = spla.eigsh(H, k=k, which="SA", tol=tol, v0=v0)
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
+    except (np.linalg.LinAlgError, spla.ArpackError) as exc:
+        raise EigensolverFailed(dim, H.dtype, mode) from exc
+    res = float(np.linalg.norm(H @ vecs - vecs * vals, axis=0).max())
+    return SpectralData(vals, vecs, mode, res, dim)
 
 
 def evolve(S: SpectralData, A, t):

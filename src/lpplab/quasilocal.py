@@ -33,8 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import wofz
 
-from . import kernels, lattice
+from . import lattice
 from .exceptions import StepTooLarge
+from .kernels import apply_embedded
 from .operators import (
     LocalOperator,
     embed_matrix,
@@ -263,11 +264,10 @@ def weak_step(path, s0, eps, l, g=None):
         params = params.with_coefficients(nodes, a)
         stack, diag = _build_R_batch(S0, S1, sec0.values_in, params, overlap=C)
         Kl = tuple(sorted(lattice.fatten(G, K, lv)))
-        plan = kernels.EmbeddingPlan(G.site_dims, Kl)
         ops, errs, raw_errs = [], [], []
         for i in range(sec0.dim):
             R_loc = partial_trace_localize(stack[i], Kl, G)
-            approx = kernels.apply_embedded(R_loc.matrix, plan, psi0[:, i])
+            approx = apply_embedded(R_loc.matrix, Kl, G.site_dims, psi0[:, i])
             errs.append(float(np.linalg.norm(proj0[:, i] - approx)))
             raw_errs.append(float(np.linalg.norm(proj0[:, i] - stack[i] @ psi0[:, i])))
             ops.append(R_loc)
@@ -319,14 +319,12 @@ def _transport_attempt(path, n, ls, g, consts):
     ss = np.linspace(0.0, 1.0, n + 1)
 
     regions = {}
-    plans = {}
     L = {}
     for lv in ls:
         Kl = tuple(sorted(lattice.fatten(G, K, lv)))
         regions[lv] = Kl
         dims = tuple(G.site_dims[x] for x in Kl)
         DK = int(np.prod(dims, dtype=np.int64))
-        plans[lv] = (dims, kernels.EmbeddingPlan(G.site_dims, Kl))
         eye = np.eye(DK, dtype=complex)
         L[lv] = np.array(
             [[eye if i == j else np.zeros((DK, DK), complex) for j in range(d)]
@@ -374,22 +372,21 @@ def _transport_attempt(path, n, ls, g, consts):
     psi1 = sec_prev.basis
     errors = {}
     for lv in ls:
-        dims, plan = plans[lv]
         errs = []
         for i in range(d):
-            acc = np.zeros(psi1.shape[0], dtype=complex)
-            for j in range(d):
-                acc += kernels.apply_embedded(L[lv][i, j], plan, psi0[:, j])
+            acc = sum(
+                apply_embedded(L[lv][i, j], regions[lv], G.site_dims, psi0[:, j])
+                for j in range(d)
+            )
             errs.append(float(np.linalg.norm(psi1[:, i] - acc)))
         errors[lv] = np.array(errs)
 
     out = {}
     for lv in ls:
-        dims, _ = plans[lv]
         out[lv] = TransportSet(
             L=L[lv],
             support=regions[lv],
-            dims=dims,
+            dims=tuple(G.site_dims[x] for x in regions[lv]),
             n=n,
             l=float(lv),
             c_history=c_history,

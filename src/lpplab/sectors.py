@@ -20,6 +20,7 @@ from .exceptions import GapClosed, StepTooLarge
 from .interactions import (
     DecayFunctions,
     InteractionFamily,
+    add_terms,
     assemble_hamiltonian,
     interaction_norm,
     lr_velocity,
@@ -28,6 +29,7 @@ from .operators import DENSE_LIMIT, SpectralData, eigendecompose
 
 GAP_TOL = 1e-10
 CLUSTER_TOL = 1e-9
+CACHE_SIZE = 3  # path points whose spectral data a HamiltonianPath keeps
 
 
 @dataclass(frozen=True)
@@ -185,9 +187,11 @@ def solve_step_coefficients(prev: SectorSpectrum, next: SectorSpectrum):
 class HamiltonianPath:
     """H(s) = sum(Phi) + W(s) on a fixed graph, with sector tracking.
 
-    Spectral data is cached with a small LRU window: transport sweeps
-    touch consecutive path points only, and dense eigenvector arrays at
-    12+ spins are too large to keep around in bulk.
+    sum(Phi) is assembled once as CSR; each s adds the terms of W(s) to
+    it.  Spectral data is cached with a small LRU window of CACHE_SIZE
+    points: transport sweeps touch consecutive path points only, and
+    dense eigenvector arrays at 12+ spins are too large to keep around in
+    bulk.
     """
 
     def __init__(
@@ -199,7 +203,6 @@ class HamiltonianPath:
         decay: DecayFunctions | None = None,
         initial_basis=None,
         k=None,
-        cache_size=3,
     ):
         self.graph = G
         self.phi = phi
@@ -210,15 +213,22 @@ class HamiltonianPath:
         self.k = k
         self.dim = int(np.prod(G.site_dims, dtype=np.int64))
         self._cache = OrderedDict()
-        self._cache_size = cache_size
         self._constants = None
+        self._H_phi = assemble_hamiltonian(phi, G)
 
     @property
     def K(self):
         return () if self.W is None else tuple(sorted(set(self.W.sites)))
 
     def hamiltonian(self, s, mode="dense"):
-        return assemble_hamiltonian(self.phi, self.graph, W=self.W, s=s, mode=mode)
+        """H(s) as a dense array, or as a HamiltonianAction (CSR) with mode
+        "matvec"."""
+        if mode not in ("dense", "matvec"):
+            raise ValueError(f"unknown mode {mode!r}")
+        H = self._H_phi
+        if self.W is not None:
+            H = add_terms(H, self.W.terms(s), self.graph)
+        return H.dense() if mode == "dense" else H
 
     def _solver_k(self):
         if self.k is not None:
@@ -231,13 +241,9 @@ class HamiltonianPath:
         if key in self._cache:
             self._cache.move_to_end(key)
             return self._cache[key]
-        if self.dim <= DENSE_LIMIT:
-            S = eigendecompose(self.hamiltonian(s, mode="dense"), mode="dense")
-        else:
-            act = self.hamiltonian(s, mode="matvec")
-            S = eigendecompose(act, mode="iterative", k=self._solver_k())
+        S = eigendecompose(self.hamiltonian(s, mode="matvec"), k=self._solver_k())
         self._cache[key] = S
-        while len(self._cache) > self._cache_size:
+        while len(self._cache) > CACHE_SIZE:
             self._cache.popitem(last=False)
         return S
 
@@ -261,8 +267,8 @@ class HamiltonianPath:
         """Eigenvalues only (cheap path for gap grids)."""
         if self.dim <= DENSE_LIMIT:
             return np.linalg.eigvalsh(self.hamiltonian(s, mode="dense"))
-        act = self.hamiltonian(s, mode="matvec")
-        return eigendecompose(act, mode="iterative", k=self._solver_k()).values
+        H = self.hamiltonian(s, mode="matvec")
+        return eigendecompose(H, mode="iterative", k=self._solver_k()).values
 
     def constants(self):
         """The decay-framework constants attached to this path's graph."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .exceptions import GapClosed, QuadratureError
+from .exceptions import GapClosed, QuadratureError, UnitarityLost
 from .models import n_up
 from .operators import commutator_norm, embed_matrix, operator_norm
 
@@ -366,7 +366,8 @@ def integrate_flows(path, ls, ds, K=None, method="resolvent"):
     `ls`, each equal to what integrate_flow gives for that radius alone.
     P, dP and G are formed once per grid point and shared by the radii;
     only the truncation, the step exponential and the error norm are
-    per radius.
+    per radius.  Raises UnitarityLost, with the radius and the defect,
+    when a flow ends further than UNITARITY_TOL from unitary.
     """
     ls = list(ls)
     if K is None and any(l is not None for l in ls):
@@ -400,10 +401,10 @@ def integrate_flows(path, ls, ds, K=None, method="resolvent"):
         grid.append(s1)
     grid = np.array(grid)
     out = []
-    for U, G, errs in zip(Us, Gs, errors):
+    for l, U, G, errs in zip(ls, Us, Gs, errors):
         defect = operator_norm(U.conj().T @ U - np.eye(dim), hermitian=True)
         if defect > UNITARITY_TOL:
-            raise RuntimeError(f"flow lost unitarity: {defect:.3e}")
+            raise UnitarityLost(l, defect)
         out.append((FlowState(1.0, U, G, ds), grid.copy(), np.array(errs)))
     return out
 

@@ -1,0 +1,74 @@
+"""Embedding oracles independent of lpplab.kernels' index table.
+
+  bruteforce_embed   A x 1 entry by entry: (row, col) takes A[a, b] when
+                     row and col agree off the support, a and b being
+                     their support digits.
+  kron_embed         A x 1 as np.kron(A, 1) with the axes permuted back
+                     to site order (the former operators.embed_matrix).
+  term_sum           the former dense Hamiltonian assembly: a zero
+                     matrix, float64 unless a term has an imaginary part,
+                     plus kron_embed of each term in order.
+"""
+
+import numpy as np
+
+
+def bruteforce_embed(A, positions, dims):
+    """Dense A x 1 by iterating over all pairs of basis states."""
+    A = np.asarray(A)
+    positions = tuple(sorted(positions))
+    D = int(np.prod(dims))
+    full = np.zeros((D, D), dtype=np.result_type(A, float))
+    strides = [1] * len(dims)
+    for i in range(len(dims) - 2, -1, -1):
+        strides[i] = strides[i + 1] * dims[i + 1]
+
+    def digits(flat):
+        return [(flat // strides[p]) % dims[p] for p in range(len(dims))]
+
+    def sup_index(dig):
+        out = 0
+        for p in positions:
+            out = out * dims[p] + dig[p]
+        return out
+
+    for row in range(D):
+        dr = digits(row)
+        for col in range(D):
+            dc = digits(col)
+            if all(dr[p] == dc[p] for p in range(len(dims)) if p not in positions):
+                full[row, col] = A[sup_index(dr), sup_index(dc)]
+    return full
+
+
+def kron_embed(A, positions, all_dims):
+    """kron(A, 1) with the axes transposed back to site order; float64
+    when A has no nonzero imaginary part."""
+    positions = tuple(sorted(int(p) for p in positions))
+    n = len(all_dims)
+    rest = [p for p in range(n) if p not in positions]
+    d_rest = int(np.prod([all_dims[p] for p in rest], dtype=np.int64)) if rest else 1
+    sup_dims = [all_dims[p] for p in positions]
+    A = np.asarray(A)
+    if np.iscomplexobj(A) and not A.imag.any():
+        A = A.real
+    full = np.kron(A, np.eye(d_rest, dtype=np.result_type(A, float)))
+    shaped = full.reshape(
+        tuple(sup_dims) + tuple(all_dims[p] for p in rest)
+        + tuple(sup_dims) + tuple(all_dims[p] for p in rest)
+    )
+    perm = np.argsort(list(positions) + rest)
+    shaped = shaped.transpose(tuple(perm) + tuple(perm + n))
+    D = int(np.prod(all_dims, dtype=np.int64))
+    return np.ascontiguousarray(shaped.reshape(D, D))
+
+
+def term_sum(terms, dims):
+    """sum of kron_embed over LocalOperator terms, added in order."""
+    terms = list(terms)
+    real = not any(np.asarray(t.matrix).imag.any() for t in terms)
+    D = int(np.prod(dims, dtype=np.int64))
+    H = np.zeros((D, D), dtype=float if real else complex)
+    for t in terms:
+        H += kron_embed(t.matrix, t.support, dims)
+    return H

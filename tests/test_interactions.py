@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lpplab import interactions as itx
 from lpplab import lattice
-from lpplab.operators import LocalOperator, embed_matrix, sigma_x, sigma_z
+from lpplab.operators import HamiltonianAction, LocalOperator, embed_matrix, sigma_x, sigma_z
 
 
 def ising_family(G, J):
@@ -294,7 +294,9 @@ def test_assemble_matvec_agrees_with_dense():
     H = itx.assemble_hamiltonian(phi, G, mode="dense")
     rng = np.random.default_rng(7)
     x = rng.normal(size=32) + 1j * rng.normal(size=32)
-    assert np.allclose(act.matvec(x), H @ x, atol=1e-12)
+    assert isinstance(act, HamiltonianAction) and act.format == "csr"
+    assert np.array_equal(act.dense(), H)
+    assert np.allclose(act @ x, H @ x, atol=1e-12)
 
 
 def test_assemble_empty_is_zero():

@@ -1,44 +1,13 @@
-"""Kernel backends against a kron-built dense oracle, plus backend parity."""
+"""The index-table embedding rule against brute-force and kron oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from embed_oracle import bruteforce_embed, kron_embed
 
-from lpplab import kernels
-from lpplab.kernels import EmbeddingPlan, apply_embedded
-
-
-def _kron_embed_oracle(A, positions, dims):
-    """Dense embedding by explicit kron products in site order."""
-    mats = []
-    pos = {p: None for p in positions}
-    # reduce A to per-call: build full via permutation trick is what the
-    # package does, so here we do it the slow honest way: iterate over all
-    # basis states.
-    D = int(np.prod(dims))
-    m = int(np.prod([dims[p] for p in positions]))
-    full = np.zeros((D, D), dtype=complex)
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-
-    def digits(flat):
-        return [(flat // strides[p]) % dims[p] for p in range(len(dims))]
-
-    def sup_index(dig):
-        out = 0
-        for p in positions:
-            out = out * dims[p] + dig[p]
-        return out
-
-    for row in range(D):
-        dr = digits(row)
-        for col in range(D):
-            dc = digits(col)
-            if all(dr[p] == dc[p] for p in range(len(dims)) if p not in positions):
-                full[row, col] = A[sup_index(dr), sup_index(dc)]
-    return full
+from lpplab.kernels import EmbeddingPlan, apply_embedded, embed_sparse
+from lpplab.operators import embed_matrix
 
 
 @pytest.mark.parametrize(
@@ -56,42 +25,39 @@ def _kron_embed_oracle(A, positions, dims):
 def test_apply_matches_bruteforce_oracle(dims, positions):
     rng = np.random.default_rng(hash((dims, positions)) % 2**32)
     m = int(np.prod([dims[p] for p in positions]))
-    A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    full = _kron_embed_oracle(A, positions, dims)
     D = int(np.prod(dims))
-    x = rng.normal(size=D) + 1j * rng.normal(size=D)
-    plan = EmbeddingPlan(dims, positions)
-    got = apply_embedded(A, plan, x, backend="numpy")
-    assert np.allclose(got, full @ x, atol=1e-12)
+    real = rng.normal(size=(m, m))
+    for A, dtype in (
+        (real, np.float64),
+        (real + 0j, np.float64),
+        (real + 1j * rng.normal(size=(m, m)), np.complex128),
+    ):
+        full = bruteforce_embed(A, positions, dims)
+        sparse = embed_sparse(A, positions, dims)
+        assert sparse.format == "csr" and sparse.dtype == dtype
+        assert np.array_equal(sparse.toarray(), full)
+        dense = embed_matrix(A, positions, dims)
+        assert dense.dtype == dtype
+        assert np.array_equal(dense, full)
+        assert np.array_equal(dense, kron_embed(A, positions, dims))
+        for X in (
+            rng.normal(size=D),
+            rng.normal(size=(D, 3)),
+            rng.normal(size=D) + 1j * rng.normal(size=D),
+            rng.normal(size=(D, 3)) + 1j * rng.normal(size=(D, 3)),
+        ):
+            got = apply_embedded(A, positions, dims, X)
+            assert got.shape == X.shape
+            assert got.dtype == np.result_type(dtype, X.dtype)
+            assert np.allclose(got, full @ X, atol=1e-12)
 
 
-def test_backends_agree_when_compiled_available():
-    if kernels._fast is None:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(11)
-    dims = (2, 2, 3, 2, 2)
-    positions = (1, 3)
-    m = 4
-    A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    D = int(np.prod(dims))
-    x = rng.normal(size=D) + 1j * rng.normal(size=D)
-    plan = EmbeddingPlan(dims, positions)
-    y_fast = apply_embedded(A, plan, x, backend="compiled")
-    y_pure = apply_embedded(A, plan, x, backend="numpy")
-    assert np.allclose(y_fast, y_pure, atol=1e-13)
-
-
-def test_accumulation_into_existing_y():
-    rng = np.random.default_rng(5)
-    dims = (2, 2)
-    A = rng.normal(size=(2, 2)) + 0j
-    plan = EmbeddingPlan(dims, (0,))
-    x = rng.normal(size=4) + 0j
-    y = np.ones(4, dtype=complex)
-    out = apply_embedded(A, plan, x, y=y)
-    assert out is y
-    expect = np.ones(4) + np.kron(A, np.eye(2)) @ x
-    assert np.allclose(y, expect)
+def test_plan_index_layout():
+    # site 0 is the slowest axis: the last site steps by 1, the first by
+    # the product of the dimensions after it
+    assert np.array_equal(EmbeddingPlan((3, 2), (1,)).idx, [[0, 2, 4], [1, 3, 5]])
+    assert np.array_equal(EmbeddingPlan((2, 3), (0,)).idx, [[0, 1, 2], [3, 4, 5]])
+    assert np.array_equal(EmbeddingPlan((2, 2), ()).idx, [[0, 1, 2, 3]])
 
 
 def test_plan_validation():
@@ -99,8 +65,9 @@ def test_plan_validation():
         EmbeddingPlan((2, 2), (0, 0))
     with pytest.raises(ValueError):
         EmbeddingPlan((2, 2), (3,))
-    plan = EmbeddingPlan((2, 2), (0,))
     with pytest.raises(ValueError):
-        apply_embedded(np.eye(4), plan, np.zeros(4))
+        apply_embedded(np.eye(4), (0,), (2, 2), np.zeros(4))
     with pytest.raises(ValueError):
-        apply_embedded(np.eye(2), plan, np.zeros(5))
+        apply_embedded(np.eye(2), (0,), (2, 2), np.zeros(5))
+    with pytest.raises(ValueError):
+        embed_sparse(np.eye(4), (0,), (2, 2))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from embed_oracle import term_sum
 from tqo_oracle import full_space_tqo_check
 
 from lpplab import interactions as itx
@@ -19,6 +20,7 @@ from lpplab.operators import (
     embed_matrix,
     operator_norm,
     sigma_x,
+    sigma_y,
     sigma_z,
 )
 
@@ -437,6 +439,40 @@ def test_real_spectra_match_the_complex_path():
         assert np.abs(S.values - w).max() <= 1e-12, name
         B = S.vectors[:, :d]
         assert np.abs(B @ B.T - P).max() <= 1e-10, name
+
+
+def _bitwise_cases():
+    """(name, dense H, the same H from the oracle's term-by-term sum)."""
+    tfim, _ = models.build_gapped_chain("transverse-field-Ising", {"n": 6})
+    xy, _ = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0, u=[1.0, 1.5] * 3))
+    toric, _ = models.build_toric_code(2)
+    for name, model in (("tfim-n6", tfim), ("xy-ring", xy), ("toric-L2", toric)):
+        want = term_sum(model.family.terms, model.graph.site_dims)
+        yield name, model.hamiltonian("dense"), want
+        yield name, itx.assemble_hamiltonian(model.family, model.graph, mode="dense"), want
+    _, impurity = _xy_with_impurity()
+    ramp = sectors.HamiltonianPath(
+        tfim.graph, tfim.family, W=itx.linear_ramp(tfim.graph, 2, 0.7 * sigma_y)
+    )
+    for tag, path in (("impurity", impurity), ("sigma-y-ramp", ramp)):
+        for s in (0.0, 0.37, 1.0):
+            want = term_sum(
+                list(path.phi.terms) + path.W.terms(s), path.graph.site_dims
+            )
+            yield f"{tag}-s{s}", path.hamiltonian(s), want
+            yield f"{tag}-s{s}", itx.assemble_hamiltonian(
+                path.phi, path.graph, W=path.W, s=s, mode="dense"
+            ), want
+
+
+def test_dense_hamiltonians_are_bitwise_the_term_sum():
+    seen = set()
+    for name, H, want in _bitwise_cases():
+        assert H.dtype == want.dtype, name
+        assert np.array_equal(H, want), name
+        seen.add((name, H.dtype.kind))
+    assert ("sigma-y-ramp-s0.37", "c") in seen and ("sigma-y-ramp-s0.0", "f") in seen
+    assert ("impurity-s1.0", "f") in seen
 
 
 def test_model_spectral_is_computed_once():

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from embed_oracle import term_sum
 
+from lpplab import interactions as itx
 from lpplab import lattice
+from lpplab.exceptions import EigensolverFailed
 from lpplab.operators import (
-    HamiltonianAction,
     LocalOperator,
     SpectralData,
     commutator_norm,
@@ -166,7 +169,7 @@ def test_eigendecompose_dense_on_known_matrix():
 
 
 def test_eigendecompose_iterative_matches_dense():
-    # 8-spin Ising chain through the matvec kernels
+    # 8-spin Ising chain: ARPACK on the CSR against LAPACK on its dense form
     G = lattice.chain(8)
     terms = [
         LocalOperator.from_graph(
@@ -177,9 +180,9 @@ def test_eigendecompose_iterative_matches_dense():
         LocalOperator.from_graph(G, (i,), -2.0 * sigma_x, hermitian=True)
         for i in range(8)
     ]
-    act = HamiltonianAction(G, terms)
-    dense = eigendecompose(act.dense(), mode="dense")
-    it = eigendecompose(act, mode="iterative", k=4)
+    H = itx.assemble_hamiltonian(itx.InteractionFamily(terms), G)
+    dense = eigendecompose(H.toarray(), mode="dense")
+    it = eigendecompose(H, mode="iterative", k=4)
     assert np.allclose(it.values, dense.values[:4], atol=1e-8)
     assert it.mode == "iterative"
     # orthonormality
@@ -194,13 +197,13 @@ def test_matvec_agrees_with_dense_assembly():
         LocalOperator.from_graph(G, (i, i + 1), _rand_herm(rng, 4), hermitian=True)
         for i in range(5)
     ]
-    act = HamiltonianAction(G, terms)
-    H = act.dense()
+    H = itx.assemble_hamiltonian(itx.InteractionFamily(terms), G)
+    assert H.format == "csr"
     x = rng.normal(size=64) + 1j * rng.normal(size=64)
-    assert np.allclose(act.matvec(x), H @ x, atol=1e-12)
+    assert np.allclose(H @ x, term_sum(terms, G.site_dims) @ x, atol=1e-12)
 
 
-def _tfim_action(G, pauli_field=sigma_x):
+def _tfim_csr(G, pauli_field=sigma_x):
     terms = [
         LocalOperator.from_graph(G, (a, b), -np.kron(sigma_z, sigma_z), hermitian=True)
         for a, b in G.edges
@@ -208,7 +211,7 @@ def _tfim_action(G, pauli_field=sigma_x):
         LocalOperator.from_graph(G, (x,), -2.0 * pauli_field, hermitian=True)
         for x in G.sites()
     ]
-    return HamiltonianAction(G, terms)
+    return itx.assemble_hamiltonian(itx.InteractionFamily(terms), G)
 
 
 def test_embedding_is_real_exactly_when_the_input_is():
@@ -227,8 +230,8 @@ def test_embedding_is_real_exactly_when_the_input_is():
 def test_dense_assembly_and_spectrum_stay_real_for_real_terms():
     G = lattice.chain(5)
     for field, dtype in ((sigma_x, np.float64), (sigma_y, np.complex128)):
-        act = _tfim_action(G, field)
-        H = act.dense()
+        act = _tfim_csr(G, field)
+        H = act.toarray()
         assert H.dtype == dtype
         S = eigendecompose(act, mode="dense")
         assert S.vectors.dtype == dtype
@@ -239,7 +242,7 @@ def test_dense_assembly_and_spectrum_stay_real_for_real_terms():
 
 
 def test_iterative_start_vector_is_fixed():
-    act = _tfim_action(lattice.chain(8))
+    act = _tfim_csr(lattice.chain(8))
     first = eigendecompose(act, mode="iterative", k=4)
     again = eigendecompose(act, mode="iterative", k=4)
     assert np.array_equal(first.values, again.values)
@@ -249,6 +252,34 @@ def test_iterative_start_vector_is_fixed():
 def test_eigendecompose_rejects_nonhermitian():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]), mode="dense")
+
+
+def test_lapack_failure_is_typed(monkeypatch):
+    cause = np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def failing_eigh(M):
+        raise cause
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(EigensolverFailed) as info:
+        eigendecompose(_tfim_csr(lattice.chain(3)), mode="dense")
+    err = info.value
+    assert (err.dim, err.dtype, err.mode) == (8, np.float64, "dense")
+    assert err.__cause__ is cause
+
+
+def test_arpack_failure_is_typed(monkeypatch):
+    cause = spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    def failing_eigsh(*args, **kwargs):
+        raise cause
+
+    monkeypatch.setattr(spla, "eigsh", failing_eigsh)
+    with pytest.raises(EigensolverFailed) as info:
+        eigendecompose(_tfim_csr(lattice.chain(8), sigma_y), mode="iterative", k=4)
+    err = info.value
+    assert (err.dim, err.dtype, err.mode) == (256, np.complex128, "iterative")
+    assert err.__cause__ is cause
 
 
 # ---------------------------------------------------------------- evolution

@@ -1,9 +1,9 @@
 """Sector identification, phase alignment, and step coefficients.
 
 The transverse-field Ising chain used here is assembled by hand with
-np.kron (independent of the package's embedding kernels) when it serves
-as an oracle, and through InteractionFamily when the path machinery
-itself is under test.
+np.kron (independent of the package's index-table embedding) when it
+serves as an oracle, and through InteractionFamily when the path
+machinery itself is under test.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from lpplab import interactions as itx
 from lpplab import lattice, quasilocal, sectors
 from lpplab.exceptions import GapClosed, StepTooLarge
-from lpplab.operators import LocalOperator, eigendecompose, sigma_x, sigma_z
+from lpplab.operators import HamiltonianAction, LocalOperator, eigendecompose, sigma_x, sigma_z
 
 
 def tfim_family(G, J, h):
@@ -331,10 +331,22 @@ def test_path_spectral_cache_reuse_and_eviction():
     path = tfim_path(5)
     S1 = path.spectral(0.25)
     assert path.spectral(0.25) is S1
-    path.spectral(0.5)
-    path.spectral(0.75)
-    path.spectral(1.0)  # evicts 0.25 (cache size 3)
-    assert path.spectral(0.25) is not S1
+    for s in (0.5, 0.75, 1.0):  # the third evicts 0.25 (cache size 3)
+        path.spectral(s)
+        assert len(path._cache) <= sectors.CACHE_SIZE
+    again = path.spectral(0.25)
+    assert again is not S1
+    assert np.array_equal(again.values, S1.values)
+    assert np.array_equal(again.vectors, S1.vectors)
+
+
+def test_path_hamiltonian_modes():
+    path = tfim_path(4)
+    H = path.hamiltonian(0.5, mode="matvec")
+    assert isinstance(H, HamiltonianAction)
+    assert np.array_equal(H.dense(), path.hamiltonian(0.5))
+    with pytest.raises(ValueError):
+        path.hamiltonian(0.5, mode="sparse")
 
 
 def test_path_initial_basis_override():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from flow_oracle import flow_pass, loop_assemble
 from lpplab import lattice, models
 from lpplab import spectral_flow as sf
-from lpplab.exceptions import GapClosed, QuadratureError
+from lpplab.exceptions import GapClosed, QuadratureError, UnitarityLost
 from lpplab.operators import operator_norm, sigma_x, sigma_y, sigma_z
 
 
@@ -439,6 +439,14 @@ def test_block_path_cache_is_bounded():
     assert len(path._cache) <= sf.CACHE_SIZE
     assert 0.0 not in path._cache
     assert np.array_equal(path.projector(0.0), P0)
+
+
+def test_lost_unitarity_is_typed(monkeypatch):
+    monkeypatch.setattr(sf, "UNITARITY_TOL", -1.0)
+    with pytest.raises(UnitarityLost) as info:
+        sf.integrate_flows(sf.BlockSectorPath(ring_system(), 1), [2, None], 0.1)
+    assert info.value.l == 2
+    assert 0.0 <= info.value.defect < 1e-10
 
 
 def test_flow_needs_region_for_truncation():
