@@ -1,0 +1,113 @@
+"""End-to-end cost of every shipped config, one fresh process each.
+
+    python benchmarks/bench_e2e.py [--root CHECKOUT]
+
+Runs each `configs/*.json` of the checkout (default: this repository)
+through `python -m lpplab <experiment> --seed 1 --workers 1` with the
+checkout's `src/` on the path, in a new process per config, and writes
+`BENCH_<commit>.json` at the checkout's root: per config the wall time,
+the CPU time (user + system) and the peak resident memory of the child
+process, its exit status, and an environment block (Python, numpy,
+scipy, the BLAS and its version, the CPU count and the thread
+variables).  `<commit>` is the first 12 characters of the checkout's
+HEAD; `dirty` records whether tracked files differed from it.  Every
+speed claim compares two such files taken on the same machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+import scipy
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _git(root, *args):
+    return subprocess.run(
+        ["git", *args], cwd=root, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def environment():
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    names = sorted(set(THREAD_VARS) | {k for k in os.environ if k.endswith("_NUM_THREADS")})
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "nproc": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)),
+        "thread_env": {k: os.environ.get(k, "unset") for k in names},
+        "machine": platform.machine(),
+    }
+
+
+def run_config(root, config, out_dir):
+    """(wall s, cpu s, peak RSS MB, exit status) of one config run."""
+    experiment = json.loads(config.read_text())["experiment"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cmd = [
+        sys.executable, "-m", "lpplab", experiment, "--config", str(config),
+        "--out", str(out_dir / config.stem), "--seed", "1", "--workers", "1",
+    ]
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(
+        cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {
+        "experiment": experiment,
+        "wall_s": round(wall, 3),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB
+        "exit_status": proc.returncode,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--root", default=Path(__file__).resolve().parents[1], type=Path,
+        help="checkout to measure (default: this repository)",
+    )
+    root = parser.parse_args(argv).root.resolve()
+    commit = _git(root, "rev-parse", "HEAD")
+    dirty = bool(_git(root, "status", "--porcelain", "--untracked-files=no"))
+    configs = sorted((root / "configs").glob("*.json"))
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in configs:
+            results[config.name] = run_config(root, config, Path(tmp))
+            r = results[config.name]
+            print(f"{config.name}: wall {r['wall_s']:.2f} s, cpu {r['cpu_s']:.2f} s, "
+                  f"peak {r['peak_rss_mb']:.1f} MB, exit {r['exit_status']}")
+    report = {
+        "commit": commit,
+        "dirty": dirty,
+        "seed": 1,
+        "workers": 1,
+        "environment": environment(),
+        "configs": results,
+        "total_wall_s": round(sum(r["wall_s"] for r in results.values()), 3),
+    }
+    out = root / f"BENCH_{commit[:12]}.json"
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {out}")
+    return 0 if all(r["exit_status"] == 0 for r in results.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -729,16 +729,20 @@ def run_sequential_coupling(config, workers=1, rng=None):
     mode_x, mode_y = L, L + 1
 
     def occ(block, mode):
-        diag = [1.0 if mode in cfg else 0.0 for cfg in block.configs]
-        return np.diag(diag).astype(complex)
+        return np.array([mode in cfg for cfg in block.configs], dtype=float)
 
     A = [occ(b, mode_x) for b in blocks]
     B = [occ(b, mode_y) for b in blocks]
-    AB = [a @ b for a, b in zip(A, B)]
+    AB = [a * b for a, b in zip(A, B)]
     D = sum(math.comb(sys_xy.capacity, n) for n in ns)
 
-    def omega(Ps, Xs):
-        return sum(float(np.trace(P @ X).real) for P, X in zip(Ps, Xs)) / D
+    def diag_projector(C):
+        """diag(C C^T): the diagonal of the projector onto C's columns."""
+        return (C * C).sum(axis=1)
+
+    def omega(diags, occs):
+        """tr(P X) / D per block, from diag(P) and the 0/1 occupations."""
+        return sum(float(p @ x) for p, x in zip(diags, occs)) / D
 
     def chain_steps(sxy, sx, sy, radii):
         """The four approximation steps at each truncation radius.
@@ -759,22 +763,24 @@ def run_sequential_coupling(config, workers=1, rng=None):
 
         done = _pmap(flows, jobs, workers)
         p_xy = [path for path, _ in done[0::3]]
-        P0 = [p.projector(0.0) for p in p_xy]
-        P1 = [p.projector(1.0) for p in p_xy]
+        B0 = [sflow.sector_basis(p, 0.0) for p in p_xy]
+        P1 = [diag_projector(sflow.sector_basis(p, 1.0)) for p in p_xy]
         flows_xy, flows_x, flows_y = ([f for _, f in done[k::3]] for k in range(3))
         return [
-            one_radius(l, P0, P1, [f[i] for f in flows_xy],
+            one_radius(l, B0, P1, [f[i] for f in flows_xy],
                        [f[i][0].U @ g[i][0].U for f, g in zip(flows_x, flows_y)])
             for i, l in enumerate(radii)
         ]
 
-    def one_radius(l, P0, P1, flows_xy, U_f):
+    def one_radius(l, B0, P1, flows_xy, U_f):
         """The four steps at radius l, from the flows of the coupled
-        system (U_xy) and the product of the one-impurity flows (U_f)."""
+        system (U_xy) and the product of the one-impurity flows (U_f).
+        P1, PU and PF are the diagonals of P(1), U_xy P(0) U_xy^T and
+        U_f P(0) U_f^T, which is all the occupations read."""
         U_xy = [st.U for st, _, _ in flows_xy]
         flow_errs = [float(np.max(errs)) for _, _, errs in flows_xy]
-        PU = [U @ P @ U.conj().T for U, P in zip(U_xy, P0)]
-        PF = [U @ P @ U.conj().T for U, P in zip(U_f, P0)]
+        PU = [diag_projector(U @ b) for U, b in zip(U_xy, B0)]
+        PF = [diag_projector(U @ b) for U, b in zip(U_f, B0)]
         w_ab, wu_ab, wf_ab = omega(P1, AB), omega(PU, AB), omega(PF, AB)
         wf_a, wf_b = omega(PF, A), omega(PF, B)
         w_a, w_b = omega(P1, A), omega(P1, B)

@@ -7,13 +7,34 @@ G = i[P, dP]; truncating G to configurations with all particles near
 the coupling region gives a strictly local unitary whose defect against
 the true sector projector decays exponentially in the truncation radius.
 
+Every block Hamiltonian is real, so P and dP are real symmetric and
+K = [P, dP] is real antisymmetric; the flow runs in real arithmetic:
+
+* Orthogonal steps.  G = iK, so a midpoint step exp(i ds G) = exp(-ds K)
+  is a real orthogonal matrix.  With X = K^T K it equals
+  cos(ds sqrt X) - [sin(ds sqrt X) / sqrt X] K, from one real `eigh` of X.
+* Sub-block steps.  A generator truncated at radius l vanishes outside
+  the configurations it keeps, so the step exponentiates the kept
+  sub-block of K alone and updates only those rows of U; every other
+  row stays bitwise untouched.
+* Errors in the sector span.  P(s) = B B^T and U P(0) U^T = C C^T with
+  C = U B(0) are both supported on span[B, C], at most 2d columns.  With
+  [B, C] = QR the flow error ||P(s) - U P(0) U^T|| is the norm of the
+  2d x 2d matrix R J R^T (J = diag(1, -1) on the two halves), exact for
+  any U, with no D x D product and no D-dimensional `eigvalsh`.
+
+The flow path uses `numpy.linalg` only.  scipy's bundled OpenBLAS keeps
+a thread pool of its own, and on a 2-CPU machine the two pools contend:
+a `scipy.linalg.expm` step took about three times as long under default
+threads as with one BLAS thread.
+
 Only the truncation depends on the radius, so `integrate_flows` walks
 the s-grid once for a list of radii: it diagonalizes each grid point
-and forms dP and G once, then truncates, exponentiates and measures the
-flow error per radius.  Nothing is kept beyond the current grid point.
+and forms dP and K once, then truncates, steps and measures the flow
+error per radius.  Nothing is kept beyond the current grid point.
 
 Blocks with more particles than the impurity can hold carry an empty
-sector: P = 0, G = 0, and the flow is exactly the identity.
+sector: P = 0, K = 0, and the flow is exactly the identity.
 """
 
 from __future__ import annotations
@@ -235,14 +256,31 @@ class BlockSectorPath:
         return float(vals[self.d] - vals[self.d - 1])
 
     def projector(self, s):
-        if self.d == 0:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        _, vecs = self.spectral(s)
-        B = vecs[:, : self.d]
-        return (B @ B.conj().T).astype(complex)
+        B = sector_basis(self, s)
+        return B @ B.T
+
+
+def sector_basis(path, s):
+    """Orthonormal columns B with P(s) = B B*: the path's lowest d
+    eigenvectors at s (no columns for an empty sector)."""
+    if path.d == 0:
+        return np.zeros((path.dim, 0))
+    _, vecs = path.spectral(s)
+    return vecs[:, : path.d]
 
 
 # ----------------------------------------------------- generator algebra
+
+
+def kato_commutator(P, dP):
+    """K = [P, dP], taken exactly anti-Hermitian; the generator is G = iK.
+
+    Real antisymmetric for real symmetric P and dP, as in every block.
+    """
+    if operator_norm(P @ P - P, hermitian=True) > PROJECTOR_TOL:
+        raise ValueError("P is not a projector")
+    C = P @ dP - dP @ P
+    return (C - C.conj().T) / 2
 
 
 def kato_generator(P, dP):
@@ -251,12 +289,7 @@ def kato_generator(P, dP):
     For an exact projector path this satisfies dP = i[G, P], which is
     what makes the generated flow track P(s).
     """
-    P = np.asarray(P, dtype=complex)
-    dP = np.asarray(dP, dtype=complex)
-    if operator_norm(P @ P - P, hermitian=True) > PROJECTOR_TOL:
-        raise ValueError("P is not a projector")
-    G = 1j * (P @ dP - dP @ P)
-    return (G + G.conj().T) / 2
+    return 1j * kato_commutator(np.asarray(P), np.asarray(dP))
 
 
 def projector_derivative(path, s, method="resolvent", h=_FD_H):
@@ -269,7 +302,7 @@ def projector_derivative(path, s, method="resolvent", h=_FD_H):
     d = path.d
     dim = path.dim
     if d == 0:
-        return np.zeros((dim, dim), dtype=complex)
+        return np.zeros((dim, dim))
     g = path.gap(s)
     if g < GAP_TOL:
         raise GapClosed(s, g)
@@ -277,7 +310,7 @@ def projector_derivative(path, s, method="resolvent", h=_FD_H):
     if method == "resolvent":
         vals, vecs = path.spectral(s)
         if d >= dim:
-            return np.zeros((dim, dim), dtype=complex)
+            return np.zeros((dim, dim))
         dH = path.dhamiltonian(s)
         Vin = vecs[:, :d]
         Vout = vecs[:, d:]
@@ -302,11 +335,13 @@ def truncate_generator(G, K, l, block: SectorBlockHamiltonian):
     Configurations that are only partially inside are dropped entirely;
     the resulting generator is supported in K_l plus the impurity.
     """
-    return _truncate(G, _window_mask(K, l, block))
+    keep = _window_keep(K, l, block)
+    Gl = np.where(np.outer(keep, keep), G, 0.0)
+    return (Gl + Gl.conj().T) / 2
 
 
-def _window_mask(K, l, block):
-    """Boolean mask of the (row, column) pairs truncate_generator keeps."""
+def _window_keep(K, l, block):
+    """Boolean vector of the configurations truncate_generator keeps."""
     system = block.system
     allowed_sites = lattice.fatten(system.graph, set(K), l)
     imp = set(system.impurity_modes)
@@ -316,12 +351,7 @@ def _window_mask(K, l, block):
             for cfg in block.configs
         ]
     )
-    return np.outer(keep, keep)
-
-
-def _truncate(G, mask):
-    Gl = np.where(mask, np.asarray(G, dtype=complex), 0.0)
-    return (Gl + Gl.conj().T) / 2
+    return keep
 
 
 @dataclass(frozen=True)
@@ -332,9 +362,39 @@ class FlowState:
     ds: float
 
 
-def _expm_i(A):
-    w, V = np.linalg.eigh(A)
-    return (V * np.exp(1j * w)) @ V.conj().T
+def _orthogonal_step(K, ds):
+    """exp(-ds K) for anti-Hermitian K: the step exp(i ds G) of G = iK.
+
+    K* K = -K^2 = X is positive semidefinite and commutes with K, so the
+    even and odd halves of the series are cos(ds sqrt X) and
+    -[sin(ds sqrt X) / sqrt X] K.  Both are smooth functions of X itself,
+    so one `eigh` of X gives them at full accuracy; for real K the step
+    is real orthogonal.  K = 0 gives exactly the identity.
+    """
+    if not K.any():
+        return np.eye(len(K))
+    w, V = np.linalg.eigh(K.conj().T @ K)
+    theta = np.sqrt(np.clip(w, 0.0, None))
+    sinc = np.divide(
+        np.sin(ds * theta), theta, out=np.full_like(theta, ds), where=theta > 0
+    )
+    Vt = V.conj().T
+    return (V * np.cos(ds * theta)) @ Vt - ((V * sinc) @ Vt) @ K
+
+
+def _span_error(B1, C):
+    """||B1 B1* - C C*|| for two bases of d columns, in their span.
+
+    Both terms live on span[B1, C], at most 2d columns; with
+    [B1, C] = QR the operator is Q (R J R*) Q*, J = diag(1, -1) on the
+    two halves, so its norm is that of the 2d x 2d matrix R J R*.
+    """
+    d = B1.shape[1]
+    if d == 0:
+        return 0.0
+    R = np.linalg.qr(np.hstack([B1, C]), mode="r")
+    M = R[:, :d] @ R[:, :d].conj().T - R[:, d:] @ R[:, d:].conj().T
+    return float(np.abs(np.linalg.eigvalsh(M)).max())
 
 
 def integrate_flow(path, l, ds, K=None, method="resolvent", refine_tol=None):
@@ -363,11 +423,13 @@ def integrate_flows(path, ls, ds, K=None, method="resolvent"):
     """integrate_flow for every radius in `ls`, in one pass over the grid.
 
     Returns one (FlowState, grid, errors) per radius, in the order of
-    `ls`, each equal to what integrate_flow gives for that radius alone.
-    P, dP and G are formed once per grid point and shared by the radii;
-    only the truncation, the step exponential and the error norm are
-    per radius.  Raises UnitarityLost, with the radius and the defect,
-    when a flow ends further than UNITARITY_TOL from unitary.
+    `ls`, each what integrate_flow gives for that radius alone.  P, dP
+    and K = [P, dP] are formed once per grid point and shared by the
+    radii; only the truncation, the orthogonal step on the kept
+    sub-block and the span-sized error are per radius.  FlowState.G is
+    the last step's truncated generator iK_l.  Raises UnitarityLost,
+    with the radius and the defect, when a flow ends further than
+    UNITARITY_TOL from unitary.
     """
     ls = list(ls)
     if K is None and any(l is not None for l in ls):
@@ -375,37 +437,39 @@ def integrate_flows(path, ls, ds, K=None, method="resolvent"):
         if system is None:
             raise ValueError("truncated flow needs the coupling region K")
         K = system.anchor_sites
-    masks = [None if l is None else _window_mask(K, l, path.block) for l in ls]
+    keeps = [None if l is None else _window_keep(K, l, path.block) for l in ls]
 
     n_steps = max(1, int(round(1.0 / ds)))
     ds = 1.0 / n_steps
     dim = path.dim
-    P0 = path.projector(0.0)
-    Us = [np.eye(dim, dtype=complex) for _ in ls]
-    Gs = [None] * len(ls)
+    B0 = sector_basis(path, 0.0)
+    Us = [np.eye(dim) for _ in ls]
     grid = [0.0]
     errors = [[0.0] for _ in ls]
     for j in range(n_steps):
         smid = (j + 0.5) * ds
         dP = projector_derivative(path, smid, method=method)
-        G = kato_generator(path.projector(smid), dP)
+        kato = kato_commutator(path.projector(smid), dP)
         s1 = (j + 1) * ds
-        P1 = path.projector(s1)
-        for i, mask in enumerate(masks):
-            Gs[i] = G if mask is None else _truncate(G, mask)
-            if np.any(Gs[i]):
-                Us[i] = _expm_i(ds * Gs[i]) @ Us[i]
-            errors[i].append(
-                operator_norm(P1 - Us[i] @ P0 @ Us[i].conj().T, hermitian=True)
-            )
+        B1 = sector_basis(path, s1)
+        for i, keep in enumerate(keeps):
+            if keep is None:
+                if kato.any():
+                    Us[i] = _orthogonal_step(kato, ds) @ Us[i]
+            else:
+                sub = kato[np.ix_(keep, keep)]
+                if sub.any():
+                    Us[i][keep] = _orthogonal_step(sub, ds) @ Us[i][keep]
+            errors[i].append(_span_error(B1, Us[i] @ B0))
         grid.append(s1)
     grid = np.array(grid)
     out = []
-    for l, U, G, errs in zip(ls, Us, Gs, errors):
+    for l, keep, U, errs in zip(ls, keeps, Us, errors):
         defect = operator_norm(U.conj().T @ U - np.eye(dim), hermitian=True)
         if defect > UNITARITY_TOL:
             raise UnitarityLost(l, defect)
-        out.append((FlowState(1.0, U, G, ds), grid.copy(), np.array(errs)))
+        Kl = kato if keep is None else np.where(np.outer(keep, keep), kato, 0.0)
+        out.append((FlowState(1.0, U, 1j * Kl, ds), grid.copy(), np.array(errs)))
     return out
 
 

@@ -11,7 +11,8 @@ import pytest
 import scipy.linalg
 from tqo_oracle import full_space_tqo_check
 
-from lpplab import models, sectors
+from lpplab import lattice, models, sectors
+from lpplab import spectral_flow as sflow
 from lpplab.blas import blas_thread_counts
 from lpplab.cli import main
 from lpplab.exceptions import InsufficientData
@@ -31,6 +32,7 @@ from lpplab.harness.experiments import (
     run_clustering,
     run_impurity_lppl,
     run_lr_cone,
+    run_sequential_coupling,
     run_tqo,
     run_weak_step,
 )
@@ -495,6 +497,51 @@ def test_flow_runners_agree_across_workers(experiment, tmp_path):
         assert np.abs(a[finite] - b[finite]).max() <= 1e-12
     for name in _csv_cells(outs["w2"]):
         assert (outs["w2"] / name).read_bytes() == (outs["w2-again"] / name).read_bytes()
+
+
+def test_sequential_coupling_matches_dense_traces():
+    # the runner takes each omega = tr(P X) / D from diag(P), with
+    # diag(U P0 U^T) the row sums of (U B0)^2; here the same steps come
+    # from dense U P0 U^T and traces against diagonal occupation matrices
+    cfg = {"schema_version": 1, "experiment": "sequential-coupling",
+           **FLOW_CONFIGS["sequential-coupling"], "control": False}
+    rows = run_sequential_coupling(cfg)["tables"][0]["rows"]
+    L, (x0, y0), radii, ns = 6, (0, 3), [1.0, 2.0], range(3)
+    ring = lattice.chain(L, periodic=True)
+
+    def system(cx, cy):
+        return sflow.BosonSystem(ring, 1.0, (sflow.ImpurityModes(x0, 1, cx),
+                                             sflow.ImpurityModes(y0, 1, cy)))
+
+    ramp, zero = (lambda s: 0.5 * s), (lambda s: 0.0)
+    jobs = [(system(ramp, ramp), (x0, y0)), (system(ramp, zero), (x0,)),
+            (system(zero, ramp), (y0,))]
+    P0, P1, flows, occ = [], [], [], []
+    for n in ns:
+        paths = [sflow.BlockSectorPath(sys_, n) for sys_, _ in jobs]
+        flows.append([sflow.integrate_flows(p, radii, 0.1, K=K)
+                      for p, (_, K) in zip(paths, jobs)])
+        occ.append([np.diag([float(m in cfg) for cfg in paths[0].block.configs])
+                    for m in (L, L + 1)])
+        P0.append(paths[0].projector(0.0))
+        P1.append(paths[0].projector(1.0))
+    D = sum(math.comb(2, n) for n in ns)
+
+    def omega(Ps, k):
+        X = [a @ b if k == "ab" else (a, b)[k] for a, b in occ]
+        return sum(np.trace(P @ x) for P, x in zip(Ps, X)) / D
+
+    for i, row in enumerate(rows):
+        U_xy = [f[0][i][0].U for f in flows]
+        U_f = [f[1][i][0].U @ f[2][i][0].U for f in flows]
+        PU = [U @ P @ U.T for U, P in zip(U_xy, P0)]
+        PF = [U @ P @ U.T for U, P in zip(U_f, P0)]
+        w_ab, wu_ab, wf_ab = omega(P1, "ab"), omega(PU, "ab"), omega(PF, "ab")
+        wf_a, wf_b, w_a, w_b = omega(PF, 0), omega(PF, 1), omega(P1, 0), omega(P1, 1)
+        expect = [abs(w_ab - wu_ab), abs(wu_ab - wf_ab), abs(wf_ab - wf_a * wf_b),
+                  abs(wf_a * wf_b - w_a * w_b), abs(w_ab - w_a * w_b)]
+        assert row[0] == radii[i]
+        assert np.abs(np.array(row[1:6]) - expect).max() <= 1e-13
 
 
 def test_cli_failing_check_exits_2(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flow_oracle import flow_pass, loop_assemble
+from flow_oracle import _expm_i, flow_pass, loop_assemble
 from lpplab import lattice, models
 from lpplab import spectral_flow as sf
 from lpplab.exceptions import GapClosed, QuadratureError, UnitarityLost
@@ -420,16 +420,79 @@ def test_flow_halving_cap_raises():
     ids=["ring-one-impurity", "two-impurities-n2"],
 )
 def test_integrate_flows_matches_per_radius_oracle(system, n, K):
+    # the oracle steps in complex arithmetic on the whole block and
+    # takes dense error norms; the real sub-block steps and span-sized
+    # norms round differently, so U and the errors agree to 1e-13
     radii = [None, 1, 2, 3]
     flows = sf.integrate_flows(sf.BlockSectorPath(system, n), radii, 0.1, K=K)
     assert len(flows) == len(radii)
     for l, (state, grid, errs) in zip(radii, flows):
         ref, ref_grid, ref_errs = flow_pass(sf.BlockSectorPath(system, n), l, 0.1, K)
-        assert np.array_equal(state.U, ref.U)
+        assert state.U.dtype == np.float64
+        assert np.abs(state.U - ref.U).max() <= 1e-13
         assert np.array_equal(state.G, ref.G)
         assert state.ds == ref.ds
         assert np.array_equal(grid, ref_grid)
-        assert np.array_equal(errs, ref_errs)
+        assert np.abs(errs - ref_errs).max() <= 1e-13
+
+
+def _antisymmetric(rng, n):
+    A = rng.normal(size=(n, n))
+    return (A - A.T) / 2
+
+
+def test_orthogonal_step_matches_complex_exponential():
+    rng = np.random.default_rng(11)
+    # a rotation on two coordinates and zeros elsewhere: three zero angles
+    rot = np.zeros((5, 5))
+    rot[1, 3], rot[3, 1] = 0.7, -0.7
+    cases = [_antisymmetric(rng, n) for n in (2, 6, 7)] + [rot]
+    for K in cases:
+        for ds in (0.01, 0.1, 1.0):
+            E = sf._orthogonal_step(K, ds)
+            assert E.dtype == np.float64
+            assert np.abs(E - _expm_i(1j * ds * K)).max() <= 1e-14
+    assert np.array_equal(sf._orthogonal_step(np.zeros((4, 4)), 0.1), np.eye(4))
+
+
+def _orthonormal(rng, D, d):
+    return np.linalg.qr(rng.normal(size=(D, d)))[0]
+
+
+def test_span_error_matches_dense_norm():
+    rng = np.random.default_rng(12)
+
+    def dense(B1, C):
+        return operator_norm(B1 @ B1.T - C @ C.T, hermitian=True)
+
+    assert sf._span_error(np.zeros((6, 0)), np.zeros((6, 0))) == 0.0
+    pairs = [(_orthonormal(rng, 4, 4), _orthonormal(rng, 4, 4))]  # d = dim
+    for D, d in ((7, 1), (9, 2), (5, 2)):
+        B1 = _orthonormal(rng, D, d)
+        U = _orthonormal(rng, D, D)
+        pairs.append((B1, U @ _orthonormal(rng, D, d)))
+        pairs.append((B1, rng.normal(size=(D, d))))  # any U, not only orthogonal
+    for B1, C in pairs:
+        assert abs(sf._span_error(B1, C) - dense(B1, C)) <= 1e-14
+    # nearly aligned: one column turned by 1e-9 out of the span, so the
+    # norm is sin(1e-9), which the compression must not round away
+    angle = 1e-9
+    F = _orthonormal(rng, 8, 8)
+    B1 = F[:, :2]
+    C = np.column_stack([np.cos(angle) * F[:, 0] + np.sin(angle) * F[:, 2], F[:, 1]])
+    err = sf._span_error(B1, C)
+    assert abs(err - dense(B1, C)) <= 1e-14
+    assert abs(err - np.sin(angle)) <= 1e-6 * angle
+
+
+def test_sub_block_step_leaves_other_rows_untouched():
+    system = ring_system()
+    path = sf.BlockSectorPath(system, 1)
+    keep = sf._window_keep((2,), 1, path.block)
+    assert 0 < keep.sum() < path.dim
+    (state, _, _), = sf.integrate_flows(path, [1], 0.1)
+    assert np.array_equal(state.U[~keep], np.eye(path.dim)[~keep])
+    assert not np.array_equal(state.U[keep], np.eye(path.dim)[keep])
 
 
 def test_block_path_cache_is_bounded():
