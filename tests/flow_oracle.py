@@ -5,11 +5,15 @@
                   entry at a time;
   flow_pass       the flow for a single truncation radius, walking the
                   s-grid with that radius alone: P, dP and G are formed
-                  afresh for every radius.
+                  afresh for every radius, each step exponentiates the
+                  whole block in complex arithmetic, and each error is a
+                  dense D-dimensional norm.
 
-Both do the same floating-point operations as the library code they
-check, in the same order per matrix entry, so results must agree bit
-for bit.
+loop_assemble does the same floating-point operations as the library
+code, in the same order per matrix entry, so blocks agree bit for bit.
+flow_pass forms the same generators bit for bit; its U and errors round
+differently from the real sub-block steps and span-sized norms, so they
+agree to 1e-13.
 """
 
 import numpy as np
