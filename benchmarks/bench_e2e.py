@@ -7,19 +7,25 @@ through `python -m lpplab <experiment> --seed 1 --workers 1` with the
 checkout's `src/` on the path, in a new process per config, and writes
 `BENCH_<commit>.json` at the checkout's root: per config the wall time,
 the CPU time (user + system) and the peak resident memory of the child
-process, its exit status, and an environment block (Python, numpy,
+process, its exit status and the SHA-256 of each CSV it wrote.  It then
+runs the checkout's tier-1 suite once and records its wall time and its
+passed and failed counts, and adds an environment block (Python, numpy,
 scipy, the BLAS and its version, the CPU count and the thread
 variables).  `<commit>` is the first 12 characters of the checkout's
 HEAD; `dirty` records whether tracked files differed from it.  Every
-speed claim compares two such files taken on the same machine.
+speed claim compares two such files taken on the same machine, and
+equal digests in the two show that a change kept the outputs
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,6 +36,7 @@ import numpy
 import scipy
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def _git(root, *args):
@@ -53,13 +60,23 @@ def environment():
     }
 
 
+def csv_digests(out_dir):
+    """SHA-256 of each CSV in out_dir, by file name."""
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.glob("*.csv"))
+    }
+
+
 def run_config(root, config, out_dir):
-    """(wall s, cpu s, peak RSS MB, exit status) of one config run."""
+    """Wall s, CPU s, peak RSS MB, exit status and CSV digests of one
+    config run."""
     experiment = json.loads(config.read_text())["experiment"]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = out_dir / config.stem
     cmd = [
         sys.executable, "-m", "lpplab", experiment, "--config", str(config),
-        "--out", str(out_dir / config.stem), "--seed", "1", "--workers", "1",
+        "--out", str(out), "--seed", "1", "--workers", "1",
     ]
     t0 = time.perf_counter()
     proc = subprocess.Popen(
@@ -73,6 +90,29 @@ def run_config(root, config, out_dir):
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB
+        "exit_status": proc.returncode,
+        "csv_sha256": csv_digests(out),
+    }
+
+
+def run_tier1(root):
+    """Wall s and passed/failed counts of one run of the checkout's tier-1
+    suite, from pytest's closing summary line."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True
+    )
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {
+        "command": "python " + " ".join(TIER1),
+        "wall_s": round(wall, 3),
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0),
+        "summary": summary,
         "exit_status": proc.returncode,
     }
 
@@ -94,6 +134,8 @@ def main(argv=None):
             r = results[config.name]
             print(f"{config.name}: wall {r['wall_s']:.2f} s, cpu {r['cpu_s']:.2f} s, "
                   f"peak {r['peak_rss_mb']:.1f} MB, exit {r['exit_status']}")
+    tier1 = run_tier1(root)
+    print(f"tier-1: wall {tier1['wall_s']:.1f} s, {tier1['summary']}")
     report = {
         "commit": commit,
         "dirty": dirty,
@@ -102,6 +144,7 @@ def main(argv=None):
         "environment": environment(),
         "configs": results,
         "total_wall_s": round(sum(r["wall_s"] for r in results.values()), 3),
+        "tier1": tier1,
     }
     out = root / f"BENCH_{commit[:12]}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -29,10 +29,9 @@ from ..blas import blas_threads
 from ..exceptions import GapClosed, NotApplicable
 from ..interactions import (
     DecayFunctions,
-    interaction_norm,
+    decay_constants,
     linear_ramp,
     lr_bound_rhs,
-    lr_velocity,
     xi,
 )
 from ..kernels import apply_embedded
@@ -95,13 +94,9 @@ def _monotone(errs, floor):
 
 
 def _constants(phi, decay, g=None):
-    """The decay-framework constants every record carries."""
-    out = {
-        "mu": decay.mu,
-        "c_mu": decay.convolution_constant,
-        "phi_prime_norm": interaction_norm(phi, decay, drop_single_site=True),
-    }
-    out["v"] = lr_velocity(phi, decay)
+    """The decay-framework constants every record carries, with the gap g
+    and the locality length xi when g is given."""
+    out = decay_constants(phi, decay)
     if g is not None:
         out["g"] = float(g)
         out["xi"] = xi(decay.mu, out["v"], float(g))
@@ -395,8 +390,7 @@ def run_transport(config, workers=1, rng=None):
     first = tsets[ls[0]]
     g = float(first.gap)
     consts = _constants(model.family, decay, g=g)
-    D = path.sector(0.0).dim
-    c_bound = 2.0 * math.sqrt(D)
+    c_bound = 2.0 * math.sqrt(first.dim)
     c_of = {
         l: max(float(np.abs(c).sum(axis=1).max()) for c in tsets[l].c_history)
         for l in ls
@@ -676,7 +670,7 @@ def run_clustering(config, workers=1, rng=None):
         ts = quasilocal.path_transport(
             path, int(sweep.get("n_steps", 4)), float(sweep.get("l_values", [2])[0])
         )
-        c_bound = 2.0 * math.sqrt(path.sector(0.0).dim)
+        c_bound = 2.0 * math.sqrt(ts.dim)
         c_max = max(float(np.abs(c).sum(axis=1).max()) for c in ts.c_history)
         checks.append(
             _check(

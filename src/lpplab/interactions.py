@@ -83,15 +83,6 @@ class InteractionFamily:
     def term_norms(self):
         return list(self._norms)
 
-    def interaction_range(self, G):
-        """Largest hop diameter of a support."""
-        r = 0
-        for t in self.terms:
-            for a in t.support:
-                for b in t.support:
-                    r = max(r, G.distance(a, b))
-        return r
-
     def __iter__(self):
         return iter(self.terms)
 
@@ -121,6 +112,17 @@ def lr_velocity(phi, decay):
         raise ValueError("velocity needs mu > 0")
     prime = interaction_norm(phi, decay, drop_single_site=True)
     return 2.0 * prime * decay.convolution_constant / decay.mu
+
+
+def decay_constants(phi, decay):
+    """mu, C_mu, ||Phi||'_mu and v: the constants the filter parameters
+    and every decay record are built from."""
+    return {
+        "mu": decay.mu,
+        "c_mu": decay.convolution_constant,
+        "phi_prime_norm": interaction_norm(phi, decay, drop_single_site=True),
+        "v": lr_velocity(phi, decay),
+    }
 
 
 def xi(mu, v, g):
@@ -200,7 +202,7 @@ class PerturbationPath:
     def terms(self, s):
         out = []
         for site, fn in self.entries:
-            M = np.asarray(fn(s), dtype=complex)
+            M = np.asarray(fn(s))
             M = (M + M.conj().T) / 2
             out.append(LocalOperator((site,), (self.graph.site_dims[site],), M, hermitian=True))
         return out
@@ -239,7 +241,7 @@ class PerturbationPath:
 
 def linear_ramp(G, site, W_final):
     """W(s) = s * W_final at one site."""
-    W_final = np.asarray(W_final, dtype=complex)
+    W_final = np.asarray(W_final)
     return PerturbationPath(G, [(site, lambda s: s * W_final)])
 
 
@@ -249,7 +251,7 @@ def keyframe_path(G, site, frames):
     ss = np.array([p[0] for p in frames])
     if ss[0] > 0.0 or ss[-1] < 1.0:
         raise ValueError("keyframes must cover [0, 1]")
-    mats = [np.asarray(p[1], dtype=complex) for p in frames]
+    mats = [np.asarray(p[1]) for p in frames]
 
     def fn(s):
         s = float(np.clip(s, 0.0, 1.0))

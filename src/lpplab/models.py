@@ -26,6 +26,7 @@ from .exceptions import NotApplicable
 from .operators import (
     DENSE_LIMIT,
     LocalOperator,
+    SpectralCache,
     compress,
     embed_matrix,
     eigendecompose,
@@ -51,16 +52,18 @@ GAP_WARN_TOL = 1e-10
 class Model:
     """A lattice graph with its interaction family.
 
-    Spectral data is computed once per resolved solver mode (and, in
-    iterative mode, per eigen-depth k) and kept for the model's lifetime,
-    so a builder's gap and every later consumer share one decomposition.
+    Spectral data is kept in a SpectralCache keyed by the resolved solver
+    mode (and, in iterative mode, the eigen-depth k), so a builder's gap
+    and every later consumer share one decomposition.
     """
 
     graph: lattice.LatticeGraph
     family: itx.InteractionFamily
     kind: str
     params: dict = field(default_factory=dict)
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spectra: SpectralCache = field(
+        default_factory=SpectralCache, init=False, repr=False, compare=False
+    )
 
     def hamiltonian(self, mode="dense"):
         return itx.assemble_hamiltonian(self.family, self.graph, mode=mode)
@@ -68,10 +71,10 @@ class Model:
     def spectral(self, mode="auto", k=6):
         if mode == "auto":
             mode = "dense" if self.graph.dimension() <= DENSE_LIMIT else "iterative"
-        key = (mode, None if mode == "dense" else k)
-        if key not in self._spectra:
-            self._spectra[key] = eigendecompose(self.hamiltonian("matvec"), mode=mode, k=k)
-        return self._spectra[key]
+        return self._spectra.fetch(
+            (mode, None if mode == "dense" else k),
+            lambda: eigendecompose(self.hamiltonian("matvec"), mode=mode, k=k),
+        )
 
 
 # --------------------------------------------------------- gapped chains

@@ -14,6 +14,7 @@ are diagonalized in real arithmetic.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .kernels import EmbeddingPlan, apply_embedded
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ident2 = np.eye(2, dtype=complex)
 
 _HERM_TOL = 1e-12
 
@@ -36,7 +36,8 @@ class LocalOperator:
     """A matrix supported on a few sites.
 
     support: sorted site ids; dims: their local dimensions; matrix is
-    square of size prod(dims), indexed in kron order over the support.
+    square of size prod(dims), indexed in kron order over the support,
+    and keeps the dtype the caller gave it.
     """
 
     support: tuple
@@ -52,7 +53,7 @@ class LocalOperator:
         if len(dims) != len(support):
             raise ValueError("dims must align with support")
         m = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix)
         if mat.shape != (m, m):
             raise ValueError(f"matrix shape {mat.shape} != support dimension {m}")
         if self.hermitian:
@@ -162,6 +163,31 @@ class SpectralData:
     def require_complete(self, what):
         if not self.complete:
             raise ValueError(f"{what} needs a full eigendecomposition")
+
+
+CACHE_SIZE = 3  # spectra a SpectralCache keeps
+
+
+class SpectralCache(OrderedDict):
+    """The one spectral cache: a least-recently-used window of CACHE_SIZE
+    entries.
+
+    Paths key it by the path point float(s), models by their solver
+    mode.  A path walks its s-grid forward, so a small window serves it,
+    and dense eigenvectors at 12+ spins are too large to keep in bulk.
+    """
+
+    def fetch(self, key, compute):
+        """The entry at key, from compute() on a miss; either way it
+        becomes the most recent, and the least recent beyond CACHE_SIZE
+        are dropped."""
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        value = self[key] = compute()
+        while len(self) > CACHE_SIZE:
+            self.popitem(last=False)
+        return value
 
 
 class HamiltonianAction(sp.csr_matrix):

@@ -315,7 +315,8 @@ class _PredicateFailure(Exception):
 def _transport_attempt(path, n, ls, g, consts):
     G = path.graph
     K = path.K
-    d = path.sector(0.0).dim
+    sec0 = path.sector(0.0)  # kept for the endpoint errors
+    d = sec0.dim
     ss = np.linspace(0.0, 1.0, n + 1)
 
     regions = {}
@@ -331,7 +332,7 @@ def _transport_attempt(path, n, ls, g, consts):
              for i in range(d)]
         )
 
-    sec_prev = path.sector(0.0)
+    sec_prev = sec0
     c_history = []
     warnings = []
     for m in range(1, n + 1):
@@ -368,7 +369,7 @@ def _transport_attempt(path, n, ls, g, consts):
         sec_prev = sec_next
 
     # endpoint reconstruction errors
-    psi0 = path.sector(0.0).basis
+    psi0 = sec0.basis
     psi1 = sec_prev.basis
     errors = {}
     for lv in ls:

@@ -11,7 +11,6 @@ have positive-definite Hermitian part.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,14 +21,12 @@ from .interactions import (
     InteractionFamily,
     add_terms,
     assemble_hamiltonian,
-    interaction_norm,
-    lr_velocity,
+    decay_constants,
 )
-from .operators import DENSE_LIMIT, SpectralData, eigendecompose
+from .operators import DENSE_LIMIT, SpectralCache, SpectralData, eigendecompose
 
 GAP_TOL = 1e-10
 CLUSTER_TOL = 1e-9
-CACHE_SIZE = 3  # path points whose spectral data a HamiltonianPath keeps
 
 
 @dataclass(frozen=True)
@@ -188,10 +185,8 @@ class HamiltonianPath:
     """H(s) = sum(Phi) + W(s) on a fixed graph, with sector tracking.
 
     sum(Phi) is assembled once as CSR; each s adds the terms of W(s) to
-    it.  Spectral data is cached with a small LRU window of CACHE_SIZE
-    points: transport sweeps touch consecutive path points only, and
-    dense eigenvector arrays at 12+ spins are too large to keep around in
-    bulk.
+    it.  Spectral data is kept in a SpectralCache keyed by float(s):
+    transport sweeps touch consecutive path points only.
     """
 
     def __init__(
@@ -212,8 +207,7 @@ class HamiltonianPath:
         self.initial_basis = None if initial_basis is None else np.asarray(initial_basis)
         self.k = k
         self.dim = int(np.prod(G.site_dims, dtype=np.int64))
-        self._cache = OrderedDict()
-        self._constants = None
+        self._cache = SpectralCache()
         self._H_phi = assemble_hamiltonian(phi, G)
 
     @property
@@ -237,15 +231,10 @@ class HamiltonianPath:
         return min(self.dim - 2, max(6, int(d) + 5))
 
     def spectral(self, s) -> SpectralData:
-        key = float(s)
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            return self._cache[key]
-        S = eigendecompose(self.hamiltonian(s, mode="matvec"), k=self._solver_k())
-        self._cache[key] = S
-        while len(self._cache) > CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return S
+        return self._cache.fetch(
+            float(s),
+            lambda: eigendecompose(self.hamiltonian(s, mode="matvec"), k=self._solver_k()),
+        )
 
     def sector(self, s) -> SectorSpectrum:
         sec = identify_sector(self.spectral(s), self.rule, s=s)
@@ -264,28 +253,21 @@ class HamiltonianPath:
         return sec
 
     def sector_values(self, s):
-        """Eigenvalues only (cheap path for gap grids)."""
+        """Eigenvalues for gap grids.
+
+        Dense paths take them from `eigvalsh` alone, outside the cache:
+        a gap grid runs before any eigenpairs exist at its points.  Above
+        DENSE_LIMIT they are the cached iterative spectrum's values.
+        """
         if self.dim <= DENSE_LIMIT:
             return np.linalg.eigvalsh(self.hamiltonian(s, mode="dense"))
-        H = self.hamiltonian(s, mode="matvec")
-        return eigendecompose(H, mode="iterative", k=self._solver_k()).values
+        return self.spectral(s).values
 
     def constants(self):
-        """The decay-framework constants attached to this path's graph."""
+        """The decay-framework constants of Phi on this path's graph."""
         if self.decay is None:
             raise ValueError("path has no DecayFunctions attached")
-        if self._constants is None:
-            dec = self.decay
-            prime = interaction_norm(self.phi, dec, drop_single_site=True)
-            self._constants = {
-                "mu": dec.mu,
-                "f_norm": dec.f_norm,
-                "f0_norm": dec.f0_norm,
-                "c_mu": dec.convolution_constant,
-                "phi_prime_norm": prime,
-                "v": lr_velocity(self.phi, dec),
-            }
-        return dict(self._constants)
+        return decay_constants(self.phi, self.decay)
 
 
 def verify_gap_along_path(path: HamiltonianPath, n_check=9):

@@ -41,21 +41,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lattice
-from .exceptions import GapClosed, QuadratureError, UnitarityLost
+from .exceptions import QuadratureError, UnitarityLost
 from .models import n_up
-from .operators import commutator_norm, embed_matrix, operator_norm
+from .operators import SpectralCache, commutator_norm, embed_matrix, operator_norm
+from .sectors import split_sector
 
 PROJECTOR_TOL = 1e-8
-GAP_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 HALVING_CAP = 14
-CACHE_SIZE = 3  # grid points whose block spectra a BlockSectorPath keeps
 _FD_H = 1e-4
 _SCALAR_H = 1e-6
 
@@ -219,7 +217,8 @@ class BlockSectorPath:
     The sector dimension is C(capacity, n): at s=0 exactly the
     configurations with every particle on an impurity mode have zero
     energy, anything else costs at least the bulk gap.  Spectra are
-    cached in a small LRU window, since a flow walks the grid forward.
+    kept in a SpectralCache keyed by float(s), since a flow walks the
+    grid forward.
     """
 
     def __init__(self, system: BosonSystem, n):
@@ -227,7 +226,7 @@ class BlockSectorPath:
         self.block = system.block(n)
         self.n = int(n)
         self.d = math.comb(system.capacity, self.n)
-        self._cache = OrderedDict()
+        self._cache = SpectralCache()
 
     @property
     def dim(self):
@@ -241,19 +240,7 @@ class BlockSectorPath:
 
     def spectral(self, s):
         key = float(s)
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            return self._cache[key]
-        self._cache[key] = np.linalg.eigh(self.block.matrix(key))
-        while len(self._cache) > CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return self._cache[key]
-
-    def gap(self, s):
-        if self.d == 0 or self.d >= self.dim:
-            return np.inf
-        vals, _ = self.spectral(s)
-        return float(vals[self.d] - vals[self.d - 1])
+        return self._cache.fetch(key, lambda: np.linalg.eigh(self.block.matrix(key)))
 
     def projector(self, s):
         B = sector_basis(self, s)
@@ -298,19 +285,17 @@ def projector_derivative(path, s, method="resolvent", h=_FD_H):
     "resolvent": eigen-sum over (in, out) pairs with the exact dH,
     machine precision from the spectral data.  "finite-difference": one
     Richardson step on central differences of P, the independent check.
+    An empty or full sector has dP = 0; any other raises GapClosed
+    through `sectors.split_sector` when its gap is closed.
     """
     d = path.d
     dim = path.dim
-    if d == 0:
+    if d == 0 or d >= dim:
         return np.zeros((dim, dim))
-    g = path.gap(s)
-    if g < GAP_TOL:
-        raise GapClosed(s, g)
+    vals, vecs = path.spectral(s)
+    split_sector(vals, ("fixed_d", d), s=s)
 
     if method == "resolvent":
-        vals, vecs = path.spectral(s)
-        if d >= dim:
-            return np.zeros((dim, dim))
         dH = path.dhamiltonian(s)
         Vin = vecs[:, :d]
         Vout = vecs[:, d:]

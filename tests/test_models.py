@@ -14,6 +14,7 @@ from lpplab import interactions as itx
 from lpplab import lattice, models, sectors
 from lpplab.exceptions import NotApplicable
 from lpplab.operators import (
+    CACHE_SIZE,
     LocalOperator,
     commutator_norm,
     embed,
@@ -483,6 +484,9 @@ def test_model_spectral_is_computed_once():
     it4 = model.spectral(mode="iterative", k=4)
     assert model.spectral(mode="iterative", k=4) is it4
     assert len(model.spectral(mode="iterative", k=6).values) == 6
+    model.spectral(mode="iterative", k=5)  # a fourth key drops the least recent
+    assert len(model._spectra) == CACHE_SIZE
+    assert ("dense", None) not in model._spectra
     assert model == models.Model(model.graph, model.family, model.kind, model.params)
 
 

@@ -11,7 +11,9 @@ from lpplab import interactions as itx
 from lpplab import lattice
 from lpplab.exceptions import EigensolverFailed
 from lpplab.operators import (
+    CACHE_SIZE,
     LocalOperator,
+    SpectralCache,
     SpectralData,
     commutator_norm,
     eigendecompose,
@@ -155,6 +157,37 @@ def test_partial_trace_of_identity():
     G = lattice.chain(3)
     loc = partial_trace_localize(np.eye(8, dtype=complex), {0}, G)
     assert np.allclose(loc.matrix, np.eye(2), atol=1e-14)
+
+
+def test_local_operators_keep_the_callers_dtype():
+    G = lattice.chain(3)
+    rng = np.random.default_rng(5)
+    real = rng.normal(size=(4, 4))
+    assert LocalOperator((0, 1), (2, 2), real).matrix.dtype == np.float64
+    assert LocalOperator((0,), (2,), sigma_y).matrix.dtype == np.complex128
+    assert partial_trace_localize(rng.normal(size=(8, 8)), {1}, G).matrix.dtype == np.float64
+    Y = embed(LocalOperator((1,), (2,), sigma_y), G)
+    assert partial_trace_localize(Y, {1}, G).matrix.dtype == np.complex128
+
+
+# ------------------------------------------------------------ spectral cache
+
+
+def test_spectral_cache_is_a_bounded_lru():
+    cache = SpectralCache()
+    computed = []
+
+    def compute(key):
+        return lambda: computed.append(key) or [key]
+
+    a = cache.fetch("a", compute("a"))
+    cache.fetch("b", compute("b"))
+    cache.fetch("c", compute("c"))
+    assert cache.fetch("a", compute("a")) is a  # a hit, now the most recent
+    cache.fetch("d", compute("d"))  # the fourth key drops b, the least recent
+    assert computed == ["a", "b", "c", "d"]
+    assert list(cache) == ["c", "a", "d"]
+    assert len(cache) == CACHE_SIZE
 
 
 # ----------------------------------------------------------------- spectra

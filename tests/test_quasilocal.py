@@ -406,6 +406,22 @@ def test_transport_endpoint_reconstruction():
     assert len(sweep[4.0].c_history) == 8
 
 
+def test_transport_sweep_diagonalizes_each_grid_point_once(monkeypatch):
+    # s = 0, 1/4, ..., 1 once each: the endpoint errors reuse the s = 0
+    # sector the sweep started from, which the cache has dropped by then
+    calls = []
+
+    def counting(H, *args, **kwargs):
+        calls.append(H.shape)
+        return eigendecompose(H, *args, **kwargs)
+
+    monkeypatch.setattr(sectors, "eigendecompose", counting)
+    path = decayed_path(5, J=0.02, h=1.0, site=2, W_final=0.3 * sigma_z)
+    sweep = ql.transport_sweep(path, 4, [1, 4])
+    assert sweep[1.0].n == sweep[4.0].n == 4
+    assert len(calls) == 5
+
+
 def test_transport_error_stable_in_n():
     # the per-step truncation errors sum to an l-dependent floor; more
     # steps must not make the recursion accumulate beyond it

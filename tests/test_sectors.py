@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 
 from lpplab import interactions as itx
-from lpplab import lattice, quasilocal, sectors
+from lpplab import lattice, operators, quasilocal, sectors
 from lpplab.exceptions import GapClosed, StepTooLarge
-from lpplab.operators import HamiltonianAction, LocalOperator, eigendecompose, sigma_x, sigma_z
+from lpplab.operators import (
+    CACHE_SIZE,
+    HamiltonianAction,
+    LocalOperator,
+    eigendecompose,
+    sigma_x,
+    sigma_z,
+)
 
 
 def tfim_family(G, J, h):
@@ -333,11 +340,31 @@ def test_path_spectral_cache_reuse_and_eviction():
     assert path.spectral(0.25) is S1
     for s in (0.5, 0.75, 1.0):  # the third evicts 0.25 (cache size 3)
         path.spectral(s)
-        assert len(path._cache) <= sectors.CACHE_SIZE
+        assert len(path._cache) <= CACHE_SIZE
     again = path.spectral(0.25)
     assert again is not S1
     assert np.array_equal(again.values, S1.values)
     assert np.array_equal(again.vectors, S1.vectors)
+
+
+def test_iterative_gap_grid_reads_the_cached_spectrum(monkeypatch):
+    # above DENSE_LIMIT the gap grid's eigenvalues are the path's
+    # iterative spectrum, so a later spectral(s) is a cache hit
+    for module in (operators, sectors):
+        monkeypatch.setattr(module, "DENSE_LIMIT", 16)
+    calls = []
+
+    def counting(H, *args, **kwargs):
+        calls.append(H.shape)
+        return eigendecompose(H, *args, **kwargs)
+
+    monkeypatch.setattr(sectors, "eigendecompose", counting)
+    path = tfim_path(5)
+    vals = path.sector_values(0.5)
+    S = path.spectral(0.5)
+    assert S.mode == "iterative"
+    assert vals is S.values
+    assert calls == [(32, 32)]
 
 
 def test_path_hamiltonian_modes():

@@ -13,7 +13,7 @@ from flow_oracle import _expm_i, flow_pass, loop_assemble
 from lpplab import lattice, models
 from lpplab import spectral_flow as sf
 from lpplab.exceptions import GapClosed, QuadratureError, UnitarityLost
-from lpplab.operators import operator_norm, sigma_x, sigma_y, sigma_z
+from lpplab.operators import CACHE_SIZE, operator_norm, sigma_x, sigma_y, sigma_z
 
 
 def ring_system(L=10, site=2, theta=0.5, u=1.0):
@@ -50,12 +50,6 @@ class TinyPath:
 
     def spectral(self, s):
         return np.linalg.eigh(self.H_fn(s))
-
-    def gap(self, s):
-        if self.d == 0 or self.d >= self.dim:
-            return np.inf
-        vals, _ = self.spectral(s)
-        return float(vals[self.d] - vals[self.d - 1])
 
     def projector(self, s):
         if self.d == 0:
@@ -499,7 +493,7 @@ def test_block_path_cache_is_bounded():
     path = sf.BlockSectorPath(ring_system(), 1)
     P0 = path.projector(0.0)
     sf.integrate_flows(path, [None, 1], 0.1)
-    assert len(path._cache) <= sf.CACHE_SIZE
+    assert len(path._cache) <= CACHE_SIZE
     assert 0.0 not in path._cache
     assert np.array_equal(path.projector(0.0), P0)
 
