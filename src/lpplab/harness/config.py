@@ -7,29 +7,30 @@ and the loader echoes the validated dict back for the manifest.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
 import jsonschema
 
-_schema = None
 
-
-def _load_schema():
-    global _schema
-    if _schema is None:
-        text = resources.files("lpplab.harness").joinpath("schema.json").read_text(
-            encoding="utf-8"
-        )
-        _schema = json.loads(text)
-    return _schema
+@functools.cache
+def _validator():
+    """The schema's validator, checked against its metaschema once per
+    process (jsonschema.validate repeats that check on every call)."""
+    text = resources.files("lpplab.harness").joinpath("schema.json").read_text(
+        encoding="utf-8"
+    )
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_config(cfg):
     """Raise ValueError with a readable location on any schema violation."""
-    try:
-        jsonschema.validate(cfg, _load_schema())
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ValueError(f"config invalid at {where}: {exc.message}") from exc
     return cfg

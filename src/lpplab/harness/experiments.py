@@ -470,6 +470,8 @@ def run_impurity_lppl(config, workers=1, rng=None):
     tsets = quasilocal.transport_sweep(path, n0, ls)
     g = float(tsets[ls[0]].gap)
     consts = _constants(model.family, DecayFunctions(G, mu), g=g)
+    # the sweeps' step counts after any doublings, for the manifest only
+    steps = {"n_steps_final": tsets[ls[0]].n}
 
     rows, proj_pts = [], []
     for l in ls:
@@ -522,6 +524,7 @@ def run_impurity_lppl(config, workers=1, rng=None):
         zero = np.zeros((dk * dI, dk * dI), dtype=complex)
         path0 = models.attach_impurity(model, k, dI, lambda s: zero, mu=mu)
         ts0 = quasilocal.path_transport(path0, 2, ls[0])
+        steps["control_n_steps_final"] = ts0.n
         _, err0, _ = quasilocal.impurity_transform(path0, ts0, k, dI)
         B0 = path0.sector(1.0).basis
         far = max(G.sites(), key=lambda x: G.distance(x, k))
@@ -545,7 +548,7 @@ def run_impurity_lppl(config, workers=1, rng=None):
             {"name": "impurity-lppl", "header": ["series", "x", "value"], "rows": rows}
         ],
         "records": {"projector_error": rec_proj, "expectation_deviation": rec_exp},
-        "constants": consts,
+        "constants": dict(consts, **steps),
         "checks": checks,
         "warnings": warnings,
     }
@@ -680,6 +683,7 @@ def run_clustering(config, workers=1, rng=None):
                 f"over {len(ts.c_history)} steps",
             )
         )
+        consts = dict(consts, n_steps_final=ts.n)
 
     return {
         "experiment": "clustering",

@@ -86,6 +86,21 @@ def operator_norm(M, hermitian=False):
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
+def _span_error(B1, C):
+    """||B1 B1* - C C*|| for two bases of d columns, in their span.
+
+    Both terms live on span[B1, C], at most 2d columns; with
+    [B1, C] = QR the operator is Q (R J R*) Q*, J = diag(1, -1) on the
+    two halves, so its norm is that of the 2d x 2d matrix R J R*.
+    """
+    d = B1.shape[1]
+    if d == 0:
+        return 0.0
+    R = np.linalg.qr(np.hstack([B1, C]), mode="r")
+    M = R[:, :d] @ R[:, :d].conj().T - R[:, d:] @ R[:, d:].conj().T
+    return float(np.abs(np.linalg.eigvalsh(M)).max())
+
+
 def embed(op: LocalOperator, G):
     """Dense matrix of `op` on the full volume of graph G."""
     for x, d in zip(op.support, op.dims):

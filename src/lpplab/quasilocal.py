@@ -21,7 +21,9 @@ The construction chain:
      eps = 0 step exact.
   4. localize_R takes the normalized partial trace onto K_l.
   5. path_transport iterates localized steps through the coefficient
-     recursion L^(m) = c(m) R^(m) L^(m-1) entirely on H_{K_l}.
+     recursion L^(m) = c(m) R^(m) L^(m-1) entirely on H_{K_l}: one
+     batched matmul R_p L_pq and one tensordot over p per step, with L
+     kept in the dtype of c and R (real on a real path).
 
 Everything here works on explicit spectral data; no contour integrals.
 """
@@ -38,8 +40,8 @@ from .exceptions import StepTooLarge
 from .kernels import apply_embedded
 from .operators import (
     LocalOperator,
+    _span_error,
     embed_matrix,
-    operator_norm,
     partial_trace_localize,
 )
 from .sectors import (
@@ -174,7 +176,9 @@ def _build_R_batch(S0, S, lam0s, params: FilterParams, overlap=None):
     full-time value by adding sum_lambda a_lambda (e^{-w^2/4a} - g_T(w)),
     w = lambda_i0 - lambda, on the diagonal (see module docstring).  Phi
     is evaluated in row blocks to keep the D x D temporaries few.  Phi is
-    real, so the stack is real when both eigenbases are.
+    real, so the stack is real when both eigenbases are.  R_i depends on
+    i only through lambda_i0, so entries whose lambda_i0 are bitwise
+    equal (a degenerate sector) share one evaluation.
     Returns (stack, diagnostics).
     """
     if params.nodes is None or params.a is None:
@@ -192,7 +196,11 @@ def _build_R_batch(S0, S, lam0s, params: FilterParams, overlap=None):
     rows = max(1, PHI_BLOCK // D)
 
     stack = np.empty((n_i, D, D), dtype=np.result_type(C, S.vectors, V0h))
-    for i in range(n_i):
+    _, first, inverse = np.unique(lam0s, return_index=True, return_inverse=True)
+    for i, j in enumerate(first[inverse]):
+        if j < i:
+            stack[i] = stack[j]
+            continue
         for r in range(0, D, rows):
             omega = kap[r : r + rows, None] - kap0[None, :]
             phi = sum(w * _gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shifts[i]))
@@ -312,6 +320,12 @@ class _PredicateFailure(Exception):
     pass
 
 
+def _recursion_step(c, R_small, L):
+    """L^(m)_{iq} = sum_p c_{ip} R_p L^(m-1)_{pq}: the products R_p L_pq
+    as one batched matmul, then the sum over p as one tensordot."""
+    return np.tensordot(c, R_small[:, None] @ L, axes=(1, 0))
+
+
 def _transport_attempt(path, n, ls, g, consts):
     G = path.graph
     K = path.K
@@ -326,11 +340,9 @@ def _transport_attempt(path, n, ls, g, consts):
         regions[lv] = Kl
         dims = tuple(G.site_dims[x] for x in Kl)
         DK = int(np.prod(dims, dtype=np.int64))
-        eye = np.eye(DK, dtype=complex)
-        L[lv] = np.array(
-            [[eye if i == j else np.zeros((DK, DK), complex) for j in range(d)]
-             for i in range(d)]
-        )
+        # float64 identity: the first step promotes L to result_type(c, R)
+        L[lv] = np.zeros((d, d, DK, DK))
+        L[lv][range(d), range(d)] = np.eye(DK)
 
     sec_prev = sec0
     c_history = []
@@ -362,10 +374,7 @@ def _transport_attempt(path, n, ls, g, consts):
             R_small = np.array(
                 [partial_trace_localize(stack[j], regions[lv], G).matrix for j in range(d)]
             )
-            old = L[lv]
-            # recursion: L^(m)_{ij} = sum_p c_{ip} R_p L^(m-1)_{pj}
-            RL = np.einsum("pab,pqbc->pqac", R_small, old)
-            L[lv] = np.einsum("ip,pqac->iqac", c, RL)
+            L[lv] = _recursion_step(c, R_small, L[lv])
         sec_prev = sec_next
 
     # endpoint reconstruction errors
@@ -454,6 +463,12 @@ def impurity_transform(path, ts: TransportSet, site, impurity_dim, impurity_basi
     with T mapping the perturbed basis; with our L (which transports the
     s=0 basis forward) the transforming operator is the adjoint of that
     printed T, so the mismatch computed here is || P' - T_l P T_l^dagger ||.
+
+    It is taken in the sector span: with P = B0 B0^dagger and
+    P' = B1 B1^dagger, both terms are rank-d operators on
+    span[B1, T_l B0], so the norm is that of a 2d x 2d matrix
+    (operators._span_error), exact although T_l B0 need not be
+    orthonormal.  T_l is applied locally to B0 and never embedded.
     """
     G = path.graph
     site = int(site)
@@ -465,8 +480,8 @@ def impurity_transform(path, ts: TransportSet, site, impurity_dim, impurity_basi
     d0 = d_site // impurity_dim
     d = ts.dim
     if impurity_basis is None:
-        impurity_basis = np.eye(impurity_dim, dtype=complex)
-    phi = np.asarray(impurity_basis, dtype=complex)
+        impurity_basis = np.eye(impurity_dim)
+    phi = np.asarray(impurity_basis)
     if phi.shape != (impurity_dim, impurity_dim):
         raise ValueError("impurity basis must be square on the impurity factor")
     if d != impurity_dim:
@@ -477,18 +492,16 @@ def impurity_transform(path, ts: TransportSet, site, impurity_dim, impurity_basi
 
     pos = ts.support.index(site)
     dims = list(ts.dims)
-    T_small = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    T_small = np.zeros((int(np.prod(dims)),) * 2, dtype=np.result_type(ts.L, phi))
     for i in range(d):
         for j in range(d):
             # |phi_j><phi_i| on the impurity factor, identity on the rest
             ketbra = np.outer(phi[:, j], phi[:, i].conj())
-            on_site = np.kron(np.eye(d0, dtype=complex), ketbra)
+            on_site = np.kron(np.eye(d0), ketbra)
             I_ji = embed_matrix(on_site, (pos,), dims)
             T_small += ts.L[i, j] @ I_ji
 
-    T_full = embed_matrix(T_small, ts.support, G.site_dims)
-    P0 = sec0.projector
-    P1 = path.sector(1.0).projector
-    err = operator_norm(P1 - T_full @ P0 @ T_full.conj().T)
+    TB0 = apply_embedded(T_small, ts.support, G.site_dims, sec0.basis)
+    err = _span_error(path.sector(1.0).basis, TB0)
     op = LocalOperator(ts.support, ts.dims, T_small)
-    return op, float(err), {"l": ts.l, "n": ts.n}
+    return op, err, {"l": ts.l, "n": ts.n}

@@ -48,7 +48,13 @@ import numpy as np
 from . import lattice
 from .exceptions import QuadratureError, UnitarityLost
 from .models import n_up
-from .operators import SpectralCache, commutator_norm, embed_matrix, operator_norm
+from .operators import (
+    SpectralCache,
+    _span_error,
+    commutator_norm,
+    embed_matrix,
+    operator_norm,
+)
 from .sectors import split_sector
 
 PROJECTOR_TOL = 1e-8
@@ -365,21 +371,6 @@ def _orthogonal_step(K, ds):
     )
     Vt = V.conj().T
     return (V * np.cos(ds * theta)) @ Vt - ((V * sinc) @ Vt) @ K
-
-
-def _span_error(B1, C):
-    """||B1 B1* - C C*|| for two bases of d columns, in their span.
-
-    Both terms live on span[B1, C], at most 2d columns; with
-    [B1, C] = QR the operator is Q (R J R*) Q*, J = diag(1, -1) on the
-    two halves, so its norm is that of the 2d x 2d matrix R J R*.
-    """
-    d = B1.shape[1]
-    if d == 0:
-        return 0.0
-    R = np.linalg.qr(np.hstack([B1, C]), mode="r")
-    M = R[:, :d] @ R[:, :d].conj().T - R[:, d:] @ R[:, d:].conj().T
-    return float(np.abs(np.linalg.eigvalsh(M)).max())
 
 
 def integrate_flow(path, l, ds, K=None, method="resolvent", refine_tol=None):

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from tqo_oracle import full_space_tqo_check
 
-from lpplab import lattice, models, sectors
+from lpplab import lattice, models, quasilocal, sectors
 from lpplab import spectral_flow as sflow
 from lpplab.blas import blas_thread_counts
 from lpplab.cli import main
@@ -200,6 +200,25 @@ def test_load_config_roundtrip(tmp_path):
     assert load_config(p) == cfg
 
 
+def test_schema_is_checked_once_per_process(monkeypatch, tmp_path):
+    from lpplab.harness import config as hconfig
+
+    cls = type(hconfig._validator())
+    check, checks = cls.check_schema, []
+    monkeypatch.setattr(cls, "check_schema", lambda schema: checks.append(1) or check(schema))
+    hconfig._validator.cache_clear()
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"schema_version": 1, "experiment": "tqo"}), encoding="utf-8")
+    load_config(p)
+    load_config(p)
+    assert len(checks) == 1
+    with pytest.raises(ValueError, match="config invalid at model/nu"):
+        validate_config(
+            {"schema_version": 1, "experiment": "kato-flow", "model": {"kind": "xy-ring", "nu": 3}}
+        )
+    assert len(checks) == 1
+
+
 def test_build_model_dispatch():
     model, meta = build_model({"kind": "transverse-field-Ising", "n": 4})
     assert model.graph.n_sites == 4
@@ -376,6 +395,26 @@ def test_dressed_deviations_ignore_the_sector_basis(experiment, monkeypatch):
                 assert cell == ref_cell
             else:
                 assert abs(cell - ref_cell) <= 1e-12, (row, ref_row)
+
+
+def test_impurity_runners_report_final_step_counts(monkeypatch):
+    # every sweep that starts at n = 4 doubles once; the control's n = 2 does not
+    attempt = quasilocal._transport_attempt
+
+    def doubling(path, n, *args):
+        if n == 4:
+            raise quasilocal._PredicateFailure("forced")
+        return attempt(path, n, *args)
+
+    monkeypatch.setattr(quasilocal, "_transport_attempt", doubling)
+    consts = run_impurity_lppl(IMPURITY_SMALL)["constants"]
+    assert (consts["n_steps_final"], consts["control_n_steps_final"]) == (8, 2)
+    consts = run_clustering({
+        "schema_version": 1, "experiment": "clustering", "mode": "impurity",
+        "model": {"kind": "transverse-field-Ising", "n": 6, "J": 1.0, "h": 2.0},
+        "impurity": {"site": 3}, "sweep": {"l_values": [2], "n_steps": 4},
+    })["constants"]
+    assert consts["n_steps_final"] == 8
 
 
 def test_runners_diagonalize_each_model_once(monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import quadrature_projector, quadrature_R_batch
 from scipy.integrate import quad
+from transport_oracle import einsum_recursion_step, full_space_mismatch
 
 from lpplab import interactions as itx
 from lpplab import lattice, quasilocal as ql, sectors
@@ -317,6 +318,18 @@ def test_build_R_matches_time_quadrature(name):
     assert np.abs(stack - ref).max() <= 1e-12
 
 
+def test_build_R_shares_bitwise_equal_eigenvalues():
+    # a degenerate sector: the batch evaluates each distinct lambda_i0 once
+    S0, S1, params, lam0s = _R_case("past-cutoff")
+    lam0s = [lam0s[0], lam0s[1], lam0s[0], lam0s[0]]
+    stack, diag = ql._build_R_batch(S0, S1, lam0s, params)
+    one_by_one = [ql._build_R_batch(S0, S1, [lam], params) for lam in lam0s]
+    assert np.array_equal(stack, np.concatenate([R for R, _ in one_by_one]))
+    assert np.array_equal(
+        diag["tail_compensation"], np.concatenate([d["tail_compensation"] for _, d in one_by_one])
+    )
+
+
 def test_build_R_requires_coefficients():
     S = eigendecompose(np.diag([0.0, 1.0]).astype(complex), mode="dense")
     bare = ql.FilterParams(alpha=0.3, T=1.0, l=1.0, mu_prime=0.1, exponent=0.3)
@@ -431,6 +444,30 @@ def test_transport_error_stable_in_n():
     assert e_fine <= 1.5 * e_coarse
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_recursion_step_matches_einsum(dtype):
+    gen = np.random.default_rng(5)
+
+    def draw(*shape):
+        x = gen.normal(size=shape)
+        return x + 1j * gen.normal(size=shape) if dtype is complex else x
+
+    d, DK = 2, 16
+    c, R_small, L = draw(d, d), draw(d, DK, DK), draw(d, d, DK, DK)
+    step = ql._recursion_step(c, R_small, L)
+    assert step.dtype == np.dtype(dtype)
+    assert np.abs(step - einsum_recursion_step(c, R_small, L)).max() <= 1e-12
+    # real c on a complex R: the step is complex, as the einsum form
+    mixed = ql._recursion_step(c.real, R_small + 0j, L)
+    assert np.abs(mixed - einsum_recursion_step(c.real, R_small, L)).max() <= 1e-12
+
+
+def test_transport_keeps_a_real_path_real():
+    path = decayed_path(4, J=0.05, h=1.0, site=0, W_final=0.2 * sigma_z)
+    assert path.spectral(0.0).vectors.dtype == np.float64
+    assert ql.path_transport(path, 2, l=1).L.dtype == np.float64
+
+
 def test_transport_operator_accessor():
     path = decayed_path(4, J=0.05, h=1.0, site=0, W_final=0.2 * sigma_z)
     ts = ql.path_transport(path, 2, l=1)
@@ -495,6 +532,14 @@ def test_impurity_transform_tracks_projector():
     zero_err = 1e-8
     assert zero_err < err < 0.3
     assert T_op.support == (0, 1)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.25])
+def test_impurity_mismatch_matches_full_space(coupling):
+    path = _impurity_setup(coupling)
+    ts = ql.path_transport(path, 8, l=1)
+    T_op, err, _ = ql.impurity_transform(path, ts, site=1, impurity_dim=2)
+    assert abs(err - full_space_mismatch(path, T_op)) <= 1e-12
 
 
 def test_impurity_transform_rejects_entangled_sector():

@@ -13,7 +13,14 @@ from flow_oracle import _expm_i, flow_pass, loop_assemble
 from lpplab import lattice, models
 from lpplab import spectral_flow as sf
 from lpplab.exceptions import GapClosed, QuadratureError, UnitarityLost
-from lpplab.operators import CACHE_SIZE, operator_norm, sigma_x, sigma_y, sigma_z
+from lpplab.operators import (
+    CACHE_SIZE,
+    _span_error,
+    operator_norm,
+    sigma_x,
+    sigma_y,
+    sigma_z,
+)
 
 
 def ring_system(L=10, site=2, theta=0.5, u=1.0):
@@ -459,7 +466,7 @@ def test_span_error_matches_dense_norm():
     def dense(B1, C):
         return operator_norm(B1 @ B1.T - C @ C.T, hermitian=True)
 
-    assert sf._span_error(np.zeros((6, 0)), np.zeros((6, 0))) == 0.0
+    assert _span_error(np.zeros((6, 0)), np.zeros((6, 0))) == 0.0
     pairs = [(_orthonormal(rng, 4, 4), _orthonormal(rng, 4, 4))]  # d = dim
     for D, d in ((7, 1), (9, 2), (5, 2)):
         B1 = _orthonormal(rng, D, d)
@@ -467,14 +474,14 @@ def test_span_error_matches_dense_norm():
         pairs.append((B1, U @ _orthonormal(rng, D, d)))
         pairs.append((B1, rng.normal(size=(D, d))))  # any U, not only orthogonal
     for B1, C in pairs:
-        assert abs(sf._span_error(B1, C) - dense(B1, C)) <= 1e-14
+        assert abs(_span_error(B1, C) - dense(B1, C)) <= 1e-14
     # nearly aligned: one column turned by 1e-9 out of the span, so the
     # norm is sin(1e-9), which the compression must not round away
     angle = 1e-9
     F = _orthonormal(rng, 8, 8)
     B1 = F[:, :2]
     C = np.column_stack([np.cos(angle) * F[:, 0] + np.sin(angle) * F[:, 2], F[:, 1]])
-    err = sf._span_error(B1, C)
+    err = _span_error(B1, C)
     assert abs(err - dense(B1, C)) <= 1e-14
     assert abs(err - np.sin(angle)) <= 1e-6 * angle
 
