@@ -1050,7 +1050,7 @@ def run_kato_flow(config, workers=1, rng=None):
         )
     )
     trivial = [n for n in ns
-               if math.comb(system.capacity, n) in (0, system.block(n).dim)]
+               if math.comb(system.capacity, n) in (0, math.comb(system.n_modes, n))]
     checks.append(
         _check(
             "trivial-sectors-exact",

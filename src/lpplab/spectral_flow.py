@@ -10,13 +10,18 @@ the true sector projector decays exponentially in the truncation radius.
 Every block Hamiltonian is real, so P and dP are real symmetric and
 K = [P, dP] is real antisymmetric; the flow runs in real arithmetic:
 
-* Orthogonal steps.  G = iK, so a midpoint step exp(i ds G) = exp(-ds K)
-  is a real orthogonal matrix.  With X = K^T K it equals
-  cos(ds sqrt X) - [sin(ds sqrt X) / sqrt X] K, from one real `eigh` of X.
-* Sub-block steps.  A generator truncated at radius l vanishes outside
-  the configurations it keeps, so the step exponentiates the kept
-  sub-block of K alone and updates only those rows of U; every other
-  row stays bitwise untouched.
+* Rank-2d generator.  With P = B B^T (B the lowest d eigenvectors) the
+  resolvent gives dP = Y B^T + B Y^T, Y = V_out X, X the eigen-sum
+  (V_out^T dH B) / (lambda_in - lambda_out).  Then K = B Y^T - Y B^T
+  has rank at most 2d, and a step never forms P, dP or K as D x D
+  matrices.
+* Steps in the span.  With [B, Y] = QR and S = R_B R_Y^T,
+  K = Q (S - S^T) Q^T, so the midpoint step exp(i ds G) = exp(-ds K)
+  of G = iK is I + Q (E - I) Q^T, where E = exp(-ds (S - S^T)) is the
+  at most 2d x 2d orthogonal step from one small `eigh`.  A generator
+  truncated at radius l is the same rank-2d form on the configurations
+  it keeps, so the step factors B and Y on those rows alone and updates
+  only those rows of U; every other row stays bitwise untouched.
 * Errors in the sector span.  P(s) = B B^T and U P(0) U^T = C C^T with
   C = U B(0) are both supported on span[B, C], at most 2d columns.  With
   [B, C] = QR the flow error ||P(s) - U P(0) U^T|| is the norm of the
@@ -30,8 +35,11 @@ threads as with one BLAS thread.
 
 Only the truncation depends on the radius, so `integrate_flows` walks
 the s-grid once for a list of radii: it diagonalizes each grid point
-and forms dP and K once, then truncates, steps and measures the flow
-error per radius.  Nothing is kept beyond the current grid point.
+and forms B and Y once, then truncates, steps and measures the flow
+error per radius.  Nothing is kept beyond the current grid point.  A
+block whose one-particle matrix is bitwise unchanged between grid
+points (an uncoupled control) reuses the spectrum it already has, so
+such a flow takes one block `eigh`.
 
 Blocks with more particles than the impurity can hold carry an empty
 sector: P = 0, K = 0, and the flow is exactly the identity.
@@ -224,7 +232,8 @@ class BlockSectorPath:
     configurations with every particle on an impurity mode have zero
     energy, anything else costs at least the bulk gap.  Spectra are
     kept in a SpectralCache keyed by float(s), since a flow walks the
-    grid forward.
+    grid forward; each entry also holds its one-particle matrix, and a
+    miss whose matrix equals a cached one bitwise reuses that spectrum.
     """
 
     def __init__(self, system: BosonSystem, n):
@@ -246,7 +255,15 @@ class BlockSectorPath:
 
     def spectral(self, s):
         key = float(s)
-        return self._cache.fetch(key, lambda: np.linalg.eigh(self.block.matrix(key)))
+
+        def compute():
+            sp = self.system.single_particle(key)
+            for seen, spectrum in self._cache.values():
+                if np.array_equal(seen, sp):
+                    return sp, spectrum
+            return sp, np.linalg.eigh(self.block._assemble(sp))
+
+        return self._cache.fetch(key, compute)[1]
 
     def projector(self, s):
         B = sector_basis(self, s)
@@ -298,18 +315,13 @@ def projector_derivative(path, s, method="resolvent", h=_FD_H):
     dim = path.dim
     if d == 0 or d >= dim:
         return np.zeros((dim, dim))
-    vals, vecs = path.spectral(s)
-    split_sector(vals, ("fixed_d", d), s=s)
 
     if method == "resolvent":
-        dH = path.dhamiltonian(s)
-        Vin = vecs[:, :d]
-        Vout = vecs[:, d:]
-        W = Vout.conj().T @ dH @ Vin
-        denom = vals[None, :d] - vals[d:, None]
-        M = Vout @ (W / denom) @ Vin.conj().T
+        B, Y = _resolvent_factor(path, s)
+        M = Y @ B.conj().T
         return M + M.conj().T
 
+    split_sector(path.spectral(s)[0], ("fixed_d", d), s=s)
     if method == "finite-difference":
         def D(step):
             return (path.projector(s + step) - path.projector(s - step)) / (2 * step)
@@ -317,6 +329,28 @@ def projector_derivative(path, s, method="resolvent", h=_FD_H):
         return (4 * D(h / 2) - D(h)) / 3
 
     raise ValueError(f"unknown method {method!r}")
+
+
+def _resolvent_factor(path, s):
+    """(B, Y) with P(s) = B B* and dP/ds = Y B* + B Y*, for 0 < d < dim.
+
+    B holds the lowest d eigenvectors and Y = V_out X, with X the
+    resolvent eigen-sum (V_out* dH B) / (lambda_in - lambda_out), so
+    [P, dP] = B Y* - Y B*.  Raises GapClosed through
+    `sectors.split_sector` when the gap is closed, and ValueError when
+    B B* is not a projector: its nonzero spectrum is that of g = B* B,
+    so ||P^2 - P|| = ||g^2 - g||.
+    """
+    d = path.d
+    vals, vecs = path.spectral(s)
+    split_sector(vals, ("fixed_d", d), s=s)
+    B = vecs[:, :d]
+    g = B.conj().T @ B
+    if operator_norm(g @ g - g, hermitian=True) > PROJECTOR_TOL:
+        raise ValueError("P is not a projector")
+    Vout = vecs[:, d:]
+    X = (Vout.conj().T @ path.dhamiltonian(s) @ B) / (vals[None, :d] - vals[d:, None])
+    return B, Vout @ X
 
 
 def truncate_generator(G, K, l, block: SectorBlockHamiltonian):
@@ -373,7 +407,21 @@ def _orthogonal_step(K, ds):
     return (V * np.cos(ds * theta)) @ Vt - ((V * sinc) @ Vt) @ K
 
 
-def integrate_flow(path, l, ds, K=None, method="resolvent", refine_tol=None):
+def _span_step(B, Y, ds):
+    """(Q, E - I) with exp(-ds K) = I + Q (E - I) Q* for K = B Y* - Y B*.
+
+    K lives on span[B, Y]: with [B, Y] = QR and S = R_B R_Y*,
+    K = Q (S - S*) Q*, and Q* Q = I, so the step needs only
+    E = exp(-ds (S - S*)), at most 2d x 2d.  Q has fewer than 2d columns
+    when B and Y have fewer than 2d rows.
+    """
+    d = B.shape[1]
+    Q, R = np.linalg.qr(np.hstack([B, Y]))
+    S = R[:, :d] @ R[:, d:].conj().T
+    return Q, _orthogonal_step(S - S.conj().T, ds) - np.eye(len(S))
+
+
+def integrate_flow(path, l, ds, K=None, refine_tol=None):
     """Drive -i dU/ds = G_l(s) U by exponential midpoint steps.
 
     Returns (FlowState at s=1, grid, flow errors ||P(s) - U P(0) U*||
@@ -382,11 +430,11 @@ def integrate_flow(path, l, ds, K=None, method="resolvent", refine_tol=None):
     halved until the endpoint error stabilizes, up to a cap.
     """
     if refine_tol is None:
-        return integrate_flows(path, [l], ds, K=K, method=method)[0]
+        return integrate_flows(path, [l], ds, K=K)[0]
     prev = None
     step = ds
     for _ in range(HALVING_CAP):
-        out = integrate_flows(path, [l], step, K=K, method=method)[0]
+        out = integrate_flows(path, [l], step, K=K)[0]
         err = out[2][-1]
         if prev is not None and abs(err - prev) <= refine_tol:
             return out
@@ -395,17 +443,17 @@ def integrate_flow(path, l, ds, K=None, method="resolvent", refine_tol=None):
     raise QuadratureError(f"flow step halving hit the cap at ds={step:.3e}")
 
 
-def integrate_flows(path, ls, ds, K=None, method="resolvent"):
+def integrate_flows(path, ls, ds, K=None):
     """integrate_flow for every radius in `ls`, in one pass over the grid.
 
     Returns one (FlowState, grid, errors) per radius, in the order of
-    `ls`, each what integrate_flow gives for that radius alone.  P, dP
-    and K = [P, dP] are formed once per grid point and shared by the
-    radii; only the truncation, the orthogonal step on the kept
-    sub-block and the span-sized error are per radius.  FlowState.G is
-    the last step's truncated generator iK_l.  Raises UnitarityLost,
-    with the radius and the defect, when a flow ends further than
-    UNITARITY_TOL from unitary.
+    `ls`, each what integrate_flow gives for that radius alone.  The
+    resolvent factors B and Y of K = [P, dP] = B Y* - Y B* are formed
+    once per grid point and shared by the radii; only the kept rows,
+    the rank-2d step on them and the span-sized error are per radius.
+    FlowState.G is the last step's truncated generator iK_l.  Raises
+    UnitarityLost, with the radius and the defect, when a flow ends
+    further than UNITARITY_TOL from unitary.
     """
     ls = list(ls)
     if K is None and any(l is not None for l in ls):
@@ -414,31 +462,30 @@ def integrate_flows(path, ls, ds, K=None, method="resolvent"):
             raise ValueError("truncated flow needs the coupling region K")
         K = system.anchor_sites
     keeps = [None if l is None else _window_keep(K, l, path.block) for l in ls]
+    rows = [slice(None) if keep is None else keep for keep in keeps]
 
     n_steps = max(1, int(round(1.0 / ds)))
     ds = 1.0 / n_steps
     dim = path.dim
+    moving = 0 < path.d < dim  # an empty or full sector never moves
     B0 = sector_basis(path, 0.0)
     Us = [np.eye(dim) for _ in ls]
     grid = [0.0]
     errors = [[0.0] for _ in ls]
     for j in range(n_steps):
         smid = (j + 0.5) * ds
-        dP = projector_derivative(path, smid, method=method)
-        kato = kato_commutator(path.projector(smid), dP)
+        B, Y = _resolvent_factor(path, smid) if moving else (None, None)
         s1 = (j + 1) * ds
         B1 = sector_basis(path, s1)
-        for i, keep in enumerate(keeps):
-            if keep is None:
-                if kato.any():
-                    Us[i] = _orthogonal_step(kato, ds) @ Us[i]
-            else:
-                sub = kato[np.ix_(keep, keep)]
-                if sub.any():
-                    Us[i][keep] = _orthogonal_step(sub, ds) @ Us[i][keep]
+        for i, r in enumerate(rows):
+            if moving and Y[r].any():
+                Q, F = _span_step(B[r], Y[r], ds)
+                Us[i] = Us[i].astype(np.result_type(Us[i], Q), copy=False)
+                Us[i][r] += Q @ (F @ (Q.conj().T @ Us[i][r]))
             errors[i].append(_span_error(B1, Us[i] @ B0))
         grid.append(s1)
     grid = np.array(grid)
+    kato = kato_commutator(path.projector(smid), projector_derivative(path, smid))
     out = []
     for l, keep, U, errs in zip(ls, keeps, Us, errors):
         defect = operator_norm(U.conj().T @ U - np.eye(dim), hermitian=True)

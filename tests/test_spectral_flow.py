@@ -486,6 +486,72 @@ def test_span_error_matches_dense_norm():
     assert abs(err - np.sin(angle)) <= 1e-6 * angle
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_span_step_matches_assembled_generator(dtype):
+    # I + Q (E - I) Q* against the step of the assembled D x D
+    # K = B Y* - Y B*, on all rows and on 3 kept rows (fewer than 2d)
+    rng = np.random.default_rng(13)
+
+    def draw(*shape):
+        a = rng.normal(size=shape)
+        return a + 1j * rng.normal(size=shape) if dtype is np.complex128 else a
+
+    D, d = 9, 2
+    B = np.linalg.qr(draw(D, d))[0]
+    Y = 0.5 * draw(D, d)
+    for rows in (slice(None), np.arange(D) < 3):
+        Bk, Yk = B[rows], Y[rows]
+        K = Bk @ Yk.conj().T - Yk @ Bk.conj().T
+        for ds in (0.01, 0.1, 1.0):
+            Q, F = sf._span_step(Bk, Yk, ds)
+            assert Q.dtype == dtype
+            step = np.eye(len(Bk)) + Q @ F @ Q.conj().T
+            assert np.abs(step - sf._orthogonal_step(K, ds)).max() <= 1e-14
+    Q, F = sf._span_step(B, np.zeros_like(B), 0.1)
+    assert np.array_equal(np.eye(D) + Q @ F @ Q.conj().T, np.eye(D))
+
+
+def _count_block_eigh(monkeypatch, dim):
+    """A list that grows by one per `eigh` of a dim x dim matrix."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if a.shape == (dim, dim):
+            calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.3], ids=["uncoupled", "constant"])
+def test_static_block_takes_one_eigh_per_flow(monkeypatch, coupling):
+    # H(s) does not depend on s: dP = 0, so no step is taken, and the
+    # first spectrum serves every grid point
+    G = lattice.chain(8, periodic=True)
+    imps = [sf.ImpurityModes(site, 1, lambda s: coupling) for site in (0, 4)]
+    path = sf.BlockSectorPath(sf.BosonSystem(G, 1.0, imps), 1)
+    calls = _count_block_eigh(monkeypatch, path.dim)
+    flows = sf.integrate_flows(path, [None, 1, 2], 0.1, K=(0, 4))
+    assert len(calls) == 1
+    B0 = sf.sector_basis(path, 0.0)
+    for state, _, errs in flows:
+        assert np.array_equal(state.U, np.eye(path.dim))
+        assert np.array_equal(errs[1:], np.full(10, _span_error(B0, B0)))
+        assert not state.G.any()
+    if coupling == 0.0:
+        # the uncoupled control: the basis is the impurity configurations
+        assert all(not errs.any() for _, _, errs in flows)
+
+
+def test_ramped_block_takes_one_eigh_per_grid_point(monkeypatch):
+    path = sf.BlockSectorPath(two_impurity_system(), 1)
+    calls = _count_block_eigh(monkeypatch, path.dim)
+    sf.integrate_flows(path, [None, 1], 0.1, K=(0, 4))
+    assert len(calls) == 21  # s = 0, 0.05, ..., 1: endpoints and midpoints
+
+
 def test_sub_block_step_leaves_other_rows_untouched():
     system = ring_system()
     path = sf.BlockSectorPath(system, 1)
