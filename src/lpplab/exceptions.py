@@ -28,14 +28,6 @@ class NotApplicable(Exception):
     """The requested check's hypotheses are not met (e.g. probe geometry)."""
 
 
-class QuadratureError(Exception):
-    """A step-refinement loop did not settle within its cap.
-
-    Raised by spectral_flow.integrate_flow when halving ds has not
-    stabilized the endpoint flow error after HALVING_CAP passes.
-    """
-
-
 class EigensolverFailed(Exception):
     """LAPACK or ARPACK produced no eigenpairs.
 

@@ -766,7 +766,7 @@ def run_sequential_coupling(config, workers=1, rng=None):
         flows_xy, flows_x, flows_y = ([f for _, f in done[k::3]] for k in range(3))
         return [
             one_radius(l, B0, P1, [f[i] for f in flows_xy],
-                       [f[i][0].U @ g[i][0].U for f, g in zip(flows_x, flows_y)])
+                       [f[i][0] @ g[i][0] for f, g in zip(flows_x, flows_y)])
             for i, l in enumerate(radii)
         ]
 
@@ -775,7 +775,7 @@ def run_sequential_coupling(config, workers=1, rng=None):
         system (U_xy) and the product of the one-impurity flows (U_f).
         P1, PU and PF are the diagonals of P(1), U_xy P(0) U_xy^T and
         U_f P(0) U_f^T, which is all the occupations read."""
-        U_xy = [st.U for st, _, _ in flows_xy]
+        U_xy = [U for U, _, _ in flows_xy]
         flow_errs = [float(np.max(errs)) for _, _, errs in flows_xy]
         PU = [diag_projector(U @ b) for U, b in zip(U_xy, B0)]
         PF = [diag_projector(U @ b) for U, b in zip(U_f, B0)]
@@ -1118,15 +1118,7 @@ def run_kato_flow(config, workers=1, rng=None):
                 ct_rows.append((n, z, int(dd), float(vv)))
             rate = _profile_rate(prof, d_max=d_fit)
             if n == 1 and rate is not None:
-                eta = math.acosh((gamma + 2.0 - z) / 2.0)
-                rel = abs(rate - eta) / eta
-                ct_checks.append(
-                    _check(
-                        f"ct-rate-z{z:g}",
-                        rel <= _tol(config, "ct_rel_error", 0.1),
-                        f"measured {rate:.4f} vs analytic {eta:.4f} ({rel:.1%} off)",
-                    )
-                )
+                ct_checks.append(_ct_rate_check(config, gamma, z, rate))
     checks.extend(ct_checks)
 
     return {
@@ -1156,6 +1148,19 @@ def _profile_rate(profile, d_min=1, d_max=None):
     ds_ = np.array([d for d, _ in pts], dtype=float)
     ys = np.log([v for _, v in pts])
     return float(-np.polyfit(ds_, ys, 1)[0])
+
+
+def _ct_rate_check(config, u, z, rate):
+    """The fitted one-particle resolvent decay rate against the analytic
+    Combes-Thomas rate acosh((u + 2 - z) / 2) of a ring with constant
+    potential u."""
+    eta = math.acosh((u + 2.0 - z) / 2.0)
+    rel = abs(rate - eta) / eta
+    return _check(
+        f"ct-rate-z{z:g}",
+        rel <= _tol(config, "ct_rel_error", 0.1),
+        f"measured {rate:.4f} vs analytic {eta:.4f} ({rel:.1%} off)",
+    )
 
 
 # ------------------------------------------------------------ ct-profile
@@ -1218,18 +1223,11 @@ def run_ct_profile(config, workers=1, rng=None):
         warnings.append("fewer than two fitted rates; monotonicity not checked")
 
     if np.isscalar(u) and n_particles == 1 and not impurities:
-        for z, rate in zip(zs, rates):
-            if rate is None:
-                continue
-            eta = math.acosh((float(u) + 2.0 - z) / 2.0)
-            rel = abs(rate - eta) / eta
-            checks.append(
-                _check(
-                    f"ct-rate-z{z:g}",
-                    rel <= _tol(config, "ct_rel_error", 0.1),
-                    f"measured {rate:.4f} vs analytic {eta:.4f} ({rel:.1%} off)",
-                )
-            )
+        checks.extend(
+            _ct_rate_check(config, float(u), z, rate)
+            for z, rate in zip(zs, rates)
+            if rate is not None
+        )
 
     return {
         "experiment": "ct-profile",

@@ -150,20 +150,11 @@ def _xy_family(G, u):
 
 
 @dataclass(frozen=True)
-class ImpuritySpec:
-    site: int
-    n_spins: int
-    coupling: str = "hopping-ramp"
-    strength: float = 1.0
-
-
-@dataclass(frozen=True)
 class XYModelSpec:
     L: int
     nu: int = 1
     u: object = None  # scalar or per-site array; defaults to gamma
     gamma: float = 1.0
-    impurity: ImpuritySpec | None = None
 
 
 def build_xy_model(spec: XYModelSpec):
@@ -171,7 +162,7 @@ def build_xy_model(spec: XYModelSpec):
 
     The ground state is the all-down product at energy zero and the gap
     is at least gamma (equal to it for constant potential).  An
-    impurity, if requested, is attached separately via attach_impurity.
+    impurity is attached separately via attach_impurity.
     """
     if spec.nu not in (1, 2):
         raise ValueError("nu must be 1 or 2")
@@ -325,7 +316,7 @@ def lift_state(psi, dims, site, phi):
 
 
 def attach_impurity(model: Model, k, impurity_dims, W_path, mu=None,
-                    bulk_degeneracy=1, solver_k=None):
+                    bulk_degeneracy=1):
     """HamiltonianPath for the model with internal spaces I_k at the
     impurity sites and the coupling ramp W(s).
 
@@ -377,7 +368,7 @@ def attach_impurity(model: Model, k, impurity_dims, W_path, mu=None,
         W = itx.PerturbationPath(G2, entries)
 
     f = int(bulk_degeneracy)
-    S = model.spectral(k=max(6, f + 5) if solver_k is None else solver_k)
+    S = model.spectral(k=max(6, f + 5))
     bulk = S.vectors[:, :f]
 
     cols = []

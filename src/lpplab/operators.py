@@ -220,7 +220,7 @@ class HamiltonianAction(sp.csr_matrix):
 DENSE_LIMIT = 2**13
 
 
-def eigendecompose(H, mode="auto", k=6, tol=0.0):
+def eigendecompose(H, mode="auto", k=6):
     """Eigenpairs of a hermitian operator.
 
     H is a dense array or a sparse matrix, which is taken as a
@@ -250,7 +250,7 @@ def eigendecompose(H, mode="auto", k=6, tol=0.0):
             vals, vecs = np.linalg.eigh(M)
         else:
             v0 = np.random.default_rng(0).standard_normal(dim).astype(H.dtype)
-            vals, vecs = spla.eigsh(H, k=k, which="SA", tol=tol, v0=v0)
+            vals, vecs = spla.eigsh(H, k=k, which="SA", tol=0.0, v0=v0)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
     except (np.linalg.LinAlgError, spla.ArpackError) as exc:

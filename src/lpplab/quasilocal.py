@@ -240,7 +240,7 @@ def _step_gap(path, s0, s1):
     return min(gaps + [g_mid])
 
 
-def weak_step(path, s0, eps, l, g=None):
+def weak_step(path, s0, eps, l):
     """Localized single-step transformations R_i^l and their errors.
 
     l may be a scalar or a sequence (the sweep shares all spectral
@@ -250,8 +250,7 @@ def weak_step(path, s0, eps, l, g=None):
     """
     ls = np.atleast_1d(np.asarray(l))
     consts = path.constants()
-    if g is None:
-        g = _step_gap(path, s0, s0 + eps)
+    g = _step_gap(path, s0, s0 + eps)
     sec0 = path.sector(s0)
     sec1 = path.sector(s0 + eps)
     S0, S1 = path.spectral(s0), path.spectral(s0 + eps)
@@ -407,13 +406,11 @@ def _transport_attempt(path, n, ls, g, consts):
     return out
 
 
-def transport_sweep(path, n, ls, n_check=None):
+def transport_sweep(path, n, ls):
     """path_transport over a shared l-grid with adaptive step count."""
     ls = [float(v) for v in np.atleast_1d(ls)]
     consts = path.constants()
-    if n_check is None:
-        n_check = max(9, min(n + 1, 33))
-    g, _ = verify_gap_along_path(path, n_check=n_check)
+    g, _ = verify_gap_along_path(path, n_check=max(9, min(n + 1, 33)))
     attempt = n
     while attempt <= STEP_CAP:
         try:
@@ -456,7 +453,7 @@ def _check_product_sector(basis, G, site, impurity_dim):
                 raise ValueError("sector vectors do not share one bulk factor")
 
 
-def impurity_transform(path, ts: TransportSet, site, impurity_dim, impurity_basis=None):
+def impurity_transform(path, ts: TransportSet, site, impurity_dim):
     """T_l = sum_ij L_ij I_ji on H_{K_l}, and the projector mismatch.
 
     The printed error in the source statement is || P' - T^dagger P T ||
@@ -479,11 +476,6 @@ def impurity_transform(path, ts: TransportSet, site, impurity_dim, impurity_basi
         raise ValueError("impurity dimension does not divide the site dimension")
     d0 = d_site // impurity_dim
     d = ts.dim
-    if impurity_basis is None:
-        impurity_basis = np.eye(impurity_dim)
-    phi = np.asarray(impurity_basis)
-    if phi.shape != (impurity_dim, impurity_dim):
-        raise ValueError("impurity basis must be square on the impurity factor")
     if d != impurity_dim:
         raise ValueError("sector dimension must equal the impurity dimension")
 
@@ -492,11 +484,12 @@ def impurity_transform(path, ts: TransportSet, site, impurity_dim, impurity_basi
 
     pos = ts.support.index(site)
     dims = list(ts.dims)
-    T_small = np.zeros((int(np.prod(dims)),) * 2, dtype=np.result_type(ts.L, phi))
+    T_small = np.zeros((int(np.prod(dims)),) * 2, dtype=np.result_type(ts.L, float))
     for i in range(d):
         for j in range(d):
-            # |phi_j><phi_i| on the impurity factor, identity on the rest
-            ketbra = np.outer(phi[:, j], phi[:, i].conj())
+            # |j><i| on the impurity factor, identity on the rest
+            ketbra = np.zeros((d, d))
+            ketbra[j, i] = 1.0
             on_site = np.kron(np.eye(d0), ketbra)
             I_ji = embed_matrix(on_site, (pos,), dims)
             T_small += ts.L[i, j] @ I_ji

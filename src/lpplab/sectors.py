@@ -123,7 +123,7 @@ def _cluster_slices(values, tol=CLUSTER_TOL):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def align_phases(prev: SectorSpectrum, next: SectorSpectrum, singular_tol=1e-8):
+def align_phases(prev: SectorSpectrum, next: SectorSpectrum):
     """Re-phase (and re-mix degenerate clusters of) the next basis.
 
     Within each eigenvalue cluster of sigma_in(next) the basis is only
@@ -138,7 +138,7 @@ def align_phases(prev: SectorSpectrum, next: SectorSpectrum, singular_tol=1e-8):
     for sl in _cluster_slices(next.values_in):
         block = O[sl, sl]
         U, sing, Vh = np.linalg.svd(block)
-        if sing.min() < singular_tol:
+        if sing.min() < 1e-8:
             raise StepTooLarge(
                 f"near-singular overlap within a cluster (min sv {sing.min():.2e})"
             )
@@ -197,7 +197,6 @@ class HamiltonianPath:
         rule=("fixed_d", 1),
         decay: DecayFunctions | None = None,
         initial_basis=None,
-        k=None,
     ):
         self.graph = G
         self.phi = phi
@@ -205,7 +204,6 @@ class HamiltonianPath:
         self.rule = tuple(rule)
         self.decay = decay
         self.initial_basis = None if initial_basis is None else np.asarray(initial_basis)
-        self.k = k
         self.dim = int(np.prod(G.site_dims, dtype=np.int64))
         self._cache = SpectralCache()
         self._H_phi = assemble_hamiltonian(phi, G)
@@ -224,16 +222,12 @@ class HamiltonianPath:
             H = add_terms(H, self.W.terms(s), self.graph)
         return H.dense() if mode == "dense" else H
 
-    def _solver_k(self):
-        if self.k is not None:
-            return self.k
-        d = self.rule[1] if self.rule[0] == "fixed_d" else 2
-        return min(self.dim - 2, max(6, int(d) + 5))
-
     def spectral(self, s) -> SpectralData:
+        # ARPACK pairs for the iterative mode: the sector plus a margin
+        d = self.rule[1] if self.rule[0] == "fixed_d" else 2
+        k = min(self.dim - 2, max(6, int(d) + 5))
         return self._cache.fetch(
-            float(s),
-            lambda: eigendecompose(self.hamiltonian(s, mode="matvec"), k=self._solver_k()),
+            float(s), lambda: eigendecompose(self.hamiltonian(s, mode="matvec"), k=k)
         )
 
     def sector(self, s) -> SectorSpectrum:

@@ -36,10 +36,12 @@ threads as with one BLAS thread.
 Only the truncation depends on the radius, so `integrate_flows` walks
 the s-grid once for a list of radii: it diagonalizes each grid point
 and forms B and Y once, then truncates, steps and measures the flow
-error per radius.  Nothing is kept beyond the current grid point.  A
-block whose one-particle matrix is bitwise unchanged between grid
-points (an uncoupled control) reuses the spectrum it already has, so
-such a flow takes one block `eigh`.
+error per radius.  Nothing is kept beyond the current grid point: a
+flow returns its endpoint U, the grid and the flow error at each grid
+point, and no D x D generator is formed along the way.  A block whose
+one-particle matrix is bitwise unchanged between grid points (an
+uncoupled control) reuses the spectrum it already has, so such a flow
+takes one block `eigh`.
 
 Blocks with more particles than the impurity can hold carry an empty
 sector: P = 0, K = 0, and the flow is exactly the identity.
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .exceptions import QuadratureError, UnitarityLost
+from .exceptions import UnitarityLost
 from .models import n_up
 from .operators import (
     SpectralCache,
@@ -67,7 +69,6 @@ from .sectors import split_sector
 
 PROJECTOR_TOL = 1e-8
 UNITARITY_TOL = 1e-10
-HALVING_CAP = 14
 _FD_H = 1e-4
 _SCALAR_H = 1e-6
 
@@ -282,27 +283,21 @@ def sector_basis(path, s):
 # ----------------------------------------------------- generator algebra
 
 
-def kato_commutator(P, dP):
-    """K = [P, dP], taken exactly anti-Hermitian; the generator is G = iK.
-
-    Real antisymmetric for real symmetric P and dP, as in every block.
-    """
-    if operator_norm(P @ P - P, hermitian=True) > PROJECTOR_TOL:
-        raise ValueError("P is not a projector")
-    C = P @ dP - dP @ P
-    return (C - C.conj().T) / 2
-
-
 def kato_generator(P, dP):
     """G = i[P, dP], Hermitian for Hermitian inputs.
 
-    For an exact projector path this satisfies dP = i[G, P], which is
-    what makes the generated flow track P(s).
+    [P, dP] is taken exactly anti-Hermitian.  For an exact projector
+    path this satisfies dP = i[G, P], which is what makes the generated
+    flow track P(s).
     """
-    return 1j * kato_commutator(np.asarray(P), np.asarray(dP))
+    P, dP = np.asarray(P), np.asarray(dP)
+    if operator_norm(P @ P - P, hermitian=True) > PROJECTOR_TOL:
+        raise ValueError("P is not a projector")
+    C = P @ dP - dP @ P
+    return 1j * ((C - C.conj().T) / 2)
 
 
-def projector_derivative(path, s, method="resolvent", h=_FD_H):
+def projector_derivative(path, s, method="resolvent"):
     """dP/ds for the sector projector of a block path.
 
     "resolvent": eigen-sum over (in, out) pairs with the exact dH,
@@ -326,7 +321,7 @@ def projector_derivative(path, s, method="resolvent", h=_FD_H):
         def D(step):
             return (path.projector(s + step) - path.projector(s - step)) / (2 * step)
 
-        return (4 * D(h / 2) - D(h)) / 3
+        return (4 * D(_FD_H / 2) - D(_FD_H)) / 3
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -379,14 +374,6 @@ def _window_keep(K, l, block):
     return keep
 
 
-@dataclass(frozen=True)
-class FlowState:
-    s: float
-    U: np.ndarray
-    G: np.ndarray
-    ds: float
-
-
 def _orthogonal_step(K, ds):
     """exp(-ds K) for anti-Hermitian K: the step exp(i ds G) of G = iK.
 
@@ -421,37 +408,25 @@ def _span_step(B, Y, ds):
     return Q, _orthogonal_step(S - S.conj().T, ds) - np.eye(len(S))
 
 
-def integrate_flow(path, l, ds, K=None, refine_tol=None):
+def integrate_flow(path, l, ds, K=None):
     """Drive -i dU/ds = G_l(s) U by exponential midpoint steps.
 
-    Returns (FlowState at s=1, grid, flow errors ||P(s) - U P(0) U*||
-    on the grid).  l=None integrates the untruncated flow; otherwise K
-    defaults to the impurity anchor sites.  With refine_tol set, ds is
-    halved until the endpoint error stabilizes, up to a cap.
+    Returns (U at s=1, grid, flow errors ||P(s) - U P(0) U*|| on the
+    grid).  ds is rounded so that 1/ds steps fill [0, 1].  l=None
+    integrates the untruncated flow; otherwise K defaults to the
+    impurity anchor sites.
     """
-    if refine_tol is None:
-        return integrate_flows(path, [l], ds, K=K)[0]
-    prev = None
-    step = ds
-    for _ in range(HALVING_CAP):
-        out = integrate_flows(path, [l], step, K=K)[0]
-        err = out[2][-1]
-        if prev is not None and abs(err - prev) <= refine_tol:
-            return out
-        prev = err
-        step /= 2
-    raise QuadratureError(f"flow step halving hit the cap at ds={step:.3e}")
+    return integrate_flows(path, [l], ds, K=K)[0]
 
 
 def integrate_flows(path, ls, ds, K=None):
     """integrate_flow for every radius in `ls`, in one pass over the grid.
 
-    Returns one (FlowState, grid, errors) per radius, in the order of
-    `ls`, each what integrate_flow gives for that radius alone.  The
-    resolvent factors B and Y of K = [P, dP] = B Y* - Y B* are formed
-    once per grid point and shared by the radii; only the kept rows,
-    the rank-2d step on them and the span-sized error are per radius.
-    FlowState.G is the last step's truncated generator iK_l.  Raises
+    Returns one (U, grid, errors) per radius, in the order of `ls`,
+    each what integrate_flow gives for that radius alone.  The resolvent
+    factors B and Y of K = [P, dP] = B Y* - Y B* are formed once per
+    grid point and shared by the radii; only the kept rows, the rank-2d
+    step on them and the span-sized error are per radius.  Raises
     UnitarityLost, with the radius and the defect, when a flow ends
     further than UNITARITY_TOL from unitary.
     """
@@ -461,8 +436,7 @@ def integrate_flows(path, ls, ds, K=None):
         if system is None:
             raise ValueError("truncated flow needs the coupling region K")
         K = system.anchor_sites
-    keeps = [None if l is None else _window_keep(K, l, path.block) for l in ls]
-    rows = [slice(None) if keep is None else keep for keep in keeps]
+    rows = [slice(None) if l is None else _window_keep(K, l, path.block) for l in ls]
 
     n_steps = max(1, int(round(1.0 / ds)))
     ds = 1.0 / n_steps
@@ -485,14 +459,12 @@ def integrate_flows(path, ls, ds, K=None):
             errors[i].append(_span_error(B1, Us[i] @ B0))
         grid.append(s1)
     grid = np.array(grid)
-    kato = kato_commutator(path.projector(smid), projector_derivative(path, smid))
     out = []
-    for l, keep, U, errs in zip(ls, keeps, Us, errors):
+    for l, U, errs in zip(ls, Us, errors):
         defect = operator_norm(U.conj().T @ U - np.eye(dim), hermitian=True)
         if defect > UNITARITY_TOL:
             raise UnitarityLost(l, defect)
-        Kl = kato if keep is None else np.where(np.outer(keep, keep), kato, 0.0)
-        out.append((FlowState(1.0, U, 1j * Kl, ds), grid.copy(), np.array(errs)))
+        out.append((U, grid.copy(), np.array(errs)))
     return out
 
 

@@ -11,9 +11,9 @@
 
 loop_assemble does the same floating-point operations as the library
 code, in the same order per matrix entry, so blocks agree bit for bit.
-flow_pass forms the same generators bit for bit; its U and errors round
-differently from the real sub-block steps and span-sized norms, so they
-agree to 1e-13.
+flow_pass forms each step's D x D generator i[P, dP], truncated when a
+radius is given; its U and errors round differently from the real
+sub-block steps and span-sized norms, so they agree to 1e-13.
 """
 
 import numpy as np
@@ -51,8 +51,8 @@ def _expm_i(A):
 
 
 def flow_pass(path, l, ds, K, method="resolvent"):
-    """(FlowState, grid, errors) of the flow truncated at radius l
-    (None: untruncated), integrated on its own."""
+    """(U, grid, errors) of the flow truncated at radius l (None:
+    untruncated), integrated on its own."""
     n_steps = max(1, int(round(1.0 / ds)))
     ds = 1.0 / n_steps
     dim = path.dim
@@ -60,7 +60,6 @@ def flow_pass(path, l, ds, K, method="resolvent"):
     U = np.eye(dim, dtype=complex)
     grid = [0.0]
     errors = [0.0]
-    G = np.zeros((dim, dim), dtype=complex)
     for j in range(n_steps):
         smid = (j + 0.5) * ds
         dP = sf.projector_derivative(path, smid, method=method)
@@ -77,4 +76,4 @@ def flow_pass(path, l, ds, K, method="resolvent"):
     defect = operator_norm(U.conj().T @ U - np.eye(dim), hermitian=True)
     if defect > sf.UNITARITY_TOL:
         raise RuntimeError(f"flow lost unitarity: {defect:.3e}")
-    return sf.FlowState(1.0, U, G, ds), np.array(grid), np.array(errors)
+    return U, np.array(grid), np.array(errors)

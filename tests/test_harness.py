@@ -189,6 +189,19 @@ def test_validate_rejects_bad_nested_value():
         )
 
 
+@pytest.mark.parametrize("key, value", [("coupling", "exchange-ramp"), ("potential", 0.5)])
+def test_validate_rejects_impurity_keys_no_runner_reads(key, value):
+    # a key the runners ignore would change nothing in the run
+    with pytest.raises(ValueError, match=f"at impurity: .*'{key}' was unexpected"):
+        validate_config(
+            {
+                "schema_version": 1,
+                "experiment": "kato-flow",
+                "impurity": {"site": 2, "strength": 0.5, key: value},
+            }
+        )
+
+
 def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "c.json"
     cfg = {
@@ -571,8 +584,8 @@ def test_sequential_coupling_matches_dense_traces():
         return sum(np.trace(P @ x) for P, x in zip(Ps, X)) / D
 
     for i, row in enumerate(rows):
-        U_xy = [f[0][i][0].U for f in flows]
-        U_f = [f[1][i][0].U @ f[2][i][0].U for f in flows]
+        U_xy = [f[0][i][0] for f in flows]
+        U_f = [f[1][i][0] @ f[2][i][0] for f in flows]
         PU = [U @ P @ U.T for U, P in zip(U_xy, P0)]
         PF = [U @ P @ U.T for U, P in zip(U_f, P0)]
         w_ab, wu_ab, wf_ab = omega(P1, "ab"), omega(PU, "ab"), omega(PF, "ab")
