@@ -390,11 +390,8 @@ def run_transport(config, workers=1, rng=None):
     first = tsets[ls[0]]
     g = float(first.gap)
     consts = _constants(model.family, decay, g=g)
-    c_bound = 2.0 * math.sqrt(first.dim)
-    c_of = {
-        l: max(float(np.abs(c).sum(axis=1).max()) for c in tsets[l].c_history)
-        for l in ls
-    }
+    c_bound = first.c_bound
+    c_of = {l: tsets[l].c_norm_max for l in ls}
     c_max = max(c_of.values())
 
     errs = [float(tsets[l].errors.max()) for l in ls]
@@ -475,7 +472,7 @@ def run_impurity_lppl(config, workers=1, rng=None):
 
     rows, proj_pts = [], []
     for l in ls:
-        _, err, _ = quasilocal.impurity_transform(path, tsets[l], k, dI)
+        _, err = quasilocal.impurity_transform(path, tsets[l], k, dI)
         proj_pts.append((l, err))
         rows.append(("projector", l, err))
 
@@ -525,7 +522,7 @@ def run_impurity_lppl(config, workers=1, rng=None):
         path0 = models.attach_impurity(model, k, dI, lambda s: zero, mu=mu)
         ts0 = quasilocal.path_transport(path0, 2, ls[0])
         steps["control_n_steps_final"] = ts0.n
-        _, err0, _ = quasilocal.impurity_transform(path0, ts0, k, dI)
+        _, err0 = quasilocal.impurity_transform(path0, ts0, k, dI)
         B0 = path0.sector(1.0).basis
         far = max(G.sites(), key=lambda x: G.distance(x, k))
         ref0 = _expectation(gs, sigma, (far,), G.site_dims)
@@ -569,13 +566,14 @@ def run_clustering(config, workers=1, rng=None):
     records = {}
 
     if mode == "bulk":
-        gap = float(meta["gap"])
+        S = model.spectral(mode="dense")
+        gap = float(S.values[1] - S.values[0])
         if gap < _tol(config, "degeneracy_gap", 1e-8):
             raise ValueError(
                 f"bulk ground state is degenerate (gap {gap:.3e}); "
                 "clustering needs a unique ground state"
             )
-        psi = model.spectral(mode="dense").vectors[:, 0]
+        psi = S.vectors[:, 0]
         K = ()
     else:
         icfg = config.get("impurity", {})
@@ -584,6 +582,12 @@ def run_clustering(config, workers=1, rng=None):
         path = HamiltonianPath(
             G, model.family, W=linear_ramp(G, k, W_final),
             rule=_sector_rule(config), decay=decay,
+        )
+        # transported-step coefficient norms on the same perturbed path;
+        # the sweep ends at s = 1, so the spectrum there stays cached
+        sweep = config.get("sweep", {})
+        ts = quasilocal.path_transport(
+            path, int(sweep.get("n_steps", 4)), float(sweep.get("l_values", [2])[0])
         )
         S1 = path.spectral(1.0)
         gap = float(S1.values[1] - S1.values[0])
@@ -667,20 +671,12 @@ def run_clustering(config, workers=1, rng=None):
             )
         else:
             warnings.append("straddling-pair fit unavailable; rate comparison skipped")
-
-        # transported-step coefficient norms on the same perturbed path
-        sweep = config.get("sweep", {})
-        ts = quasilocal.path_transport(
-            path, int(sweep.get("n_steps", 4)), float(sweep.get("l_values", [2])[0])
-        )
-        c_bound = 2.0 * math.sqrt(ts.dim)
-        c_max = max(float(np.abs(c).sum(axis=1).max()) for c in ts.c_history)
         checks.append(
             _check(
                 "coefficient-one-norms",
-                c_max <= c_bound + 1e-12,
-                f"max ||c_i||_1 = {c_max:.4f} vs 2 sqrt(D) = {c_bound:.4f} "
-                f"over {len(ts.c_history)} steps",
+                ts.c_norm_max <= ts.c_bound + 1e-12,
+                f"max ||c_i||_1 = {ts.c_norm_max:.4f} vs 2 sqrt(D) = {ts.c_bound:.4f} "
+                f"over {ts.n} steps",
             )
         )
         consts = dict(consts, n_steps_final=ts.n)
@@ -1113,10 +1109,10 @@ def run_kato_flow(config, workers=1, rng=None):
         block = system.block(n)
         x0 = tuple(sorted((x0_site + j) % L for j in range(n)))
         for z in zs:
-            prof, _ = sflow.combes_thomas_profile(block, z, x0, s=s_ct)
+            prof = sflow.combes_thomas_profile(block, z, x0, s=s_ct)
             for dd, vv in prof:
                 ct_rows.append((n, z, int(dd), float(vv)))
-            rate = _profile_rate(prof, d_max=d_fit)
+            rate = sflow.profile_rate(prof, d_max=d_fit)
             if n == 1 and rate is not None:
                 ct_checks.append(_ct_rate_check(config, gamma, z, rate))
     checks.extend(ct_checks)
@@ -1134,20 +1130,6 @@ def run_kato_flow(config, workers=1, rng=None):
         "checks": checks,
         "warnings": warnings,
     }
-
-
-def _profile_rate(profile, d_min=1, d_max=None):
-    """Refit the decay rate over a distance window of a CT profile."""
-    pts = [
-        (d, v)
-        for d, v in profile
-        if d >= d_min and v > 0 and (d_max is None or d <= d_max)
-    ]
-    if len(pts) < 2:
-        return None
-    ds_ = np.array([d for d, _ in pts], dtype=float)
-    ys = np.log([v for _, v in pts])
-    return float(-np.polyfit(ds_, ys, 1)[0])
 
 
 def _ct_rate_check(config, u, z, rate):
@@ -1195,17 +1177,15 @@ def run_ct_profile(config, workers=1, rng=None):
     block = system.block(n_particles)
     x0 = tuple(sorted((x0_site + j) % L for j in range(n_particles)))
 
-    def one_z(z):
-        prof, _ = sflow.combes_thomas_profile(block, z, x0, s=s_ct)
-        return prof
-
-    profiles = _pmap(one_z, zs, workers)
+    profiles = _pmap(
+        lambda z: sflow.combes_thomas_profile(block, z, x0, s=s_ct), zs, workers
+    )
     rows, rates, dists = [], [], []
     spec = np.linalg.eigvalsh(block.matrix(s_ct))
     for z, prof in zip(zs, profiles):
         for dd, vv in prof:
             rows.append((z, int(dd), float(vv)))
-        rates.append(_profile_rate(prof, d_max=d_fit))
+        rates.append(sflow.profile_rate(prof, d_max=d_fit))
         dists.append(float(np.abs(spec - z).min()))
 
     checks, warnings = [], []

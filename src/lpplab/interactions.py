@@ -4,7 +4,7 @@ The decay framework: F_mu(d) = exp(-mu d) F0(d) with a reproducing base
 F0 (default (1+d)^-(nu+1)).  On a fixed finite graph the relevant constants
 are plain maxima over sites:
 
-    ||F_mu||  = max_x sum_y F_mu(d(x,y))
+    ||F_0||   = max_x sum_y F_0(d(x,y))
     C_mu      = max_{x,y} sum_z F_mu(d(x,z)) F_mu(d(z,y)) / F_mu(d(x,y))
     ||Phi||_mu = max_{x,y} sum_{X ni x,y} ||Phi(X)|| / F_mu(d(x,y))
 
@@ -15,13 +15,11 @@ xi = 1/mu + 2 v / g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import lattice
 from .kernels import embed_sparse
-from .operators import HamiltonianAction, LocalOperator, embed_matrix, operator_norm
+from .operators import HamiltonianAction, LocalOperator, operator_norm
 
 
 class DecayFunctions:
@@ -50,11 +48,6 @@ class DecayFunctions:
         return np.exp(-self.mu * d) * self._f0(d)
 
     @property
-    def f_norm(self):
-        """||F_mu|| on this graph."""
-        return float(self._F.sum(axis=1).max())
-
-    @property
     def f0_norm(self):
         """||F_0|| on this graph (enters the Lieb-Robinson prefactor)."""
         return float(self._F0.sum(axis=1).max())
@@ -79,9 +72,6 @@ class InteractionFamily:
 
     def regions(self):
         return [frozenset(t.support) for t in self.terms]
-
-    def term_norms(self):
-        return list(self._norms)
 
     def __iter__(self):
         return iter(self.terms)
@@ -159,29 +149,20 @@ def add_terms(H, terms, G):
     return HamiltonianAction(H)
 
 
-def assemble_hamiltonian(phi: InteractionFamily, G, W=None, s=0.0, mode="matvec"):
-    """sum(Phi) + W(s) as a HamiltonianAction (CSR, mode "matvec") or its
-    dense array.
+def assemble_hamiltonian(phi: InteractionFamily, G):
+    """sum(Phi) as a HamiltonianAction (CSR); `.dense()` gives the array.
 
-    The terms are added in order, W's last; the sum is float64 unless a
-    term has an imaginary part.
+    The terms are added in order; the sum is float64 unless a term has
+    an imaginary part.
     """
-    if mode not in ("dense", "matvec"):
-        raise ValueError(f"unknown mode {mode!r}")
-    terms = list(phi.terms) + ([] if W is None else W.terms(s))
-    H = add_terms(HamiltonianAction((G.dimension(),) * 2), terms, G)
-    return H.dense() if mode == "dense" else H
-
-
-_SMOOTHNESS_GRID = 1001
+    return add_terms(HamiltonianAction((G.dimension(),) * 2), phi.terms, G)
 
 
 class PerturbationPath:
     """Per-site perturbations W_i(s), s in [0, 1].
 
     entries: list of (site, fn) where fn(s) returns the matrix on that
-    site's full local space.  C_W = sup_s ||d_s sum_i W_i(s)|| is estimated
-    by central differences on a fixed 1001-point grid.
+    site's full local space.
     """
 
     def __init__(self, G, entries):
@@ -197,7 +178,6 @@ class PerturbationPath:
                 raise ValueError(f"W at site {site} must vanish at s=0")
             self.entries.append((site, fn))
         self.sites = tuple(s for s, _ in self.entries)
-        self._c_w = None
 
     def terms(self, s):
         out = []
@@ -207,57 +187,8 @@ class PerturbationPath:
             out.append(LocalOperator((site,), (self.graph.site_dims[site],), M, hermitian=True))
         return out
 
-    def total_on_support(self, s):
-        """sum_i W_i(s) embedded on the joint space of the perturbed sites."""
-        dims = [self.graph.site_dims[x] for x in sorted(set(self.sites))]
-        order = {x: i for i, x in enumerate(sorted(set(self.sites)))}
-        D = int(np.prod(dims, dtype=np.int64))
-        out = np.zeros((D, D), dtype=complex)
-        for t in self.terms(s):
-            out += embed_matrix(t.matrix, (order[t.support[0]],), dims)
-        return out
-
-    @property
-    def smoothness(self):
-        """C_W on the fixed grid."""
-        if self._c_w is None:
-            grid = np.linspace(0.0, 1.0, _SMOOTHNESS_GRID)
-            h = grid[1] - grid[0]
-            worst = 0.0
-            prev = self.total_on_support(0.0)
-            # central differences in the interior, one-sided at the ends
-            mats = [prev] + [self.total_on_support(s) for s in grid[1:]]
-            for i in range(len(grid)):
-                if i == 0:
-                    D = (mats[1] - mats[0]) / h
-                elif i == len(grid) - 1:
-                    D = (mats[-1] - mats[-2]) / h
-                else:
-                    D = (mats[i + 1] - mats[i - 1]) / (2 * h)
-                worst = max(worst, operator_norm(D, hermitian=True))
-            self._c_w = worst
-        return self._c_w
-
 
 def linear_ramp(G, site, W_final):
     """W(s) = s * W_final at one site."""
     W_final = np.asarray(W_final)
     return PerturbationPath(G, [(site, lambda s: s * W_final)])
-
-
-def keyframe_path(G, site, frames):
-    """Piecewise-linear W(s) through (s_k, matrix) keyframes."""
-    frames = sorted(frames, key=lambda p: p[0])
-    ss = np.array([p[0] for p in frames])
-    if ss[0] > 0.0 or ss[-1] < 1.0:
-        raise ValueError("keyframes must cover [0, 1]")
-    mats = [np.asarray(p[1]) for p in frames]
-
-    def fn(s):
-        s = float(np.clip(s, 0.0, 1.0))
-        j = int(np.searchsorted(ss, s, side="right")) - 1
-        j = min(max(j, 0), len(ss) - 2)
-        w = (s - ss[j]) / (ss[j + 1] - ss[j])
-        return (1 - w) * mats[j] + w * mats[j + 1]
-
-    return PerturbationPath(G, [(site, fn)])

@@ -10,7 +10,9 @@ Three families:
   * Kitaev's toric code on small tori with the window geometry needed
     for topological-order checks.
 
-Builders are pure and cheap; diagonalization happens on demand.
+Builders are pure.  build_gapped_chain diagonalizes its model (a full
+dense decomposition up to 2**13 states) to report the gap; the others
+leave diagonalization to their callers.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .operators import (
     sigma_y,
     sigma_z,
 )
-from .sectors import HamiltonianPath
+from .sectors import GAP_TOL, HamiltonianPath
 
 # spin-1/2 operators (eigenvalues +-1/2); S_plus maps down to up
 S1 = sigma_x / 2
@@ -44,8 +46,6 @@ S3 = sigma_z / 2
 S_plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 S_minus = S_plus.conj().T
 n_up = np.diag([1.0, 0.0]).astype(complex)  # 1/2 + S3
-
-GAP_WARN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,16 @@ class Model:
         default_factory=SpectralCache, init=False, repr=False, compare=False
     )
 
-    def hamiltonian(self, mode="dense"):
-        return itx.assemble_hamiltonian(self.family, self.graph, mode=mode)
+    def hamiltonian(self):
+        """H as a HamiltonianAction (CSR); `.dense()` gives the array."""
+        return itx.assemble_hamiltonian(self.family, self.graph)
 
     def spectral(self, mode="auto", k=6):
         if mode == "auto":
             mode = "dense" if self.graph.dimension() <= DENSE_LIMIT else "iterative"
         return self._spectra.fetch(
             (mode, None if mode == "dense" else k),
-            lambda: eigendecompose(self.hamiltonian("matvec"), mode=mode, k=k),
+            lambda: eigendecompose(self.hamiltonian(), mode=mode, k=k),
         )
 
 
@@ -111,7 +112,7 @@ def build_gapped_chain(kind, params):
     vals = S.values
     gap = float(vals[1] - vals[0])
     meta = {"gap": gap, "ground_energy": float(vals[0]), "warnings": ()}
-    if gap < GAP_WARN_TOL:
+    if gap < GAP_TOL:
         meta["warnings"] = (
             f"computed gap {gap:.3e} is below tolerance; ground state degenerate",
         )

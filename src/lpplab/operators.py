@@ -259,17 +259,6 @@ def eigendecompose(H, mode="auto", k=6):
     return SpectralData(vals, vecs, mode, res, dim)
 
 
-def evolve(S: SpectralData, A, t):
-    """Heisenberg evolution e^{iHt} A e^{-iHt} from a full decomposition."""
-    S.require_complete("evolve")
-    A = np.asarray(A, dtype=complex)
-    phases = np.exp(1j * t * S.values)
-    V = S.vectors
-    W = V.conj().T @ A @ V
-    W = W * np.outer(phases, phases.conj())
-    return V @ W @ V.conj().T
-
-
 def commutator_norm(A, B):
     """Spectral norm of [A, B]."""
     A = np.asarray(A, dtype=complex)

@@ -19,7 +19,7 @@ The construction chain:
      carried at its full (untruncated) value: the |t| >= T remainder of
      that scalar term belongs to R^{<=T}, which is what makes the
      eps = 0 step exact.
-  4. localize_R takes the normalized partial trace onto K_l.
+  4. partial_trace_localize takes the normalized partial trace onto K_l.
   5. path_transport iterates localized steps through the coefficient
      recursion L^(m) = c(m) R^(m) L^(m-1) entirely on H_{K_l}: one
      batched matmul R_p L_pq and one tensordot over p per step, with L
@@ -45,13 +45,14 @@ from .operators import (
     partial_trace_localize,
 )
 from .sectors import (
+    SectorSpectrum,
+    _cluster_slices,
+    _sector_gap,
     align_phases,
     solve_step_coefficients,
-    split_sector,
     verify_gap_along_path,
 )
 
-CLUSTER_TOL = 1e-9
 PHI_BLOCK = 1 << 16  # entries of Phi evaluated per row block in build_R
 STEP_CAP = 10_000
 
@@ -104,17 +105,12 @@ def choose_filter_params(g, mu, c_mu, phi_prime_norm, v, l) -> FilterParams:
 def solve_filter_coefficients(sigma_in, alpha):
     """Interpolation weights a_lambda with sum_l a_l e^{-(k-l)^2/4a} = 1.
 
-    Eigenvalues closer than 1e-9 are merged to one node (the filter
-    weight depends only on the eigenvalue).  Returns (nodes, a, info).
+    Each eigenvalue cluster (sectors.CLUSTER_TOL) is merged to one node
+    at its mean (the filter weight depends only on the eigenvalue).
+    Returns (nodes, a, info).
     """
     vals = np.sort(np.asarray(sigma_in, dtype=float))
-    nodes = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > CLUSTER_TOL:
-            nodes.append(vals[start:i].mean())
-            start = i
-    nodes = np.array(nodes)
+    nodes = np.array([vals[sl].mean() for sl in _cluster_slices(vals)])
     diff = nodes[:, None] - nodes[None, :]
     M = np.exp(-(diff**2) / (4 * alpha))
     ev = np.linalg.eigvalsh(M)
@@ -224,31 +220,33 @@ def build_R(S0, S, lam0, params: FilterParams, overlap=None):
     return stack[0], diag
 
 
-def localize_R(R, K, l, G) -> LocalOperator:
-    """Normalized partial trace of R onto the l-fattening of K."""
-    return partial_trace_localize(R, lattice.fatten(G, K, l), G)
-
-
 # ------------------------------------------------------------- weak step
+
+
+def _filter(g, consts, l, sigma_in):
+    """FilterParams for radius l with the coefficients on sigma_in solved,
+    and the coefficient solver's warnings."""
+    params = choose_filter_params(
+        g, consts["mu"], consts["c_mu"], consts["phi_prime_norm"], consts["v"], l
+    )
+    nodes, a, info = solve_filter_coefficients(sigma_in, params.alpha)
+    return params.with_coefficients(nodes, a), info["warnings"]
 
 
 def _step_gap(path, s0, s1):
     gaps = [path.sector(s0).gap, path.sector(s1).gap]
-    mid = (s0 + s1) / 2
-    vals = path.sector_values(mid)
-    _, _, g_mid = split_sector(vals, path.rule, s=mid, complete=len(vals) == path.dim)
+    _, g_mid = _sector_gap(path, (s0 + s1) / 2)
     return min(gaps + [g_mid])
 
 
-def weak_step(path, s0, eps, l):
+def weak_step(path, s0, eps, ls):
     """Localized single-step transformations R_i^l and their errors.
 
-    l may be a scalar or a sequence (the sweep shares all spectral
-    work).  Returns a dict with per-l LocalOperators, localized errors
-    ||(P(s0+eps) - R_i^l) psi_i(s0)||, unlocalized errors, filter
-    parameters, and solver warnings.
+    One step over the radii in `ls`, which share all spectral work.
+    Returns a dict of per-l lists: the localized errors
+    ||(P(s0+eps) - R_i^l) psi_i(s0)||, the unlocalized errors and the
+    filter parameters, plus the gap and the solver warnings.
     """
-    ls = np.atleast_1d(np.asarray(l))
     consts = path.constants()
     g = _step_gap(path, s0, s0 + eps)
     sec0 = path.sector(s0)
@@ -261,32 +259,23 @@ def weak_step(path, s0, eps, l):
     # P(s0+eps) psi_i(s0), shared across the l-sweep
     proj0 = sec1.basis @ (sec1.basis.conj().T @ psi0)
 
-    out = {"l": [], "R": [], "errors": [], "unlocalized_errors": [], "params": [],
+    out = {"l": [], "errors": [], "unlocalized_errors": [], "params": [],
            "warnings": [], "gap": g}
     for lv in ls:
-        params = choose_filter_params(
-            g, consts["mu"], consts["c_mu"], consts["phi_prime_norm"], consts["v"], lv
-        )
-        nodes, a, info = solve_filter_coefficients(sec1.values_in, params.alpha)
-        params = params.with_coefficients(nodes, a)
-        stack, diag = _build_R_batch(S0, S1, sec0.values_in, params, overlap=C)
+        params, warns = _filter(g, consts, lv, sec1.values_in)
+        stack, _ = _build_R_batch(S0, S1, sec0.values_in, params, overlap=C)
         Kl = tuple(sorted(lattice.fatten(G, K, lv)))
-        ops, errs, raw_errs = [], [], []
+        errs, raw_errs = [], []
         for i in range(sec0.dim):
-            R_loc = partial_trace_localize(stack[i], Kl, G)
-            approx = apply_embedded(R_loc.matrix, Kl, G.site_dims, psi0[:, i])
+            R_loc = partial_trace_localize(stack[i], Kl, G).matrix
+            approx = apply_embedded(R_loc, Kl, G.site_dims, psi0[:, i])
             errs.append(float(np.linalg.norm(proj0[:, i] - approx)))
             raw_errs.append(float(np.linalg.norm(proj0[:, i] - stack[i] @ psi0[:, i])))
-            ops.append(R_loc)
         out["l"].append(float(lv))
-        out["R"].append(ops)
         out["errors"].append(errs)
         out["unlocalized_errors"].append(raw_errs)
         out["params"].append(params)
-        out["warnings"].extend(info["warnings"])
-    if np.ndim(l) == 0:
-        for key in ("l", "R", "errors", "unlocalized_errors", "params"):
-            out[key] = out[key][0]
+        out["warnings"].extend(warns)
     return out
 
 
@@ -295,24 +284,29 @@ def weak_step(path, s0, eps, l):
 
 @dataclass
 class TransportSet:
-    """Iterated localized transport L_ij^l over an n-step path."""
+    """Iterated localized transport L_ij^l over an n-step path.
+
+    c_norm_max is the largest row 1-norm of the step coefficients over
+    the n steps and c_bound their 2 sqrt(D) bound
+    (sectors.solve_step_coefficients); sector0 is the s = 0 sector the
+    transport started from.
+    """
 
     L: np.ndarray  # (d, d, DK, DK) matrices on H_{K_l}
     support: tuple
     dims: tuple
     n: int
     l: float
-    c_history: list
+    c_norm_max: float
+    c_bound: float
     errors: np.ndarray
     warnings: tuple
     gap: float
+    sector0: SectorSpectrum
 
     @property
     def dim(self):
         return self.L.shape[0]
-
-    def operator(self, i, j) -> LocalOperator:
-        return LocalOperator(self.support, self.dims, self.L[i, j])
 
 
 class _PredicateFailure(Exception):
@@ -344,7 +338,7 @@ def _transport_attempt(path, n, ls, g, consts):
         L[lv][range(d), range(d)] = np.eye(DK)
 
     sec_prev = sec0
-    c_history = []
+    c_norm_max = 0.0
     warnings = []
     for m in range(1, n + 1):
         s_prev, s_next = ss[m - 1], ss[m]
@@ -357,18 +351,13 @@ def _transport_attempt(path, n, ls, g, consts):
             raise _PredicateFailure(
                 f"step {m}: {info['violations']} coefficient rows exceed 2 sqrt(D)"
             )
-        c_history.append(c)
+        c_norm_max = max(c_norm_max, float(info["one_norms"].max()))
 
         S_prev, S_next = path.spectral(s_prev), path.spectral(s_next)
         C = S_next.vectors.conj().T @ S_prev.vectors
         for lv in ls:
-            params = choose_filter_params(
-                g, consts["mu"], consts["c_mu"], consts["phi_prime_norm"],
-                consts["v"], lv,
-            )
-            nodes, a, info_f = solve_filter_coefficients(sec_next.values_in, params.alpha)
-            warnings.extend(info_f["warnings"])
-            params = params.with_coefficients(nodes, a)
+            params, warns = _filter(g, consts, lv, sec_next.values_in)
+            warnings.extend(warns)
             stack, _ = _build_R_batch(S_prev, S_next, sec_prev.values_in, params, overlap=C)
             R_small = np.array(
                 [partial_trace_localize(stack[j], regions[lv], G).matrix for j in range(d)]
@@ -398,10 +387,12 @@ def _transport_attempt(path, n, ls, g, consts):
             dims=tuple(G.site_dims[x] for x in regions[lv]),
             n=n,
             l=float(lv),
-            c_history=c_history,
+            c_norm_max=c_norm_max,
+            c_bound=info["bound"],
             errors=errors[lv],
             warnings=tuple(warnings),
             gap=g,
+            sector0=sec0,
         )
     return out
 
@@ -465,7 +456,9 @@ def impurity_transform(path, ts: TransportSet, site, impurity_dim):
     P' = B1 B1^dagger, both terms are rank-d operators on
     span[B1, T_l B0], so the norm is that of a 2d x 2d matrix
     (operators._span_error), exact although T_l B0 need not be
-    orthonormal.  T_l is applied locally to B0 and never embedded.
+    orthonormal.  T_l is applied locally to B0, the basis of
+    ts.sector0, and never embedded.  Returns (T_l as a LocalOperator,
+    mismatch).
     """
     G = path.graph
     site = int(site)
@@ -479,7 +472,7 @@ def impurity_transform(path, ts: TransportSet, site, impurity_dim):
     if d != impurity_dim:
         raise ValueError("sector dimension must equal the impurity dimension")
 
-    sec0 = path.sector(0.0)
+    sec0 = ts.sector0
     _check_product_sector(sec0.basis, G, site, impurity_dim)
 
     pos = ts.support.index(site)
@@ -496,5 +489,4 @@ def impurity_transform(path, ts: TransportSet, site, impurity_dim):
 
     TB0 = apply_embedded(T_small, ts.support, G.site_dims, sec0.basis)
     err = _span_error(path.sector(1.0).basis, TB0)
-    op = LocalOperator(ts.support, ts.dims, T_small)
-    return op, err, {"l": ts.l, "n": ts.n}
+    return LocalOperator(ts.support, ts.dims, T_small), err

@@ -113,11 +113,11 @@ def identify_sector(S: SpectralData, rule, s=None) -> SectorSpectrum:
     )
 
 
-def _cluster_slices(values, tol=CLUSTER_TOL):
-    """Contiguous index groups of (sorted) values closer than tol."""
+def _cluster_slices(values):
+    """Contiguous index groups of (sorted) values closer than CLUSTER_TOL."""
     edges = [0]
     for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
+        if values[i] - values[i - 1] > CLUSTER_TOL:
             edges.append(i)
     edges.append(len(values))
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
@@ -212,22 +212,18 @@ class HamiltonianPath:
     def K(self):
         return () if self.W is None else tuple(sorted(set(self.W.sites)))
 
-    def hamiltonian(self, s, mode="dense"):
-        """H(s) as a dense array, or as a HamiltonianAction (CSR) with mode
-        "matvec"."""
-        if mode not in ("dense", "matvec"):
-            raise ValueError(f"unknown mode {mode!r}")
-        H = self._H_phi
-        if self.W is not None:
-            H = add_terms(H, self.W.terms(s), self.graph)
-        return H.dense() if mode == "dense" else H
+    def hamiltonian(self, s):
+        """H(s) as a HamiltonianAction (CSR); `.dense()` gives the array."""
+        if self.W is None:
+            return self._H_phi
+        return add_terms(self._H_phi, self.W.terms(s), self.graph)
 
     def spectral(self, s) -> SpectralData:
         # ARPACK pairs for the iterative mode: the sector plus a margin
         d = self.rule[1] if self.rule[0] == "fixed_d" else 2
         k = min(self.dim - 2, max(6, int(d) + 5))
         return self._cache.fetch(
-            float(s), lambda: eigendecompose(self.hamiltonian(s, mode="matvec"), k=k)
+            float(s), lambda: eigendecompose(self.hamiltonian(s), k=k)
         )
 
     def sector(self, s) -> SectorSpectrum:
@@ -254,7 +250,7 @@ class HamiltonianPath:
         DENSE_LIMIT they are the cached iterative spectrum's values.
         """
         if self.dim <= DENSE_LIMIT:
-            return np.linalg.eigvalsh(self.hamiltonian(s, mode="dense"))
+            return np.linalg.eigvalsh(self.hamiltonian(s).dense())
         return self.spectral(s).values
 
     def constants(self):
@@ -264,15 +260,21 @@ class HamiltonianPath:
         return decay_constants(self.phi, self.decay)
 
 
+def _sector_gap(path: HamiltonianPath, s):
+    """(sigma_in, gap) at s from the path's gap-grid eigenvalues; raises
+    GapClosed with s when the gap is closed."""
+    values = path.sector_values(s)
+    in_idx, _, gap = split_sector(
+        values, path.rule, s=s, complete=len(values) == path.dim
+    )
+    return values[in_idx], gap
+
+
 def verify_gap_along_path(path: HamiltonianPath, n_check=9):
     """(g_min, width_max) over an s-grid; raises GapClosed with the s hit."""
     g_min, width_max = np.inf, 0.0
     for s in np.linspace(0.0, 1.0, n_check):
-        values = path.sector_values(s)
-        in_idx, _, gap = split_sector(
-            values, path.rule, s=s, complete=len(values) == path.dim
-        )
-        vin = values[in_idx]
+        vin, gap = _sector_gap(path, s)
         g_min = min(g_min, gap)
         width_max = max(width_max, float(vin.max() - vin.min()))
     return g_min, width_max

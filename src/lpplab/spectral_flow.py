@@ -57,7 +57,7 @@ import numpy as np
 
 from . import lattice
 from .exceptions import UnitarityLost
-from .models import n_up
+from .models import n_up, single_particle_hamiltonian
 from .operators import (
     SpectralCache,
     _span_error,
@@ -103,8 +103,8 @@ class BosonSystem:
 
     Modes 0..n-1 are the bulk sites; impurity modes follow in the order
     the impurities are listed.  The one-particle operator is -Delta + u
-    on the bulk block, coupling(s) hops to the impurity modes, and
-    potential(s) on their diagonal.
+    on the bulk block (models.single_particle_hamiltonian), coupling(s)
+    hops to the impurity modes, and potential(s) on their diagonal.
     """
 
     def __init__(self, graph, u, impurities=()):
@@ -144,10 +144,7 @@ class BosonSystem:
     def single_particle(self, s):
         n = self.graph.n_sites
         M = np.zeros((self.n_modes, self.n_modes))
-        for a, b in self.graph.edges:
-            M[a, b] = M[b, a] = -1.0
-        for x in range(n):
-            M[x, x] = len(self.graph.neighbors(x)) + self.u[x]
+        M[:n, :n] = single_particle_hamiltonian(self.graph, self.u)
         for site, mode, imp in self._pairs:
             c = _as_fn(imp.coupling)(s)
             M[site, mode] = M[mode, site] = -c
@@ -173,8 +170,9 @@ class BosonSystem:
 class SectorBlockHamiltonian:
     """The n-particle block of H(s) over hard-core configurations.
 
-    Configurations are sorted mode tuples in lexicographic order; the
-    position metric is the per-configuration tuple of lattice sites.
+    Configurations are sorted mode tuples in lexicographic order;
+    config_distance measures them through the lattice sites of their
+    modes.
     """
 
     def __init__(self, system: BosonSystem, n):
@@ -206,9 +204,6 @@ class SectorBlockHamiltonian:
                         cj = self.index[tuple(sorted((occ - {x}) | {y}))]
                         hops.append((cj, ci, y, x))
         self._hops = np.array(hops, dtype=np.intp).reshape(-1, 4).T
-
-    def positions(self, cfg):
-        return tuple(self.system.mode_site[m] for m in cfg)
 
     def _assemble(self, sp):
         diag = np.zeros(self.dim)
@@ -247,9 +242,6 @@ class BlockSectorPath:
     @property
     def dim(self):
         return self.block.dim
-
-    def hamiltonian(self, s):
-        return self.block.matrix(s)
 
     def dhamiltonian(self, s):
         return self.block.dmatrix(s)
@@ -529,9 +521,8 @@ def config_distance(block: SectorBlockHamiltonian, a, b):
 def combes_thomas_profile(block: SectorBlockHamiltonian, z, x0, s=0.0):
     """Resolvent column magnitudes grouped by configuration distance.
 
-    Returns (profile, rate): profile is a sorted list of rows (distance,
-    max |<x|(H-z)^{-1}|x0>|); rate is the fitted exponential decay rate
-    over the positive distances, None with fewer than two of them.
+    Returns the profile: a sorted list of rows (distance,
+    max |<x|(H-z)^{-1}|x0>|).  profile_rate fits its decay rate.
     """
     H = block.matrix(s)
     vals = np.linalg.eigvalsh(H)
@@ -551,12 +542,21 @@ def combes_thomas_profile(block: SectorBlockHamiltonian, z, x0, s=0.0):
         mag = abs(col[ci])
         if dist not in grouped or mag > grouped[dist]:
             grouped[dist] = mag
-    profile = sorted(grouped.items())
+    return sorted(grouped.items())
 
-    pts = [(d, v) for d, v in profile if d > 0 and v > 1e-300]
-    rate = None
-    if len(pts) >= 2:
-        ds_, vs = zip(*pts)
-        slope = np.polyfit(np.array(ds_, dtype=float), np.log(vs), 1)[0]
-        rate = float(-slope)
-    return profile, rate
+
+def profile_rate(profile, d_max=None):
+    """Exponential decay rate of a Combes-Thomas profile: minus the slope
+    of a least-squares line through log(value) over the distances 1 to
+    d_max (all positive distances when None) with a positive value; None
+    with fewer than two such points."""
+    pts = [
+        (d, v)
+        for d, v in profile
+        if d >= 1 and v > 0 and (d_max is None or d <= d_max)
+    ]
+    if len(pts) < 2:
+        return None
+    ds_ = np.array([d for d, _ in pts], dtype=float)
+    ys = np.log([v for _, v in pts])
+    return float(-np.polyfit(ds_, ys, 1)[0])

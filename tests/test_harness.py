@@ -273,7 +273,7 @@ def test_lr_cone_norms_match_dense_commutators(pauli):
     rows = run_lr_cone(cfg)["tables"][0]["rows"]
     assert len(rows) == 16
     model, _ = build_model(cfg["model"])
-    H = model.hamiltonian("dense")
+    H = model.hamiltonian().dense()
     dims = model.graph.site_dims
     sigma = {"x": sigma_x, "y": sigma_y, "z": sigma_z}[pauli]
     A = embed_matrix(sigma, (1,), dims)
@@ -430,7 +430,9 @@ def test_impurity_runners_report_final_step_counts(monkeypatch):
     assert consts["n_steps_final"] == 8
 
 
-def test_runners_diagonalize_each_model_once(monkeypatch):
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts of eigendecompose calls made through models and sectors."""
     calls = {"models": 0, "sectors": 0}
 
     def counting(module, fn):
@@ -441,18 +443,46 @@ def test_runners_diagonalize_each_model_once(monkeypatch):
 
     monkeypatch.setattr(models, "eigendecompose", counting("models", models.eigendecompose))
     monkeypatch.setattr(sectors, "eigendecompose", counting("sectors", sectors.eigendecompose))
+    return calls
+
+
+def test_runners_diagonalize_each_model_once(eig_calls):
     small = {"kind": "transverse-field-Ising", "n": 6}
     run_lr_cone({
         "schema_version": 1, "experiment": "lr-cone", "model": small,
         "sweep": {"t_max": 0.5, "n_times": 2, "distances": [1]},
     })
-    assert calls == {"models": 1, "sectors": 0}
+    assert eig_calls == {"models": 1, "sectors": 0}
     run_clustering({"schema_version": 1, "experiment": "clustering", "model": small})
-    assert calls == {"models": 2, "sectors": 0}
+    assert eig_calls == {"models": 2, "sectors": 0}
     cfg, rng = _tqo_config()
     run_tqo(cfg, rng=rng)
     # the bulk toric code once, the dressed impurity path once (at s=1)
-    assert calls == {"models": 3, "sectors": 1}
+    assert eig_calls == {"models": 3, "sectors": 1}
+
+
+def test_transport_runners_diagonalize_each_path_point_once(eig_calls):
+    # clustering reads s = 1 after its 4-step sweep, which leaves it cached
+    run_clustering({
+        "schema_version": 1, "experiment": "clustering", "mode": "impurity",
+        "model": {"kind": "transverse-field-Ising", "n": 6, "J": 1.0, "h": 2.0},
+        "impurity": {"site": 3}, "sweep": {"l_values": [2], "n_steps": 4},
+    })
+    assert eig_calls == {"models": 1, "sectors": 5}
+    # the transforms reuse the s = 0 sector each sweep started from: the
+    # bulk chain once, the 4-step sweep's 5 points, the 2-step control's 3
+    run_impurity_lppl(IMPURITY_SMALL)
+    assert eig_calls == {"models": 2, "sectors": 13}
+
+
+def test_clustering_bulk_takes_the_gap_from_the_spectrum():
+    base = {"schema_version": 1, "experiment": "clustering", "mode": "bulk"}
+    rep = run_clustering(dict(base, model={"kind": "xy-ring", "L": 6}))
+    # constant potential gamma = 1: the gap above the vacuum is gamma
+    assert rep["constants"]["g"] == pytest.approx(1.0, abs=1e-12)
+    assert len(rep["tables"][0]["rows"]) == 15
+    with pytest.raises(ValueError, match="bulk ground state is degenerate"):
+        run_clustering(dict(base, model={"kind": "toric", "L": 2}))
 
 
 # ------------------------------------------------------------------ cli

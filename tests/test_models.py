@@ -98,7 +98,7 @@ def test_potential_validation():
 
 def test_xy_vacuum_annihilated():
     model, meta = models.build_xy_model(models.XYModelSpec(L=8, gamma=1.0))
-    H = model.hamiltonian("dense")
+    H = model.hamiltonian().dense()
     vac = models.vacuum_state(model.graph)
     assert np.linalg.norm(H @ vac) < 1e-13
     assert meta["ground_energy"] == 0.0
@@ -108,7 +108,7 @@ def test_xy_ring_gap_is_gamma():
     # constant potential: the one-boson dispersion u + 2 - 2cos(k) has
     # minimum u, so the gap equals gamma exactly
     model, _ = models.build_xy_model(models.XYModelSpec(L=8, gamma=1.0))
-    vals = np.linalg.eigvalsh(model.hamiltonian("dense"))
+    vals = np.linalg.eigvalsh(model.hamiltonian().dense())
     assert abs(vals[0]) < 1e-12
     assert abs(vals[1] - 1.0) < 1e-10
 
@@ -116,7 +116,7 @@ def test_xy_ring_gap_is_gamma():
 def test_xy_single_particle_block():
     L = 8
     model, _ = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
-    H = model.hamiltonian("dense")
+    H = model.hamiltonian().dense()
     mm = models.MMCorrespondence(model.graph)
     Hb = mm.to_boson(H)
     sl = mm.block_slices[1]
@@ -131,7 +131,7 @@ def test_xy_single_particle_block():
 def test_xy_number_conservation():
     model, _ = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0))
     mm = models.MMCorrespondence(model.graph)
-    Hb = mm.to_boson(model.hamiltonian("dense"))
+    Hb = mm.to_boson(model.hamiltonian().dense())
     mask = np.zeros(Hb.shape, dtype=bool)
     for npart, sl in mm.block_slices.items():
         mask[sl, sl] = True
@@ -142,7 +142,7 @@ def test_xy_torus():
     model, meta = models.build_xy_model(models.XYModelSpec(L=3, nu=2, gamma=1.0))
     assert model.graph.n_sites == 9
     assert all(len(model.graph.neighbors(x)) == 4 for x in model.graph.sites())
-    H = model.hamiltonian("dense")
+    H = model.hamiltonian().dense()
     vac = models.vacuum_state(model.graph)
     assert np.linalg.norm(H @ vac) < 1e-13
     vals = np.linalg.eigvalsh(H)
@@ -198,7 +198,7 @@ def test_mm_spectra_identity_by_block():
     # union of the per-number block spectra reproduces the spin spectrum
     model, _ = models.build_xy_model(models.XYModelSpec(L=8, gamma=1.0))
     mm = models.MMCorrespondence(model.graph)
-    H = model.hamiltonian("dense")
+    H = model.hamiltonian().dense()
     Hb = mm.to_boson(H)
     pieces = [
         np.linalg.eigvalsh(Hb[sl, sl]) for _, sl in sorted(mm.block_slices.items())
@@ -230,7 +230,7 @@ def test_attach_impurity_product_basis_exact():
     assert path.graph.site_dims[2] == 4
     assert path.rule == ("fixed_d", 2)
     sec = path.sector(0.0)
-    H0 = path.hamiltonian(0.0, "dense")
+    H0 = path.hamiltonian(0.0).dense()
     for j in range(2):
         r = H0 @ sec.basis[:, j] - sec.values_in[j] * sec.basis[:, j]
         assert np.linalg.norm(r) < 1e-10
@@ -239,8 +239,8 @@ def test_attach_impurity_product_basis_exact():
 
 def test_attach_impurity_lift_acts_trivially_on_internal_space():
     model, path = _xy_with_impurity()
-    Hb = model.hamiltonian("dense")
-    H0 = path.hamiltonian(0.0, "dense")
+    Hb = model.hamiltonian().dense()
+    H0 = path.hamiltonian(0.0).dense()
     rng = np.random.default_rng(3)
     v = rng.normal(size=Hb.shape[0]) + 1j * rng.normal(size=Hb.shape[0])
     for i in range(2):
@@ -298,7 +298,7 @@ def test_attach_impurity_two_sites():
     assert path.graph.site_dims[1] == 4 and path.graph.site_dims[4] == 4
     assert path.rule == ("fixed_d", 4)
     sec = path.sector(0.0)
-    H0 = path.hamiltonian(0.0, "dense")
+    H0 = path.hamiltonian(0.0).dense()
     for j in range(4):
         r = H0 @ sec.basis[:, j] - sec.values_in[j] * sec.basis[:, j]
         assert np.linalg.norm(r) < 1e-10
@@ -426,10 +426,10 @@ def _real_spectral_cases():
     xy, _ = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0, u=[1.0, 1.5] * 3))
     toric, _ = models.build_toric_code(2)
     _, impurity = _xy_with_impurity()
-    yield "tfim-n6", tfim.hamiltonian("dense"), tfim.spectral(), 1
-    yield "xy-ring", xy.hamiltonian("dense"), xy.spectral(), 1
-    yield "toric-L2", toric.hamiltonian("dense"), toric.spectral(), 4
-    yield "impurity-s1", impurity.hamiltonian(1.0), impurity.spectral(1.0), 2
+    yield "tfim-n6", tfim.hamiltonian().dense(), tfim.spectral(), 1
+    yield "xy-ring", xy.hamiltonian().dense(), xy.spectral(), 1
+    yield "toric-L2", toric.hamiltonian().dense(), toric.spectral(), 4
+    yield "impurity-s1", impurity.hamiltonian(1.0).dense(), impurity.spectral(1.0), 2
 
 
 def test_real_spectra_match_the_complex_path():
@@ -449,8 +449,7 @@ def _bitwise_cases():
     toric, _ = models.build_toric_code(2)
     for name, model in (("tfim-n6", tfim), ("xy-ring", xy), ("toric-L2", toric)):
         want = term_sum(model.family.terms, model.graph.site_dims)
-        yield name, model.hamiltonian("dense"), want
-        yield name, itx.assemble_hamiltonian(model.family, model.graph, mode="dense"), want
+        yield name, model.hamiltonian().dense(), want
     _, impurity = _xy_with_impurity()
     ramp = sectors.HamiltonianPath(
         tfim.graph, tfim.family, W=itx.linear_ramp(tfim.graph, 2, 0.7 * sigma_y)
@@ -460,10 +459,7 @@ def _bitwise_cases():
             want = term_sum(
                 list(path.phi.terms) + path.W.terms(s), path.graph.site_dims
             )
-            yield f"{tag}-s{s}", path.hamiltonian(s), want
-            yield f"{tag}-s{s}", itx.assemble_hamiltonian(
-                path.phi, path.graph, W=path.W, s=s, mode="dense"
-            ), want
+            yield f"{tag}-s{s}", path.hamiltonian(s).dense(), want
 
 
 def test_dense_hamiltonians_are_bitwise_the_term_sum():

@@ -1,4 +1,4 @@
-"""Quantum core: embedding, partial trace (twirl oracle), spectra, evolution."""
+"""Quantum core: embedding, partial trace (twirl oracle), spectra, commutators."""
 
 from __future__ import annotations
 
@@ -14,20 +14,16 @@ from lpplab.operators import (
     CACHE_SIZE,
     LocalOperator,
     SpectralCache,
-    SpectralData,
     commutator_norm,
     eigendecompose,
     embed,
     embed_matrix,
-    evolve,
     operator_norm,
     partial_trace_localize,
     sigma_x,
     sigma_y,
     sigma_z,
 )
-
-S1, S2, S3 = sigma_x / 2, sigma_y / 2, sigma_z / 2
 
 
 def _rand_herm(rng, n):
@@ -315,35 +311,7 @@ def test_arpack_failure_is_typed(monkeypatch):
     assert err.__cause__ is cause
 
 
-# ---------------------------------------------------------------- evolution
-
-
-def test_evolve_single_spin_analytic():
-    # H = S3: S1(t) = cos(t) S1 - sin(t) S2
-    S = eigendecompose(S3.astype(complex), mode="dense")
-    for t in (0.3, 1.1, 2.9):
-        got = evolve(S, S1, t)
-        expect = np.cos(t) * S1 - np.sin(t) * S2
-        assert np.allclose(got, expect, atol=1e-12)
-
-
-def test_evolve_preserves_frobenius_norm():
-    rng = np.random.default_rng(8)
-    H = _rand_herm(rng, 16)
-    A = _rand_herm(rng, 16)
-    S = eigendecompose(H, mode="dense")
-    At = evolve(S, A, 0.7)
-    assert abs(np.linalg.norm(At) - np.linalg.norm(A)) < 1e-10
-    assert abs(operator_norm(At) - operator_norm(A)) < 1e-10
-
-
-def test_evolve_requires_complete_spectrum():
-    S = SpectralData(np.array([0.0]), np.eye(3)[:, :1].astype(complex), "iterative", 0.0, 3)
-    with pytest.raises(ValueError):
-        evolve(S, np.eye(3), 1.0)
-
-
-# --------------------------------------------------------------- commutator
+# -------------------------------------------------------------- commutator
 
 
 def test_commutator_norm_pauli():

@@ -23,6 +23,7 @@ from lpplab.operators import (
     SpectralData,
     eigendecompose,
     operator_norm,
+    partial_trace_localize,
     sigma_x,
     sigma_z,
 )
@@ -122,6 +123,28 @@ def test_coefficients_cluster_merge():
     assert np.allclose(a, [expected, expected])
 
 
+def test_coefficient_nodes_match_the_merge_loop():
+    # oracle: the hand-written merge loop the nodes were once built by,
+    # a gap above 1e-9 starting a new node; bitwise on clustered spectra
+    def loop_nodes(values):
+        vals = np.sort(np.asarray(values, dtype=float))
+        nodes, start = [], 0
+        for i in range(1, len(vals) + 1):
+            if i == len(vals) or vals[i] - vals[i - 1] > 1e-9:
+                nodes.append(vals[start:i].mean())
+                start = i
+        return np.array(nodes)
+
+    gen = np.random.default_rng(41)
+    for _ in range(200):
+        centers = np.sort(gen.uniform(0.0, 4.0, size=gen.integers(1, 5)))
+        spread = gen.choice([0.0, 1e-12, 5e-10, 2e-9], size=(len(centers), 3))
+        values = (centers[:, None] + spread * gen.uniform(size=spread.shape)).ravel()
+        # alpha so small that nodes 1e-9 apart leave the system diagonal
+        nodes, _, _ = ql.solve_filter_coefficients(values, alpha=1e-20)
+        assert np.array_equal(nodes, loop_nodes(values))
+
+
 def test_coefficients_singular_system_rejected():
     with pytest.raises(ValueError, match="smaller alpha"):
         ql.solve_filter_coefficients([0.0, 1e-7], alpha=1.0)
@@ -160,6 +183,9 @@ def test_projector_spectral_two_level():
     S = eigendecompose(np.diag([0.0, 1.0]).astype(complex), mode="dense")
     P = ql.gaussian_filtered_projector(S, lam=0.0, alpha=0.25)
     assert np.allclose(P, np.diag([1.0, np.exp(-1.0)]), atol=1e-14)
+    partial = SpectralData(S.values[:1], S.vectors[:, :1], "iterative", 0.0, 2)
+    with pytest.raises(ValueError, match="full eigendecomposition"):
+        ql.gaussian_filtered_projector(partial, lam=0.0, alpha=0.25)
 
 
 def test_projector_small_alpha_is_eigenprojection():
@@ -171,7 +197,7 @@ def test_projector_small_alpha_is_eigenprojection():
 def test_projector_quadrature_matches_spectral():
     G = lattice.chain(3)
     H = sum(
-        itx.assemble_hamiltonian(tfim_family(G, 1.0, 2.0), G, mode="dense")
+        itx.assemble_hamiltonian(tfim_family(G, 1.0, 2.0), G).dense()
         for _ in range(1)
     )
     S = eigendecompose(H, mode="dense")
@@ -244,7 +270,7 @@ def test_build_R_commuting_closed_form():
 
 def test_build_R_matches_entrywise_quadrature():
     G = lattice.chain(2)
-    H0 = itx.assemble_hamiltonian(tfim_family(G, 0.6, 0.3), G, mode="dense")
+    H0 = itx.assemble_hamiltonian(tfim_family(G, 0.6, 0.3), G).dense()
     V = np.kron(0.2 * sigma_z, np.eye(2))
     S0 = eigendecompose(H0, mode="dense")
     S1 = eigendecompose(H0 + V, mode="dense")
@@ -296,7 +322,7 @@ def _R_case(name):
         return S0, S1, _manual_params(0.4, 1.7, vals1[:2]), vals0[:1]
     if name == "two-site":
         G = lattice.chain(2)
-        H0 = itx.assemble_hamiltonian(tfim_family(G, 0.6, 0.3), G, mode="dense")
+        H0 = itx.assemble_hamiltonian(tfim_family(G, 0.6, 0.3), G).dense()
         S0 = eigendecompose(H0, mode="dense")
         S1 = eigendecompose(H0 + np.kron(0.2 * sigma_z, np.eye(2)), mode="dense")
         return S0, S1, _manual_params(0.5, 1.2, S1.values[:1]), S0.values[:1]
@@ -343,7 +369,7 @@ def test_build_R_requires_coefficients():
 def test_localize_full_region_is_identity_map():
     G = lattice.chain(3)
     R = random_hermitian(8, seed=5)
-    loc = ql.localize_R(R, {0}, G.diameter(), G)
+    loc = partial_trace_localize(R, lattice.fatten(G, {0}, G.diameter()), G)
     assert loc.support == (0, 1, 2)
     assert np.allclose(loc.matrix, R, atol=1e-14)
 
@@ -351,7 +377,7 @@ def test_localize_full_region_is_identity_map():
 def test_localize_contracts_norm_and_preserves_hermiticity():
     G = lattice.chain(4)
     R = random_hermitian(16, seed=7)
-    loc = ql.localize_R(R, {1}, 1, G)
+    loc = partial_trace_localize(R, lattice.fatten(G, {1}, 1), G)
     assert loc.support == (0, 1, 2)
     assert np.allclose(loc.matrix, loc.matrix.conj().T, atol=1e-13)
     assert operator_norm(loc.matrix) <= operator_norm(R) + 1e-12
@@ -362,14 +388,14 @@ def test_localize_contracts_norm_and_preserves_hermiticity():
 
 def test_weak_step_zero_eps_is_exact():
     path = decayed_path(4, J=0.05, h=1.0, site=0, W_final=0.4 * sigma_z)
-    out = ql.weak_step(path, 0.3, 0.0, l=1)
-    assert max(out["errors"]) < 1e-9
-    assert max(out["unlocalized_errors"]) < 1e-9
+    out = ql.weak_step(path, 0.3, 0.0, [1])
+    assert max(out["errors"][0]) < 1e-9
+    assert max(out["unlocalized_errors"][0]) < 1e-9
 
 
 def test_weak_step_error_decreases_with_l():
     path = decayed_path(6, J=0.05, h=1.0, site=0, W_final=0.4 * sigma_z)
-    out = ql.weak_step(path, 0.0, 0.1, l=[1, 5])
+    out = ql.weak_step(path, 0.0, 0.1, [1, 5])
     e1, e5 = max(out["errors"][0]), max(out["errors"][1])
     assert e5 <= e1
     # l = diameter: the spatial truncation is trivial
@@ -378,18 +404,9 @@ def test_weak_step_error_decreases_with_l():
 
 def test_weak_step_error_roughly_linear_in_eps():
     path = decayed_path(6, J=0.05, h=1.0, site=0, W_final=0.4 * sigma_z)
-    e_full = max(ql.weak_step(path, 0.0, 0.1, l=3)["errors"])
-    e_half = max(ql.weak_step(path, 0.0, 0.05, l=3)["errors"])
+    e_full = max(ql.weak_step(path, 0.0, 0.1, [3])["errors"][0])
+    e_half = max(ql.weak_step(path, 0.0, 0.05, [3])["errors"][0])
     assert 1.3 < e_full / e_half < 3.0
-
-
-def test_weak_step_scalar_vs_sequence_shapes():
-    path = decayed_path(4, J=0.05, h=1.0, site=0, W_final=0.3 * sigma_z)
-    single = ql.weak_step(path, 0.0, 0.05, l=2)
-    sweep = ql.weak_step(path, 0.0, 0.05, l=[2])
-    assert np.isscalar(single["l"])
-    assert sweep["l"] == [2.0]
-    assert np.allclose(single["errors"], sweep["errors"][0])
 
 
 # ------------------------------------------------------------ transport
@@ -416,7 +433,7 @@ def test_transport_endpoint_reconstruction():
     assert e4 <= e1 + 1e-12
     assert e4 < 0.1
     assert sweep[4.0].n == 8
-    assert len(sweep[4.0].c_history) == 8
+    assert 0 < sweep[4.0].c_norm_max <= sweep[4.0].c_bound
 
 
 def test_transport_sweep_diagonalizes_each_grid_point_once(monkeypatch):
@@ -468,14 +485,6 @@ def test_transport_keeps_a_real_path_real():
     assert ql.path_transport(path, 2, l=1).L.dtype == np.float64
 
 
-def test_transport_operator_accessor():
-    path = decayed_path(4, J=0.05, h=1.0, site=0, W_final=0.2 * sigma_z)
-    ts = ql.path_transport(path, 2, l=1)
-    op = ts.operator(0, 0)
-    assert op.support == ts.support
-    assert op.matrix.shape == (ts.L.shape[-1],) * 2
-
-
 def test_transport_adaptive_step_doubling():
     # four weakly coupled spins all tilting under a strong field: the
     # one-step ground-state overlap drops below 1/2, the coefficient
@@ -520,15 +529,14 @@ def _impurity_setup(coupling):
 def test_impurity_transform_zero_coupling_control():
     path = _impurity_setup(coupling=0.0)
     ts = ql.path_transport(path, 2, l=1)
-    T_op, err, info = ql.impurity_transform(path, ts, site=1, impurity_dim=2)
+    T_op, err = ql.impurity_transform(path, ts, site=1, impurity_dim=2)
     assert err < 1e-8
-    assert info["l"] == 1.0
 
 
 def test_impurity_transform_tracks_projector():
     path = _impurity_setup(coupling=0.25)
     ts = ql.path_transport(path, 8, l=1)
-    T_op, err, _ = ql.impurity_transform(path, ts, site=1, impurity_dim=2)
+    T_op, err = ql.impurity_transform(path, ts, site=1, impurity_dim=2)
     zero_err = 1e-8
     assert zero_err < err < 0.3
     assert T_op.support == (0, 1)
@@ -538,7 +546,7 @@ def test_impurity_transform_tracks_projector():
 def test_impurity_mismatch_matches_full_space(coupling):
     path = _impurity_setup(coupling)
     ts = ql.path_transport(path, 8, l=1)
-    T_op, err, _ = ql.impurity_transform(path, ts, site=1, impurity_dim=2)
+    T_op, err = ql.impurity_transform(path, ts, site=1, impurity_dim=2)
     assert abs(err - full_space_mismatch(path, T_op)) <= 1e-12
 
 
@@ -556,7 +564,8 @@ def test_impurity_transform_rejects_entangled_sector():
     fake = ql.TransportSet(
         L=np.array([[eye, 0 * eye], [0 * eye, eye]]),
         support=(0, 1), dims=(2, 4), n=1, l=1.0,
-        c_history=[], errors=np.zeros(2), warnings=(), gap=1.0,
+        c_norm_max=1.0, c_bound=2.0 * np.sqrt(2), errors=np.zeros(2), warnings=(),
+        gap=1.0, sector0=path.sector(0.0),
     )
     with pytest.raises(ValueError, match="product"):
         ql.impurity_transform(path, fake, site=1, impurity_dim=2)

@@ -17,6 +17,7 @@ from lpplab.operators import (
     HamiltonianAction,
     LocalOperator,
     eigendecompose,
+    embed_matrix,
     sigma_x,
     sigma_z,
 )
@@ -367,13 +368,13 @@ def test_iterative_gap_grid_reads_the_cached_spectrum(monkeypatch):
     assert calls == [(32, 32)]
 
 
-def test_path_hamiltonian_modes():
+def test_path_hamiltonian_is_csr():
+    # H(s) is the CSR sum of Phi and W(s); .dense() is its array
     path = tfim_path(4)
-    H = path.hamiltonian(0.5, mode="matvec")
-    assert isinstance(H, HamiltonianAction)
-    assert np.array_equal(H.dense(), path.hamiltonian(0.5))
-    with pytest.raises(ValueError):
-        path.hamiltonian(0.5, mode="sparse")
+    H = path.hamiltonian(0.5)
+    assert isinstance(H, HamiltonianAction) and H.format == "csr"
+    ramp = H.dense() - path.hamiltonian(0.0).dense()
+    assert np.allclose(ramp, embed_matrix(0.5 * 0.4 * sigma_z, (0,), [2] * 4), atol=1e-14)
 
 
 def test_path_initial_basis_override():
@@ -428,7 +429,7 @@ def test_projector_gauge_independent_oracle():
     # conjugate H by a random unitary, project, rotate back: the sector
     # projector must agree although the eigenbasis gauge differs
     path = tfim_path(5, w=0.6)
-    H = path.hamiltonian(0.7, mode="dense")
+    H = path.hamiltonian(0.7).dense()
     sec = sectors.identify_sector(eigendecompose(H, mode="dense"), ("fixed_d", 1))
     rng = np.random.default_rng(11)
     M = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
