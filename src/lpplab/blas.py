@@ -1,12 +1,24 @@
-"""Thread control for the OpenBLAS builds bundled in the numpy and scipy wheels.
+"""The thread rule: one budget of threads, spent on BLAS or on tasks.
 
 numpy and scipy each ship their own OpenBLAS (in `numpy.libs/` and
-`scipy.libs/`), and each runs up to one BLAS thread per core.  A thread
-pool of sweep workers that all call into BLAS therefore asks for
-workers x cores threads; `blas_threads` caps both libraries for the
-length of a block so the workers split the cores instead.  Where no
-bundled OpenBLAS is found (a system or MKL build), the cap does nothing
-and `blas_thread_counts` is empty.
+`scipy.libs/`), and each runs up to one BLAS thread per core.  At the
+sizes this package works at, threaded BLAS buys little, and a threaded
+call leaves its workers spinning after it returns, which costs CPU and
+starves any Python threads that run next.  So the rule is: a thread
+budget either feeds BLAS or runs independent tasks with BLAS at 1
+thread, never both at once.
+
+- `blas_threads(n)` caps both libraries for the length of a block; the
+  CLI runs every runner under `blas_threads(1)`.
+- `thread_budget()` is `os.cpu_count()` outside any pool and
+  `budget // workers` inside a `pmap` worker.
+- `pmap` maps a sweep over `workers` threads and caps BLAS at each
+  worker's share, for library callers that run outside the CLI.
+- `fan_out` splits one stage over the budget: contiguous ranges of an
+  index, one per thread, with BLAS at 1 thread.
+
+Where no bundled OpenBLAS is found (a system or MKL build), the cap
+does nothing and `blas_thread_counts` is empty.
 """
 
 from __future__ import annotations
@@ -15,6 +27,8 @@ import ctypes
 import functools
 import glob
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy
@@ -25,6 +39,8 @@ _SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
+
+_local = threading.local()  # .budget, set in the threads of a pool
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,3 +83,59 @@ def blas_threads(n):
     finally:
         for (_, set_), k in zip(libs, old):
             set_(k)
+
+
+def thread_budget():
+    """Threads the calling thread may spend: the CPU count outside any
+    pool, its share of the caller's budget inside a pool thread."""
+    return getattr(_local, "budget", None) or os.cpu_count() or 1
+
+
+def _pool(workers, budget):
+    """A thread pool whose threads each have the given budget."""
+
+    def init():
+        _local.budget = budget
+
+    return ThreadPoolExecutor(max_workers=workers, initializer=init)
+
+
+def pmap(fn, items, workers):
+    """[fn(x) for x in items], on `workers` threads when more than one.
+
+    The results come back in item order whatever the worker count.
+    While the pool runs, each worker's budget and the BLAS thread count
+    are budget // workers, so the workers share the cores rather than
+    each asking for all.
+    """
+    items = list(items)
+    if workers and int(workers) > 1 and len(items) > 1:
+        workers = int(workers)
+        share = max(1, thread_budget() // workers)
+        with blas_threads(share), _pool(workers, share) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
+
+
+@contextmanager
+def fan_out():
+    """Yield `run(fn, n)`, which calls fn(lo, hi) on thread_budget()
+    contiguous ranges covering range(n) and returns once all are done.
+
+    The calling thread takes the first range and a pool kept for the
+    block takes the rest; BLAS runs at 1 thread throughout.  With a
+    budget of 1 no thread is started and fn(0, n) runs on the calling
+    thread.
+    """
+    parts = thread_budget()
+
+    def run(fn, n):
+        k = max(1, min(parts, n))
+        bounds = [n * c // k for c in range(k + 1)]
+        futures = [ex.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        fn(bounds[0], bounds[1])
+        for f in futures:
+            f.result()
+
+    with blas_threads(1), _pool(max(1, parts - 1), 1) as ex:
+        yield run

@@ -2,21 +2,25 @@
 
 One subcommand per experiment.  The runner produces a report in memory;
 this layer owns all file I/O: one CSV per table plus a JSON manifest
-with the config echo, model constants, fit results, check outcomes and
-wall time.  Exit status: 0 when every check passed, 2 when a check
-failed, 1 on error.
+with the config echo, model constants, fit results, check outcomes,
+wall time and the environment the runner ran in.  The runner runs with
+BLAS at 1 thread (see blas.py).  Exit status: 0 when every check
+passed, 2 when a check failed, 1 on error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from .blas import blas_thread_counts, blas_threads, thread_budget
 from .harness import load_config, write_csv, write_manifest
 from .harness.experiments import RUNNERS
 
@@ -50,7 +54,15 @@ def main(argv=None):
         rng = np.random.default_rng(args.seed)
 
         t0 = time.perf_counter()
-        report = RUNNERS[args.experiment](config, workers=args.workers, rng=rng)
+        with blas_threads(1):
+            report = RUNNERS[args.experiment](config, workers=args.workers, rng=rng)
+            environment = {
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "blas_thread_counts": blas_thread_counts(),
+                "cpu_count": os.cpu_count(),
+                "thread_budget": thread_budget(),
+            }
         wall = time.perf_counter() - t0
 
         outputs = []
@@ -80,6 +92,7 @@ def main(argv=None):
             "warnings": list(report["warnings"]),
             "outputs": [Path(p).name for p in outputs],
             "wall_time_s": wall,
+            "environment": environment,
         }
         outputs.append(
             write_manifest(out_dir / f"{args.experiment}-manifest.json", manifest)

@@ -11,21 +11,20 @@ Each runner maps a validated config dict to a plain report:
 
 Runners do no file I/O and draw randomness only from the rng argument,
 so a run is reproducible from (config, seed) alone.  Sweeps go through
-_pmap, which preserves grid order in the aggregation regardless of the
-worker count and splits the BLAS threads among its workers.
+blas.pmap, which preserves grid order in the aggregation regardless of
+the worker count and gives each worker an equal share of the thread
+budget (see blas.py).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .. import lattice, models, quasilocal
 from .. import spectral_flow as sflow
-from ..blas import blas_threads
+from ..blas import fan_out, pmap
 from ..exceptions import GapClosed, NotApplicable
 from ..interactions import (
     DecayFunctions,
@@ -51,21 +50,6 @@ PAULI = {"x": sigma_x, "y": sigma_y, "z": sigma_z}
 
 
 # ------------------------------------------------------------- utilities
-
-
-def _pmap(fn, items, workers):
-    """[fn(x) for x in items], on `workers` threads when more than one.
-
-    While the pool runs, BLAS is capped at cpu_count // workers threads,
-    so the workers share the cores rather than each asking for all.
-    """
-    items = list(items)
-    if workers and int(workers) > 1 and len(items) > 1:
-        workers = int(workers)
-        with blas_threads(max(1, (os.cpu_count() or 1) // workers)):
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                return list(ex.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _check(name, passed, detail=""):
@@ -200,7 +184,10 @@ def run_lr_cone(config, workers=1, rng=None):
         ||[A(t), B]|| = 2 ||P+ A(t) P-||,
 
     one singular value of a half-dimension block per distance rather
-    than a full-dimension commutator and its spectrum.
+    than a full-dimension commutator and its spectrum.  The times are a
+    pmap sweep; within a time the distances' norms are split over the
+    thread budget (blas.fan_out), so a run at --workers 1 still uses
+    every core.
     """
     model, meta = build_model(config.get("model", {}))
     G = model.graph
@@ -235,17 +222,25 @@ def run_lr_cone(config, workers=1, rng=None):
         d: LocalOperator((b,), (G.site_dims[b],), sigma) for d, b in partners.items()
     }
 
+    pairs = sorted(partners.items())
+
     def one_time(t):
         U = V * np.exp(1j * evals * t)
         At = U @ WA @ U.conj().T
-        out = []
-        for d, b in sorted(partners.items()):
-            norm = _probe_commutator_norm(At, sigma, b, G.site_dims)
-            bound = lr_bound_rhs(A_loc, B_loc[d], t, phi, decay)
-            out.append((float(t), d, b, norm, float(bound)))
+        out = [None] * len(pairs)
+
+        def norms(lo, hi):
+            for k in range(lo, hi):
+                d, b = pairs[k]
+                norm = _probe_commutator_norm(At, sigma, b, G.site_dims)
+                bound = lr_bound_rhs(A_loc, B_loc[d], t, phi, decay)
+                out[k] = (float(t), d, b, norm, float(bound))
+
+        with fan_out() as run:
+            run(norms, len(pairs))
         return out
 
-    rows = [r for chunk in _pmap(one_time, times, workers) for r in chunk]
+    rows = [r for chunk in pmap(one_time, times, workers) for r in chunk]
 
     viol = [r for r in rows if r[3] > r[4] * (1 + 1e-9) + 1e-12]
     checks = [
@@ -606,7 +601,7 @@ def run_clustering(config, workers=1, rng=None):
         x, y = xy
         return abs(_expectation(psi, pair_mat, (x, y), G.site_dims) - single[x] * single[y])
 
-    vals = _pmap(corr, pairs, workers)
+    vals = pmap(corr, pairs, workers)
     r2_min = _tol(config, "r_squared_min", 0.9)
 
     if mode == "bulk":
@@ -755,7 +750,7 @@ def run_sequential_coupling(config, workers=1, rng=None):
             path = sflow.BlockSectorPath(system, n)
             return path, sflow.integrate_flows(path, radii, ds, K=K)
 
-        done = _pmap(flows, jobs, workers)
+        done = pmap(flows, jobs, workers)
         p_xy = [path for path, _ in done[0::3]]
         B0 = [sflow.sector_basis(p, 0.0) for p in p_xy]
         P1 = [diag_projector(sflow.sector_basis(p, 1.0)) for p in p_xy]
@@ -913,7 +908,7 @@ def run_tqo(config, workers=1, rng=None):
         except NotApplicable as exc:
             return (label, None, str(exc))
 
-    bulk = _pmap(bulk_one, probes, workers)
+    bulk = pmap(bulk_one, probes, workers)
     bulk_rows = [(lab, z, dev) for lab, z, dev in bulk if z is not None]
     z_of = {lab: z for lab, z, _ in bulk_rows}
     skipped = [lab for lab, z, _ in bulk if z is None]
@@ -1032,7 +1027,7 @@ def run_kato_flow(config, workers=1, rng=None):
         flows = sflow.integrate_flows(path, [None, *ls], ds, K=(site,))
         return [errs for _, _, errs in flows]
 
-    errors = _pmap(block_errors, ns, workers)
+    errors = pmap(block_errors, ns, workers)
     unt = {}
     for n, errs in zip(ns, errors):
         unt[n] = float(np.max(errs[0]))
@@ -1177,7 +1172,7 @@ def run_ct_profile(config, workers=1, rng=None):
     block = system.block(n_particles)
     x0 = tuple(sorted((x0_site + j) % L for j in range(n_particles)))
 
-    profiles = _pmap(
+    profiles = pmap(
         lambda z: sflow.combes_thomas_profile(block, z, x0, s=s_ct), zs, workers
     )
     rows, rates, dists = [], [], []

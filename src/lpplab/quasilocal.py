@@ -36,6 +36,7 @@ import numpy as np
 from scipy.special import wofz
 
 from . import lattice
+from .blas import fan_out
 from .exceptions import StepTooLarge
 from .kernels import apply_embedded
 from .operators import (
@@ -53,7 +54,12 @@ from .sectors import (
     verify_gap_along_path,
 )
 
-PHI_BLOCK = 1 << 16  # entries of Phi evaluated per row block in build_R
+# build_R works in row blocks: each thread evaluates Phi PHI_BLOCK
+# entries at a time, so its temporaries stay small, and forms R in
+# blocks of R_ROWS rows, whose products do not depend on how many
+# threads share them.
+PHI_BLOCK = 1 << 14
+R_ROWS = 128
 STEP_CAP = 10_000
 
 
@@ -171,10 +177,15 @@ def _build_R_batch(S0, S, lam0s, params: FilterParams, overlap=None):
     g_T = _gauss_truncated.  The zeroth Dyson term is then lifted to its
     full-time value by adding sum_lambda a_lambda (e^{-w^2/4a} - g_T(w)),
     w = lambda_i0 - lambda, on the diagonal (see module docstring).  Phi
-    is evaluated in row blocks to keep the D x D temporaries few.  Phi is
-    real, so the stack is real when both eigenbases are.  R_i depends on
-    i only through lambda_i0, so entries whose lambda_i0 are bitwise
+    is real, so the stack is real when both eigenbases are.  R_i depends
+    on i only through lambda_i0, so entries whose lambda_i0 are bitwise
     equal (a degenerate sector) share one evaluation.
+
+    The work is split over the thread budget (blas.fan_out): the threads
+    fill contiguous row ranges of C o Phi_i, PHI_BLOCK entries at a time,
+    then form contiguous ranges of R_i's R_ROWS-row blocks.  Every block
+    is the same computation whichever thread runs it, so the stack is
+    bitwise the same at every budget.
     Returns (stack, diagnostics).
     """
     if params.nodes is None or params.a is None:
@@ -188,20 +199,31 @@ def _build_R_batch(S0, S, lam0s, params: FilterParams, overlap=None):
     kap, kap0 = S.values, S0.values
     n_i, D = len(lam0s), C.shape[0]
     shifts = lam0s[:, None] - nodes[None, :]
-    V0h = S0.vectors.conj().T
+    V, V0h = S.vectors, S0.vectors.conj().T
     rows = max(1, PHI_BLOCK // D)
 
-    stack = np.empty((n_i, D, D), dtype=np.result_type(C, S.vectors, V0h))
+    stack = np.empty((n_i, D, D), dtype=np.result_type(C, V, V0h))
+    CPhi = np.empty((D, D), dtype=stack.dtype)
     _, first, inverse = np.unique(lam0s, return_index=True, return_inverse=True)
-    for i, j in enumerate(first[inverse]):
-        if j < i:
-            stack[i] = stack[j]
-            continue
-        for r in range(0, D, rows):
-            omega = kap[r : r + rows, None] - kap0[None, :]
-            phi = sum(w * _gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shifts[i]))
-            np.multiply(C[r : r + rows], phi, out=stack[i, r : r + rows])
-        np.matmul(S.vectors @ stack[i], V0h, out=stack[i])
+    with fan_out() as run:
+        for i, j in enumerate(first[inverse]):
+            if j < i:
+                stack[i] = stack[j]
+                continue
+
+            def fill(lo, hi, shift=shifts[i]):
+                for r in range(lo, hi, rows):
+                    r1 = min(r + rows, hi)
+                    omega = kap[r:r1, None] - kap0[None, :]
+                    phi = sum(w * _gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shift))
+                    np.multiply(C[r:r1], phi, out=CPhi[r:r1])
+
+            def product(lo, hi, R=stack[i]):
+                for r in range(lo * R_ROWS, min(hi * R_ROWS, D), R_ROWS):
+                    np.matmul(V[r : r + R_ROWS] @ CPhi, V0h, out=R[r : r + R_ROWS])
+
+            run(fill, D)
+            run(product, -(-D // R_ROWS))
 
     # full-time value of the zeroth Dyson term, per i
     comp = np.sum(

@@ -186,7 +186,12 @@ class HamiltonianPath:
 
     sum(Phi) is assembled once as CSR; each s adds the terms of W(s) to
     it.  Spectral data is kept in a SpectralCache keyed by float(s):
-    transport sweeps touch consecutive path points only.
+    transport sweeps touch consecutive path points only.  A point whose
+    W(s) terms are bitwise a cached point's (a W that vanishes along the
+    path) has bitwise the same H(s) and reuses that spectrum.  The cache
+    keeps those few bytes rather than H(s), since a long-lived CSR
+    matrix can pin freed D x D temporaries in the heap (about +8 MB of
+    peak memory at D = 1024).
     """
 
     def __init__(
@@ -222,8 +227,23 @@ class HamiltonianPath:
         # ARPACK pairs for the iterative mode: the sector plus a margin
         d = self.rule[1] if self.rule[0] == "fixed_d" else 2
         k = min(self.dim - 2, max(6, int(d) + 5))
-        return self._cache.fetch(
-            float(s), lambda: eigendecompose(self.hamiltonian(s), k=k)
+
+        def compute():
+            terms = self._terms_bytes(s)
+            for seen, spectrum in self._cache.values():
+                if seen == terms:
+                    return terms, spectrum
+            return terms, eigendecompose(self.hamiltonian(s), k=k)
+
+        return self._cache.fetch(float(s), compute)[1]
+
+    def _terms_bytes(self, s):
+        """The terms of W(s) as bytes: points with equal bytes have
+        bitwise the same H(s)."""
+        if self.W is None:
+            return ()
+        return tuple(
+            (t.support, t.matrix.dtype.str, t.matrix.tobytes()) for t in self.W.terms(s)
         )
 
     def sector(self, s) -> SectorSpectrum:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from tqo_oracle import full_space_tqo_check
 
 from lpplab import lattice, models, quasilocal, sectors
 from lpplab import spectral_flow as sflow
-from lpplab.blas import blas_thread_counts
+from lpplab.blas import blas_thread_counts, fan_out, pmap, thread_budget
 from lpplab.cli import main
 from lpplab.exceptions import InsufficientData
 from lpplab.harness import (
@@ -26,7 +27,7 @@ from lpplab.harness import (
     write_manifest,
 )
 from lpplab.harness.experiments import (
-    _pmap,
+    RUNNERS,
     _ramp_path,
     build_model,
     run_clustering,
@@ -291,7 +292,7 @@ def test_lr_cone_norms_match_dense_commutators(pauli):
 def test_pmap_splits_blas_threads_among_workers():
     before = blas_thread_counts()
     cap = max(1, (os.cpu_count() or 1) // 2)
-    seen = _pmap(lambda _: blas_thread_counts(), range(4), 2)
+    seen = pmap(lambda _: blas_thread_counts(), range(4), 2)
     assert seen == [[min(k, cap) for k in before]] * 4
     assert blas_thread_counts() == before
 
@@ -299,8 +300,23 @@ def test_pmap_splits_blas_threads_among_workers():
         raise RuntimeError("worker failed")
 
     with pytest.raises(RuntimeError, match="worker failed"):
-        _pmap(boom, range(4), 2)
+        pmap(boom, range(4), 2)
     assert blas_thread_counts() == before
+
+
+def test_pmap_workers_get_a_share_of_the_thread_budget(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert thread_budget() == 2
+    assert pmap(lambda _: thread_budget(), range(4), 2) == [1] * 4
+
+    # so a stage split over the budget inside a worker starts no nested pool
+    def split_threads(_):
+        seen = set()
+        with fan_out() as run:
+            run(lambda lo, hi: seen.add(threading.get_ident()), 10)
+        return seen == {threading.get_ident()}
+
+    assert pmap(split_threads, range(4), 2) == [True] * 4
 
 
 def test_weak_step_runner_is_deterministic():
@@ -470,9 +486,10 @@ def test_transport_runners_diagonalize_each_path_point_once(eig_calls):
     })
     assert eig_calls == {"models": 1, "sectors": 5}
     # the transforms reuse the s = 0 sector each sweep started from: the
-    # bulk chain once, the 4-step sweep's 5 points, the 2-step control's 3
+    # bulk chain once, the 4-step sweep's 5 points, and one point of the
+    # 2-step control, whose W = 0 leaves H(s) the same at all 3 points
     run_impurity_lppl(IMPURITY_SMALL)
-    assert eig_calls == {"models": 2, "sectors": 13}
+    assert eig_calls == {"models": 2, "sectors": 11}
 
 
 def test_clustering_bulk_takes_the_gap_from_the_spectrum():
@@ -516,6 +533,41 @@ def test_cli_happy_path(tmp_path, capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+@pytest.mark.skipif(
+    not blas_thread_counts(),
+    reason="no bundled OpenBLAS exporting scipy_openblas_set_num_threads",
+)
+def test_cli_runs_the_runner_with_blas_at_one_thread(tmp_path, monkeypatch):
+    before = blas_thread_counts()
+    pinned = [1] * len(before)
+    cfg = _ct_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["ct-profile", "--config", str(cfg), "--out", str(out)]
+    seen = []
+
+    def runner(config, workers, rng):
+        seen.append(blas_thread_counts())
+        return {"tables": [], "records": {}, "constants": {}, "checks": [], "warnings": []}
+
+    monkeypatch.setitem(RUNNERS, "ct-profile", runner)
+    assert main(argv) == 0
+    assert seen == [pinned]
+    assert blas_thread_counts() == before
+    env = json.loads((out / "ct-profile-manifest.json").read_text())["environment"]
+    assert env["blas_thread_counts"] == pinned
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["thread_budget"] == thread_budget()
+
+    def failing(config, workers, rng):
+        seen.append(blas_thread_counts())
+        raise RuntimeError("runner failed")
+
+    monkeypatch.setitem(RUNNERS, "ct-profile", failing)
+    assert main(argv) == 1
+    assert seen == [pinned, pinned]
+    assert blas_thread_counts() == before
+
+
 def test_cli_runs_are_byte_identical(tmp_path):
     cfg = _ct_config(tmp_path)
     outs = []
@@ -542,6 +594,34 @@ FLOW_CONFIGS = {
 }
 
 
+SWEEP_CONFIGS = {
+    "lr-cone": {
+        "model": {"kind": "transverse-field-Ising", "n": 6},
+        "sweep": {"t_max": 0.5, "n_times": 3, "distances": [1, 2]},
+    },
+    "clustering": {"model": {"kind": "transverse-field-Ising", "n": 6}},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SWEEP_CONFIGS))
+def test_sweep_csvs_do_not_depend_on_workers(experiment, tmp_path):
+    # the flow runners' counterpart is test_flow_runners_agree_across_workers
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"schema_version": 1, "experiment": experiment,
+                    **SWEEP_CONFIGS[experiment]}),
+        encoding="utf-8",
+    )
+    csvs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        argv = [experiment, "--config", str(cfg), "--out", str(out),
+                "--workers", str(workers)]
+        assert main(argv) == 0
+        csvs[workers] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert csvs[1] and csvs[1] == csvs[2]
+
+
 def _csv_cells(out):
     return {
         p.name: [line.split(",") for line in p.read_text(encoding="utf-8").splitlines()]
@@ -552,8 +632,8 @@ def _csv_cells(out):
 @pytest.mark.parametrize("experiment", sorted(FLOW_CONFIGS))
 def test_flow_runners_agree_across_workers(experiment, tmp_path):
     # the workers split independent (system, block) flow passes; BLAS
-    # rounds differently under their thread cap, so values agree to
-    # 1e-12 across worker counts and bit for bit at a fixed count
+    # runs at 1 thread under the CLI at every worker count, so the
+    # values agree bit for bit across worker counts and repeat runs
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps({"schema_version": 1, "experiment": experiment,
@@ -576,7 +656,7 @@ def test_flow_runners_agree_across_workers(experiment, tmp_path):
         assert a.shape == b.shape
         assert np.array_equal(np.isinf(a), np.isinf(b))
         finite = np.isfinite(a)
-        assert np.abs(a[finite] - b[finite]).max() <= 1e-12
+        assert np.array_equal(a[finite], b[finite])
     for name in _csv_cells(outs["w2"]):
         assert (outs["w2"] / name).read_bytes() == (outs["w2-again"] / name).read_bytes()
 

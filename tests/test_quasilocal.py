@@ -8,6 +8,10 @@ differences, and an unperturbed step that must return the identity
 exactly because the sector eigenvalue sits on an interpolation node.
 """
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,6 +358,55 @@ def test_build_R_shares_bitwise_equal_eigenvalues():
     assert np.array_equal(
         diag["tail_compensation"], np.concatenate([d["tail_compensation"] for _, d in one_by_one])
     )
+
+
+@pytest.mark.parametrize(
+    "D, dtype, blocks",
+    [(100, float, (24, 500)), (64, complex, (24, 500)), (256, float, None)],
+)
+def test_build_R_is_bitwise_the_same_at_every_thread_budget(D, dtype, blocks, monkeypatch):
+    # D = 100 splits unevenly over 3 threads; the small blocks give each
+    # thread several Phi blocks and R row blocks at a test-sized D
+    if blocks:
+        monkeypatch.setattr(ql, "R_ROWS", blocks[0])
+        monkeypatch.setattr(ql, "PHI_BLOCK", blocks[1])
+    gen = np.random.default_rng(D)
+
+    def hermitian():
+        M = gen.normal(size=(D, D)).astype(dtype)
+        if dtype is complex:
+            M += 1j * gen.normal(size=(D, D))
+        return (M + M.conj().T) / 2
+
+    H0 = 3.0 * hermitian()
+    S0 = eigendecompose(H0, mode="dense")
+    S1 = eigendecompose(H0 + 0.2 * hermitian(), mode="dense")
+    params = _manual_params(0.3, 2.0, S1.values[:2])
+    # a d = 3 sector whose first and last lambda_i0 are equal
+    lam0s = [S0.values[0], S0.values[1], S0.values[0]]
+
+    threads = set()
+    g_T = ql._gauss_truncated
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return g_T(*args)
+
+    monkeypatch.setattr(ql, "_gauss_truncated", recording)
+    stacks = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads' writes finely
+    try:
+        for budget in (1, 2, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda budget=budget: budget)
+            threads.clear()
+            stack, _ = ql._build_R_batch(S0, S1, lam0s, params)
+            assert (len(threads) > 1) == (budget > 1)
+            stacks.append(stack)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stacks[0].dtype == np.result_type(dtype, float)
+    assert all(np.array_equal(stacks[0], other) for other in stacks[1:])
 
 
 def test_build_R_requires_coefficients():

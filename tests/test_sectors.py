@@ -439,3 +439,23 @@ def test_projector_gauge_independent_oracle():
     )
     P_back = U.conj().T @ sec_rot.projector @ U
     assert np.allclose(P_back, sec.projector, atol=1e-10)
+
+
+def test_path_reuses_the_spectrum_of_an_unchanged_hamiltonian(monkeypatch):
+    calls = []
+
+    def counting(H, *args, **kwargs):
+        calls.append(H.shape)
+        return eigendecompose(H, *args, **kwargs)
+
+    monkeypatch.setattr(sectors, "eigendecompose", counting)
+    # W = 0 along the path: H(s) is the same matrix at every s
+    still = tfim_path(5, w=0.0)
+    spectra = [still.spectral(s) for s in (0.0, 0.5, 1.0)]
+    assert len(calls) == 1
+    assert all(S is spectra[0] for S in spectra)
+    # a moving W needs a decomposition per point
+    moving = tfim_path(5)
+    for s in (0.0, 0.5, 1.0):
+        moving.spectral(s)
+    assert len(calls) == 1 + 3
