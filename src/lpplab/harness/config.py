@@ -16,15 +16,13 @@ import jsonschema
 
 @functools.cache
 def _validator():
-    """The schema's validator, checked against its metaschema once per
-    process (jsonschema.validate repeats that check on every call)."""
+    """The shipped schema's validator, built once per process.  The schema
+    is package data, so its metaschema check is a test, not a run step."""
     text = resources.files("lpplab.harness").joinpath("schema.json").read_text(
         encoding="utf-8"
     )
     schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate_config(cfg):

@@ -60,6 +60,23 @@ def _tol(config, key, default):
     return float(config.get("tolerances", {}).get(key, default))
 
 
+def _fit_checks(config, record):
+    """decay-rate-positive and fit-quality for a record's decay fit."""
+    r2_min = _tol(config, "r_squared_min", 0.9)
+    return [
+        _check(
+            "decay-rate-positive",
+            record.mu_hat is not None and record.mu_hat > 0,
+            f"mu_hat = {record.mu_hat}",
+        ),
+        _check(
+            "fit-quality",
+            record.r_squared is not None and record.r_squared >= r2_min,
+            f"R^2 = {record.r_squared}",
+        ),
+    ]
+
+
 def _sector_rule(config):
     sec = config.get("sector", {})
     if sec.get("rule", "fixed_d") == "fixed_d":
@@ -88,7 +105,7 @@ def _constants(phi, decay, g=None):
 
 
 def build_model(mcfg):
-    """(Model, metadata) from a config's model section."""
+    """The Model of a config's model section."""
     mcfg = dict(mcfg or {})
     kind = mcfg.pop("kind", "transverse-field-Ising")
     if kind in ("transverse-field-Ising", "xy-with-potential"):
@@ -105,8 +122,7 @@ def build_model(mcfg):
         )
         return models.build_xy_model(spec)
     if kind == "toric":
-        model, geom = models.build_toric_code(int(mcfg.get("L", 2)))
-        return model, {"geometry": geom}
+        return models.build_toric_code(int(mcfg.get("L", 2)))[0]
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -189,13 +205,13 @@ def run_lr_cone(config, workers=1, rng=None):
     thread budget (blas.fan_out), so a run at --workers 1 still uses
     every core.
     """
-    model, meta = build_model(config.get("model", {}))
+    model = build_model(config.get("model", {}))
     G = model.graph
     mu = float(config.get("mu", 1.0))
     decay = DecayFunctions(G, mu)
     phi = model.family
     consts = _constants(phi, decay)
-    warnings = list(meta.get("warnings", ()))
+    warnings = []
 
     sigma = PAULI[config.get("probes", {}).get("pauli", "z")]
     site_a = int(config.get("perturbation", {}).get("site", 0))
@@ -308,7 +324,7 @@ def _ramp_path(config, model, decay):
 
 
 def run_weak_step(config, workers=1, rng=None):
-    model, meta = build_model(config.get("model", {}))
+    model = build_model(config.get("model", {}))
     decay = DecayFunctions(model.graph, float(config.get("mu", 1.0)))
     path = _ramp_path(config, model, decay)
     p = config.get("perturbation", {})
@@ -321,7 +337,7 @@ def run_weak_step(config, workers=1, rng=None):
     consts = _constants(model.family, decay, g=g)
     errs = [float(max(e)) for e in out["errors"]]
     unloc = [float(max(e)) for e in out["unlocalized_errors"]]
-    warnings = list(meta.get("warnings", ())) + list(out["warnings"])
+    warnings = list(out["warnings"])
 
     record = DecayRecord.measure(
         list(zip(out["l"], errs)),
@@ -335,18 +351,7 @@ def run_weak_step(config, workers=1, rng=None):
     ]
 
     floor = _tol(config, "check_floor", 1e-10)
-    r2_min = _tol(config, "r_squared_min", 0.9)
-    checks = [
-        _check(
-            "decay-rate-positive",
-            record.mu_hat is not None and record.mu_hat > 0,
-            f"mu_hat = {record.mu_hat}",
-        ),
-        _check(
-            "fit-quality",
-            record.r_squared is not None and record.r_squared >= r2_min,
-            f"R^2 = {record.r_squared}",
-        ),
+    checks = _fit_checks(config, record) + [
         _check(
             "tenfold-drop",
             _drop_tenfold(errs[0], errs[-1], floor),
@@ -374,7 +379,7 @@ def run_weak_step(config, workers=1, rng=None):
 
 
 def run_transport(config, workers=1, rng=None):
-    model, meta = build_model(config.get("model", {}))
+    model = build_model(config.get("model", {}))
     decay = DecayFunctions(model.graph, float(config.get("mu", 1.0)))
     path = _ramp_path(config, model, decay)
     sweep = config.get("sweep", {})
@@ -390,7 +395,7 @@ def run_transport(config, workers=1, rng=None):
     c_max = max(c_of.values())
 
     errs = [float(tsets[l].errors.max()) for l in ls]
-    warnings = list(meta.get("warnings", ())) + list(first.warnings)
+    warnings = list(first.warnings)
     record = DecayRecord.measure(
         list(zip(ls, errs)),
         reference_rate=1.0 / consts["xi"],
@@ -400,18 +405,7 @@ def run_transport(config, workers=1, rng=None):
     rows = [(l, e, tsets[l].n, c_of[l]) for l, e in zip(ls, errs)]
 
     floor = _tol(config, "check_floor", 1e-10)
-    checks = [
-        _check(
-            "decay-rate-positive",
-            record.mu_hat is not None and record.mu_hat > 0,
-            f"mu_hat = {record.mu_hat}",
-        ),
-        _check(
-            "fit-quality",
-            record.r_squared is not None
-            and record.r_squared >= _tol(config, "r_squared_min", 0.9),
-            f"R^2 = {record.r_squared}",
-        ),
+    checks = _fit_checks(config, record) + [
         _check(
             "monotone-decay",
             _monotone(errs, floor),
@@ -444,7 +438,7 @@ def run_transport(config, workers=1, rng=None):
 
 
 def run_impurity_lppl(config, workers=1, rng=None):
-    model, meta = build_model(config.get("model", {}))
+    model = build_model(config.get("model", {}))
     G = model.graph
     n = G.n_sites
     icfg = config.get("impurity", {})
@@ -457,7 +451,7 @@ def run_impurity_lppl(config, workers=1, rng=None):
     sweep = config.get("sweep", {})
     ls = [float(v) for v in sweep.get("l_values", [1, 2, 3, 4])]
     n0 = int(sweep.get("n_steps", 4))
-    warnings = list(meta.get("warnings", ()))
+    warnings = []
 
     tsets = quasilocal.transport_sweep(path, n0, ls)
     g = float(tsets[ls[0]].gap)
@@ -551,12 +545,12 @@ def run_impurity_lppl(config, workers=1, rng=None):
 
 def run_clustering(config, workers=1, rng=None):
     mode = config.get("mode", "bulk")
-    model, meta = build_model(config.get("model", {}))
+    model = build_model(config.get("model", {}))
     G = model.graph
     mu = float(config.get("mu", 1.0))
     decay = DecayFunctions(G, mu)
     sigma = PAULI[config.get("probes", {}).get("pauli", "z")]
-    warnings = list(meta.get("warnings", ()))
+    warnings = []
     checks = []
     records = {}
 
@@ -849,10 +843,7 @@ def run_sequential_coupling(config, workers=1, rng=None):
 def run_tqo(config, workers=1, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
-    mcfg = dict(config.get("model", {"kind": "toric"}))
-    mcfg["kind"] = "toric"
-    model, meta = build_model(mcfg)
-    geom = meta["geometry"]
+    model, geom = models.build_toric_code(int(config.get("model", {}).get("L", 2)))
     G = model.graph
     nq = G.n_sites
     warnings = []
@@ -1075,21 +1066,7 @@ def run_kato_flow(config, workers=1, rng=None):
         pts.append((l, max(per_block)))
 
     record = DecayRecord.measure(pts, constants={"gamma": gamma, "theta": theta, "ds": ds})
-    r2_min = _tol(config, "r_squared_min", 0.9)
-    checks.append(
-        _check(
-            "decay-rate-positive",
-            record.mu_hat is not None and record.mu_hat > 0,
-            f"mu_hat = {record.mu_hat}",
-        )
-    )
-    checks.append(
-        _check(
-            "fit-quality",
-            record.r_squared is not None and record.r_squared >= r2_min,
-            f"R^2 = {record.r_squared}",
-        )
-    )
+    checks.extend(_fit_checks(config, record))
 
     # resolvent decay per particle block
     ctcfg = config.get("ct", {})

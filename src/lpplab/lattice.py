@@ -138,39 +138,6 @@ def phi_boundary(X, regions):
     return frozenset(out)
 
 
-def contract(G, S):
-    """Merge region S into a single vertex.
-
-    The merged vertex inherits every neighbor of S and the product of the
-    local dimensions.  Returns (graph, old_to_new) where old_to_new maps
-    original site ids to ids in the contracted graph.
-    """
-    S = G.check_region(S)
-    if not S:
-        raise ValueError("cannot contract an empty region")
-    kept = [x for x in G.sites() if x not in S]
-    anchor = min(S)
-    order = sorted(kept + [anchor])
-    old_to_new = {}
-    for new, old in enumerate(order):
-        old_to_new[old] = new
-    for x in S:
-        old_to_new[x] = old_to_new[anchor]
-
-    dims = []
-    for old in order:
-        if old == anchor:
-            dims.append(G.dimension(S))
-        else:
-            dims.append(G.site_dims[old])
-    edges = set()
-    for a, b in G.edges:
-        na, nb = old_to_new[a], old_to_new[b]
-        if na != nb:
-            edges.add((min(na, nb), max(na, nb)))
-    return LatticeGraph(len(order), sorted(edges), dims), old_to_new
-
-
 def effective_distance(G, X, Y, K):
     """Smallest l such that X_l | Y_l | K_l has one connected component
     containing all of X and Y.  K may be empty."""

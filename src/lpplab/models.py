@@ -10,9 +10,8 @@ Three families:
   * Kitaev's toric code on small tori with the window geometry needed
     for topological-order checks.
 
-Builders are pure.  build_gapped_chain diagonalizes its model (a full
-dense decomposition up to 2**13 states) to report the gap; the others
-leave diagonalization to their callers.
+Builders are pure and return a Model; none of them diagonalizes.  The
+spectrum is taken where it is read, through Model.spectral.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .operators import (
     sigma_y,
     sigma_z,
 )
-from .sectors import GAP_TOL, HamiltonianPath
+from .sectors import HamiltonianPath
 
 # spin-1/2 operators (eigenvalues +-1/2); S_plus maps down to up
 S1 = sigma_x / 2
@@ -53,8 +52,8 @@ class Model:
     """A lattice graph with its interaction family.
 
     Spectral data is kept in a SpectralCache keyed by the resolved solver
-    mode (and, in iterative mode, the eigen-depth k), so a builder's gap
-    and every later consumer share one decomposition.
+    mode (and, in iterative mode, the eigen-depth k), so every consumer
+    of the same mode shares one decomposition.
     """
 
     graph: lattice.LatticeGraph
@@ -82,8 +81,8 @@ class Model:
 
 
 def build_gapped_chain(kind, params):
-    """(Model, metadata) with the computed gap; warns instead of failing
-    when the requested parameters turn out gapless."""
+    """The transverse-field Ising or xy chain; whether it is gapped is
+    left to the consumers of its spectrum."""
     if kind == "transverse-field-Ising":
         n = int(params["n"])
         J = float(params.get("J", 1.0))
@@ -97,26 +96,15 @@ def build_gapped_chain(kind, params):
         terms += [
             LocalOperator((x,), (2,), -h * sigma_x, hermitian=True) for x in G.sites()
         ]
-        model = Model(G, itx.InteractionFamily(terms), kind, dict(params))
-    elif kind == "xy-with-potential":
+        return Model(G, itx.InteractionFamily(terms), kind, dict(params))
+    if kind == "xy-with-potential":
         n = int(params["n"])
         gamma = float(params["gamma"])
         u = _potential_array(params.get("u", gamma), n, gamma)
         periodic = bool(params.get("periodic", False))
         G = lattice.chain(n, periodic=periodic)
-        model = Model(G, _xy_family(G, u), kind, dict(params, u=u))
-    else:
-        raise ValueError(f"unknown chain kind {kind!r}")
-
-    S = model.spectral()
-    vals = S.values
-    gap = float(vals[1] - vals[0])
-    meta = {"gap": gap, "ground_energy": float(vals[0]), "warnings": ()}
-    if gap < GAP_TOL:
-        meta["warnings"] = (
-            f"computed gap {gap:.3e} is below tolerance; ground state degenerate",
-        )
-    return model, meta
+        return Model(G, _xy_family(G, u), kind, dict(params, u=u))
+    raise ValueError(f"unknown chain kind {kind!r}")
 
 
 def _potential_array(u, n, gamma):
@@ -175,13 +163,7 @@ def build_xy_model(spec: XYModelSpec):
         G = lattice.torus(spec.L)
     u = _potential_array(spec.u if spec.u is not None else spec.gamma,
                          G.n_sites, spec.gamma)
-    model = Model(G, _xy_family(G, u), "xy", {"spec": spec, "u": u})
-    meta = {
-        "ground_energy": 0.0,
-        "gap_lower_bound": float(spec.gamma),
-        "n_sites": G.n_sites,
-    }
-    return model, meta
+    return Model(G, _xy_family(G, u), "xy", {"spec": spec, "u": u})
 
 
 def single_particle_hamiltonian(G, u):

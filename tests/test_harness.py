@@ -214,29 +214,28 @@ def test_load_config_roundtrip(tmp_path):
     assert load_config(p) == cfg
 
 
-def test_schema_is_checked_once_per_process(monkeypatch, tmp_path):
+def test_shipped_schema_passes_its_metaschema():
+    # the loader trusts the packaged schema, so its metaschema check is here
     from lpplab.harness import config as hconfig
 
-    cls = type(hconfig._validator())
-    check, checks = cls.check_schema, []
-    monkeypatch.setattr(cls, "check_schema", lambda schema: checks.append(1) or check(schema))
-    hconfig._validator.cache_clear()
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps({"schema_version": 1, "experiment": "tqo"}), encoding="utf-8")
-    load_config(p)
-    load_config(p)
-    assert len(checks) == 1
+    validator = hconfig._validator()
+    type(validator).check_schema(validator.schema)
     with pytest.raises(ValueError, match="config invalid at model/nu"):
         validate_config(
             {"schema_version": 1, "experiment": "kato-flow", "model": {"kind": "xy-ring", "nu": 3}}
         )
-    assert len(checks) == 1
+
+
+def test_validate_rejects_top_level_seed():
+    # the CLI's --seed is the one seed; a config key would be ignored
+    with pytest.raises(ValueError, match="'seed' was unexpected"):
+        validate_config({"schema_version": 1, "experiment": "tqo", "seed": 7})
 
 
 def test_build_model_dispatch():
-    model, meta = build_model({"kind": "transverse-field-Ising", "n": 4})
+    model = build_model({"kind": "transverse-field-Ising", "n": 4})
+    assert isinstance(model, models.Model)
     assert model.graph.n_sites == 4
-    assert meta["gap"] > 0
     with pytest.raises(ValueError, match="kind"):
         build_model({"kind": "heisenberg"})
 
@@ -273,7 +272,7 @@ def test_lr_cone_norms_match_dense_commutators(pauli):
     }
     rows = run_lr_cone(cfg)["tables"][0]["rows"]
     assert len(rows) == 16
-    model, _ = build_model(cfg["model"])
+    model = build_model(cfg["model"])
     H = model.hamiltonian().dense()
     dims = model.graph.site_dims
     sigma = {"x": sigma_x, "y": sigma_y, "z": sigma_z}[pauli]
@@ -345,7 +344,7 @@ def test_sigma_y_ramp_runs_complex_and_passes():
         "perturbation": {"site": 0, "pauli": "y", "epsilon": 0.05},
         "sweep": {"l_values": [1, 3, 5]},
     }
-    model, _ = build_model(cfg["model"])
+    model = build_model(cfg["model"])
     path = _ramp_path(cfg, model, DecayFunctions(model.graph, 1.0))
     assert path.hamiltonian(0.0).dtype == np.float64
     for s in (0.05, 1.0):
@@ -357,7 +356,7 @@ def test_sigma_y_ramp_runs_complex_and_passes():
 
 def _tqo_config():
     cfg = load_config(ROOT / "configs" / "tqo.json")
-    return cfg, np.random.default_rng(cfg["seed"])
+    return cfg, np.random.default_rng(7)
 
 
 def test_tqo_check_matches_full_space_oracle(monkeypatch):
@@ -478,18 +477,26 @@ def test_runners_diagonalize_each_model_once(eig_calls):
 
 
 def test_transport_runners_diagonalize_each_path_point_once(eig_calls):
-    # clustering reads s = 1 after its 4-step sweep, which leaves it cached
+    # no builder diagonalizes; clustering reads s = 1 after its 4-step
+    # sweep, which leaves it cached
     run_clustering({
         "schema_version": 1, "experiment": "clustering", "mode": "impurity",
         "model": {"kind": "transverse-field-Ising", "n": 6, "J": 1.0, "h": 2.0},
         "impurity": {"site": 3}, "sweep": {"l_values": [2], "n_steps": 4},
     })
-    assert eig_calls == {"models": 1, "sectors": 5}
+    assert eig_calls == {"models": 0, "sectors": 5}
     # the transforms reuse the s = 0 sector each sweep started from: the
     # bulk chain once, the 4-step sweep's 5 points, and one point of the
     # 2-step control, whose W = 0 leaves H(s) the same at all 3 points
     run_impurity_lppl(IMPURITY_SMALL)
-    assert eig_calls == {"models": 2, "sectors": 11}
+    assert eig_calls == {"models": 1, "sectors": 11}
+    # weak-step reads the path at s0 and s0 + epsilon, and nothing else
+    run_weak_step({
+        "schema_version": 1, "experiment": "weak-step",
+        "model": {"kind": "transverse-field-Ising", "n": 6, "h": 20.0},
+        "perturbation": {"site": 0, "epsilon": 0.05}, "sweep": {"l_values": [1, 2, 3]},
+    })
+    assert eig_calls == {"models": 1, "sectors": 13}
 
 
 def test_clustering_bulk_takes_the_gap_from_the_spectrum():

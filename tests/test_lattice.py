@@ -113,25 +113,6 @@ def test_boundary_of_full_volume_is_empty():
     assert lattice.phi_boundary(set(range(6)), regions) == frozenset()
 
 
-def test_contract_merges_and_reindexes():
-    G = lattice.chain(6)
-    H, old_to_new = lattice.contract(G, {2, 3})
-    assert H.n_sites == 5
-    merged = old_to_new[2]
-    assert old_to_new[3] == merged
-    assert H.site_dims[merged] == 4
-    # neighbors of the merged vertex: images of 1 and 4
-    assert H.neighbors(merged) == {old_to_new[1], old_to_new[4]}
-    # distances shorten across the merged region: 0-1-M-4-5
-    assert H.distance(old_to_new[0], old_to_new[5]) == 4
-
-
-def test_contract_rejects_empty():
-    G = lattice.chain(4)
-    with pytest.raises(ValueError):
-        lattice.contract(G, set())
-
-
 def test_effective_distance_chain_midpoint():
     # 21-site chain, X={0}, Y={20}, K={10}: fattenings join at l = 5
     G = lattice.chain(21)

@@ -37,42 +37,46 @@ def test_spin_operators():
 # --------------------------------------------------------- gapped chains
 
 
+def _gap(model):
+    vals = model.spectral().values
+    return float(vals[1] - vals[0])
+
+
 def test_tfim_zero_coupling_gap_exact():
     # J=0 decouples the sites; the gap is exactly 2h
-    model, meta = models.build_gapped_chain(
+    model = models.build_gapped_chain(
         "transverse-field-Ising", {"n": 6, "J": 0.0, "h": 1.3}
     )
-    assert abs(meta["gap"] - 2.6) < 1e-10
-    assert meta["warnings"] == ()
+    assert abs(_gap(model) - 2.6) < 1e-10
 
 
-def test_tfim_degenerate_point_warns():
-    model, meta = models.build_gapped_chain(
+def test_tfim_degenerate_point_has_zero_gap():
+    # h=0 leaves the two ferromagnetic product states degenerate; the
+    # builder does not judge that, the spectrum's readers do
+    model = models.build_gapped_chain(
         "transverse-field-Ising", {"n": 6, "J": 1.0, "h": 0.0}
     )
-    assert meta["gap"] < 1e-10
-    assert meta["warnings"]
-    assert "gap" in meta["warnings"][0]
+    assert _gap(model) < 1e-10
 
 
 def test_tfim_paramagnetic_gap():
-    model, meta = models.build_gapped_chain(
+    model = models.build_gapped_chain(
         "transverse-field-Ising", {"n": 8, "J": 1.0, "h": 2.0}
     )
-    assert meta["gap"] > 0.5
+    assert _gap(model) > 0.5
     assert model.graph.n_sites == 8
 
 
 def test_xy_chain_kind_matches_single_particle():
     n, gamma = 6, 0.7
-    model, meta = models.build_gapped_chain(
+    model = models.build_gapped_chain(
         "xy-with-potential", {"n": n, "gamma": gamma}
     )
     sp = models.single_particle_hamiltonian(model.graph, np.full(n, gamma))
     lam = np.linalg.eigvalsh(sp)
-    assert abs(meta["ground_energy"]) < 1e-12
-    assert abs(meta["gap"] - lam[0]) < 1e-10
-    assert meta["gap"] >= gamma - 1e-12
+    assert abs(model.spectral().values[0]) < 1e-12
+    assert abs(_gap(model) - lam[0]) < 1e-10
+    assert _gap(model) >= gamma - 1e-12
 
 
 def test_chain_kind_unknown():
@@ -97,17 +101,17 @@ def test_potential_validation():
 
 
 def test_xy_vacuum_annihilated():
-    model, meta = models.build_xy_model(models.XYModelSpec(L=8, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=8, gamma=1.0))
     H = model.hamiltonian().dense()
     vac = models.vacuum_state(model.graph)
     assert np.linalg.norm(H @ vac) < 1e-13
-    assert meta["ground_energy"] == 0.0
+    assert abs(model.spectral().values[0]) < 1e-12  # the vacuum is the ground state
 
 
 def test_xy_ring_gap_is_gamma():
     # constant potential: the one-boson dispersion u + 2 - 2cos(k) has
     # minimum u, so the gap equals gamma exactly
-    model, _ = models.build_xy_model(models.XYModelSpec(L=8, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=8, gamma=1.0))
     vals = np.linalg.eigvalsh(model.hamiltonian().dense())
     assert abs(vals[0]) < 1e-12
     assert abs(vals[1] - 1.0) < 1e-10
@@ -115,7 +119,7 @@ def test_xy_ring_gap_is_gamma():
 
 def test_xy_single_particle_block():
     L = 8
-    model, _ = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
     H = model.hamiltonian().dense()
     mm = models.MMCorrespondence(model.graph)
     Hb = mm.to_boson(H)
@@ -129,7 +133,7 @@ def test_xy_single_particle_block():
 
 
 def test_xy_number_conservation():
-    model, _ = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0))
     mm = models.MMCorrespondence(model.graph)
     Hb = mm.to_boson(model.hamiltonian().dense())
     mask = np.zeros(Hb.shape, dtype=bool)
@@ -139,7 +143,7 @@ def test_xy_number_conservation():
 
 
 def test_xy_torus():
-    model, meta = models.build_xy_model(models.XYModelSpec(L=3, nu=2, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=3, nu=2, gamma=1.0))
     assert model.graph.n_sites == 9
     assert all(len(model.graph.neighbors(x)) == 4 for x in model.graph.sites())
     H = model.hamiltonian().dense()
@@ -196,7 +200,7 @@ def test_mm_raising_operator_creates_boson():
 
 def test_mm_spectra_identity_by_block():
     # union of the per-number block spectra reproduces the spin spectrum
-    model, _ = models.build_xy_model(models.XYModelSpec(L=8, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=8, gamma=1.0))
     mm = models.MMCorrespondence(model.graph)
     H = model.hamiltonian().dense()
     Hb = mm.to_boson(H)
@@ -220,7 +224,7 @@ def test_mm_index_roundtrip(n, data):
 
 
 def _xy_with_impurity(theta=0.4, L=6, site=2):
-    model, _ = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
     W = models.coupling_preset("hopping-ramp", theta, n_spins=1)
     return model, models.attach_impurity(model, site, 2, W, mu=1.0)
 
@@ -251,7 +255,7 @@ def test_attach_impurity_lift_acts_trivially_on_internal_space():
 
 
 def test_attach_impurity_zero_coupling_projector_is_product():
-    model, _ = models.build_xy_model(models.XYModelSpec(L=5, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=5, gamma=1.0))
     path = models.attach_impurity(model, 1, 2, lambda s: np.zeros((4, 4)), mu=1.0)
     sec = path.sector(0.7)
     P = sec.basis @ sec.basis.conj().T
@@ -285,14 +289,14 @@ def test_coupling_presets():
 
 def test_attach_impurity_trivial_internal_space():
     # dim(I) = 1 degenerates to a plain local perturbation
-    model, _ = models.build_xy_model(models.XYModelSpec(L=5, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=5, gamma=1.0))
     path = models.attach_impurity(model, 1, 1, lambda s: 0.1 * s * sigma_z, mu=1.0)
     assert path.graph.site_dims == model.graph.site_dims
     assert path.rule == ("fixed_d", 1)
 
 
 def test_attach_impurity_two_sites():
-    model, _ = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0))
     W = models.coupling_preset("hopping-ramp", 0.2, n_spins=1)
     path = models.attach_impurity(model, [1, 4], [2, 2], [(1, W), (4, W)], mu=1.0)
     assert path.graph.site_dims[1] == 4 and path.graph.site_dims[4] == 4
@@ -305,7 +309,7 @@ def test_attach_impurity_two_sites():
 
 
 def test_attach_impurity_validation():
-    model, _ = models.build_xy_model(models.XYModelSpec(L=5, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=5, gamma=1.0))
     with pytest.raises(ValueError, match="must match up"):
         models.attach_impurity(model, [1, 2], 2, lambda s: np.zeros((4, 4)))
     with pytest.raises(ValueError, match="distinct"):
@@ -422,8 +426,8 @@ def _complex_oracle(H, d):
 
 
 def _real_spectral_cases():
-    tfim, _ = models.build_gapped_chain("transverse-field-Ising", {"n": 6})
-    xy, _ = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0, u=[1.0, 1.5] * 3))
+    tfim = models.build_gapped_chain("transverse-field-Ising", {"n": 6})
+    xy = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0, u=[1.0, 1.5] * 3))
     toric, _ = models.build_toric_code(2)
     _, impurity = _xy_with_impurity()
     yield "tfim-n6", tfim.hamiltonian().dense(), tfim.spectral(), 1
@@ -444,8 +448,8 @@ def test_real_spectra_match_the_complex_path():
 
 def _bitwise_cases():
     """(name, dense H, the same H from the oracle's term-by-term sum)."""
-    tfim, _ = models.build_gapped_chain("transverse-field-Ising", {"n": 6})
-    xy, _ = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0, u=[1.0, 1.5] * 3))
+    tfim = models.build_gapped_chain("transverse-field-Ising", {"n": 6})
+    xy = models.build_xy_model(models.XYModelSpec(L=6, gamma=1.0, u=[1.0, 1.5] * 3))
     toric, _ = models.build_toric_code(2)
     for name, model in (("tfim-n6", tfim), ("xy-ring", xy), ("toric-L2", toric)):
         want = term_sum(model.family.terms, model.graph.site_dims)
@@ -473,10 +477,9 @@ def test_dense_hamiltonians_are_bitwise_the_term_sum():
 
 
 def test_model_spectral_is_computed_once():
-    model, meta = models.build_gapped_chain("transverse-field-Ising", {"n": 5})
+    model = models.build_gapped_chain("transverse-field-Ising", {"n": 5})
     S = model.spectral(mode="dense")
     assert model.spectral() is S  # "auto" resolves to the same dense data
-    assert meta["gap"] == S.values[1] - S.values[0]
     it4 = model.spectral(mode="iterative", k=4)
     assert model.spectral(mode="iterative", k=4) is it4
     assert len(model.spectral(mode="iterative", k=6).values) == 6

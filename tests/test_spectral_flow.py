@@ -124,7 +124,7 @@ def test_block_assembly_matches_loop_oracle(n):
 def test_block_spectra_match_spin_model():
     # the hard-core block decomposition against the full spin Hamiltonian
     L, theta = 6, 0.5
-    model, _ = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
     W = models.coupling_preset("hopping-ramp", theta, n_spins=1)
     path = models.attach_impurity(model, 2, 2, W, mu=1.0)
     system = sf.BosonSystem(
@@ -143,7 +143,7 @@ def test_block_spectra_match_spin_model():
 
 def test_number_conservation_exact_along_path():
     L, theta = 5, 0.4
-    model, _ = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
+    model = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
     for preset in ("hopping-ramp", "exchange-ramp"):
         W = models.coupling_preset(preset, theta, n_spins=1)
         path = models.attach_impurity(model, 1, 2, W, mu=1.0)
