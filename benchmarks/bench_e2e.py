@@ -16,6 +16,13 @@ HEAD; `dirty` records whether tracked files differed from it.  Every
 speed claim compares two such files taken on the same machine, and
 equal digests in the two show that a change kept the outputs
 byte-identical.
+
+Before the configs it starts 5 fresh processes that only import
+`lpplab.cli` and records the median wall time and peak RSS of the five
+in a `startup` block, with the public `scipy.*` subpackages that import
+leaves loaded.  The environment block also records
+`PYTHONDONTWRITEBYTECODE`: when it is set, every process compiles
+lpplab's sources again, and that is part of every wall time here.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -37,6 +45,12 @@ import scipy
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+STARTUP_RUNS = 5
+# imports the CLI, then prints the public scipy subpackages that import loaded
+STARTUP_SCRIPT = (
+    "import sys, lpplab.cli; print(' '.join(sorted(m for m, mod in sys.modules.items()"
+    " if m.startswith('scipy.') and '._' not in m and hasattr(mod, '__path__'))))"
+)
 
 
 def _git(root, *args):
@@ -56,6 +70,7 @@ def environment():
         "nproc": os.cpu_count(),
         "affinity_cpus": len(os.sched_getaffinity(0)),
         "thread_env": {k: os.environ.get(k, "unset") for k in names},
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", "unset"),
         "machine": platform.machine(),
     }
 
@@ -72,26 +87,58 @@ def run_config(root, config, out_dir):
     """Wall s, CPU s, peak RSS MB, exit status and CSV digests of one
     config run."""
     experiment = json.loads(config.read_text())["experiment"]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = out_dir / config.stem
     cmd = [
         sys.executable, "-m", "lpplab", experiment, "--config", str(config),
         "--out", str(out), "--seed", "1", "--workers", "1",
     ]
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(
-        cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    wall, usage, status = timed(
+        cmd, root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
     return {
         "experiment": experiment,
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB
-        "exit_status": proc.returncode,
+        "exit_status": status,
         "csv_sha256": csv_digests(out),
+    }
+
+
+def timed(cmd, root, **popen):
+    """Wall s and the rusage of one child process run in root with the
+    checkout's src/ on the path, and its exit status."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=root, env=env, **popen)
+    _, status, usage = os.wait4(proc.pid, 0)
+    return time.perf_counter() - t0, usage, os.waitstatus_to_exitcode(status)
+
+
+def startup(root):
+    """Median wall s and peak RSS MB of STARTUP_RUNS fresh processes that
+    import lpplab.cli, and the public scipy subpackages the import loaded."""
+    walls, rss = [], []
+    with tempfile.TemporaryFile("w+") as out:
+        for _ in range(STARTUP_RUNS):
+            out.seek(0)
+            out.truncate()
+            wall, usage, status = timed(
+                [sys.executable, "-c", STARTUP_SCRIPT], root,
+                stdout=out, stderr=subprocess.DEVNULL,
+            )
+            if status != 0:
+                raise SystemExit(f"importing lpplab.cli failed with status {status}")
+            walls.append(wall)
+            rss.append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB
+        out.seek(0)
+        modules = out.read().split()
+    return {
+        "command": "python -c 'import lpplab.cli'",
+        "runs": STARTUP_RUNS,
+        "median_wall_s": round(statistics.median(walls), 3),
+        "median_peak_rss_mb": round(statistics.median(rss), 1),
+        "scipy_subpackages": modules,
     }
 
 
@@ -127,6 +174,10 @@ def main(argv=None):
     commit = _git(root, "rev-parse", "HEAD")
     dirty = bool(_git(root, "status", "--porcelain", "--untracked-files=no"))
     configs = sorted((root / "configs").glob("*.json"))
+    start = startup(root)
+    print(f"startup: median wall {start['median_wall_s']:.3f} s, "
+          f"peak {start['median_peak_rss_mb']:.1f} MB, "
+          f"scipy {' '.join(start['scipy_subpackages'])}")
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:
@@ -142,6 +193,7 @@ def main(argv=None):
         "seed": 1,
         "workers": 1,
         "environment": environment(),
+        "startup": start,
         "configs": results,
         "total_wall_s": round(sum(r["wall_s"] for r in results.values()), 3),
         "tier1": tier1,

@@ -24,7 +24,6 @@ does nothing and `blas_thread_counts` is empty.
 from __future__ import annotations
 
 import ctypes
-import functools
 import glob
 import os
 import threading
@@ -43,8 +42,7 @@ _SYMBOLS = (
 _local = threading.local()  # .budget, set in the threads of a pool
 
 
-@functools.lru_cache(maxsize=None)
-def _libraries():
+def _load_libraries():
     """(get, set) function pairs of every bundled OpenBLAS found."""
     found = []
     for pkg in (numpy, scipy):
@@ -61,9 +59,15 @@ def _libraries():
     return tuple(found)
 
 
+# Loaded on import, so scipy's OpenBLAS starts its thread pool while the
+# package imports rather than inside the first runner: a pool started
+# late spins for tens of milliseconds of CPU that a cap does not stop.
+_LIBRARIES = _load_libraries()
+
+
 def blas_thread_counts():
     """Current thread count of each bundled OpenBLAS, numpy's first."""
-    return [get() for get, _ in _libraries()]
+    return [get() for get, _ in _LIBRARIES]
 
 
 @contextmanager
@@ -74,14 +78,13 @@ def blas_threads(n):
     process-wide, so worker threads started inside the block see it too;
     the previous counts come back on exit.
     """
-    libs = _libraries()
-    old = [get() for get, _ in libs]
-    for (_, set_), k in zip(libs, old):
+    old = [get() for get, _ in _LIBRARIES]
+    for (_, set_), k in zip(_LIBRARIES, old):
         set_(min(k, max(1, int(n))))
     try:
         yield
     finally:
-        for (_, set_), k in zip(libs, old):
+        for (_, set_), k in zip(_LIBRARIES, old):
             set_(k)
 
 

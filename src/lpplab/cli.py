@@ -11,6 +11,7 @@ passed, 2 when a check failed, 1 on error.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -41,6 +42,10 @@ def _build_parser():
 
 
 def main(argv=None):
+    # What is alive now, the imported modules above all, outlives the run:
+    # frozen, it is not scanned again by the full collections in the runner
+    # (about 35 ms each for the ~50k objects the imports leave).
+    gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)

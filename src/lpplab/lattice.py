@@ -10,14 +10,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 
 class LatticeGraph:
     """Undirected graph with per-site Hilbert-space dimensions.
 
-    Distances are precomputed once (BFS via scipy.csgraph); unreachable
+    Distances are precomputed once, by a breadth-first search from every
+    site over the adjacency sets; the matrix is float64 and unreachable
     pairs have distance inf.
     """
 
@@ -44,16 +43,25 @@ class LatticeGraph:
         if any(d < 1 for d in self.site_dims):
             raise ValueError("site dimensions must be positive")
 
-        rows = [a for a, b in self.edges] + [b for a, b in self.edges]
-        cols = [b for a, b in self.edges] + [a for a, b in self.edges]
-        adj = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(n_sites, n_sites)
-        )
-        self._dist = shortest_path(adj, method="D", unweighted=True)
         self._adj = {x: set() for x in range(n_sites)}
         for a, b in self.edges:
             self._adj[a].add(b)
             self._adj[b].add(a)
+        rows = []
+        for src in range(n_sites):
+            row = [math.inf] * n_sites
+            row[src], frontier, d = 0, [src], 0
+            while frontier:
+                d += 1
+                nxt = []
+                for x in frontier:
+                    for y in self._adj[x]:
+                        if row[y] == math.inf:
+                            row[y] = d
+                            nxt.append(y)
+                frontier = nxt
+            rows.append(row)
+        self._dist = np.array(rows, dtype=float)
 
     def sites(self):
         return range(self.n_sites)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .exceptions import EigensolverFailed
 from .kernels import EmbeddingPlan, apply_embedded
@@ -241,20 +240,26 @@ def eigendecompose(H, mode="auto", k=6):
     if mode == "iterative" and k >= dim - 1:
         raise ValueError("iterative mode needs k < dim - 1")
 
-    try:
-        if mode == "dense":
-            M = H.dense() if sp.issparse(H) else H
-            scale = max(np.abs(M).max(), 1.0)
-            if np.abs(M - M.conj().T).max() > 1e-10 * scale:
-                raise ValueError("operator is not hermitian")
+    if mode == "dense":
+        M = H.dense() if sp.issparse(H) else H
+        scale = max(np.abs(M).max(), 1.0)
+        if np.abs(M - M.conj().T).max() > 1e-10 * scale:
+            raise ValueError("operator is not hermitian")
+        try:
             vals, vecs = np.linalg.eigh(M)
-        else:
-            v0 = np.random.default_rng(0).standard_normal(dim).astype(H.dtype)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverFailed(dim, H.dtype, mode) from exc
+    else:
+        # imported here: it loads scipy.linalg, which no dense run needs
+        import scipy.sparse.linalg as spla
+
+        v0 = np.random.default_rng(0).standard_normal(dim).astype(H.dtype)
+        try:
             vals, vecs = spla.eigsh(H, k=k, which="SA", tol=0.0, v0=v0)
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
-    except (np.linalg.LinAlgError, spla.ArpackError) as exc:
-        raise EigensolverFailed(dim, H.dtype, mode) from exc
+        except (np.linalg.LinAlgError, spla.ArpackError) as exc:
+            raise EigensolverFailed(dim, H.dtype, mode) from exc
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
     res = float(np.linalg.norm(H @ vecs - vecs * vals, axis=0).max())
     return SpectralData(vals, vecs, mode, res, dim)
 

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -733,3 +735,24 @@ def test_cli_invalid_config_exits_1(tmp_path, capsys):
     code = main(["lr-cone", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+UNUSED_BY_DENSE_RUNS = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def test_dense_cli_run_imports_no_scipy_linalg(tmp_path):
+    # a fresh process, since this suite's own imports load these modules
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lr-cone",
+                               **SWEEP_CONFIGS["lr-cone"]}))
+    script = (
+        "import sys\n"
+        "from lpplab import cli\n"
+        f"status = cli.main(['lr-cone', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}])\n"
+        f"print(status, [m for m in {UNUSED_BY_DENSE_RUNS!r} if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"

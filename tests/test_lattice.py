@@ -1,4 +1,5 @@
-"""Lattice geometry against hand-rolled BFS/enumeration oracles."""
+"""Lattice geometry against hand-rolled BFS/enumeration oracles and
+scipy's csgraph shortest paths, the distance rule LatticeGraph replaced."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from lpplab import lattice
 
@@ -50,6 +53,57 @@ def test_distance_matches_bfs_oracle():
         oracle = _bfs_dist(n, edges, src)
         for y in range(n):
             assert G.distance(src, y) == oracle[y]
+
+
+def _csgraph_dist(G):
+    """All-pairs hop distances by scipy's csgraph, inf where unreachable."""
+    rows = [a for a, b in G.edges] + [b for a, b in G.edges]
+    cols = [b for a, b in G.edges] + [a for a, b in G.edges]
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(G.n_sites,) * 2)
+    return shortest_path(adj, method="D", unweighted=True)
+
+
+def _with_impurity(n=6, site=2):
+    """An open n-chain with one 3-level impurity site hung off `site`."""
+    edges = [(i, i + 1) for i in range(n - 1)] + [(site, n)]
+    return lattice.LatticeGraph(n + 1, edges, [2] * n + [3])
+
+
+def _disconnected():
+    """Components {0, 1, 2, 3} (a path), {4, 5} and the lone site 6."""
+    return lattice.LatticeGraph(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lattice.chain(9),
+        lambda: lattice.chain(9, periodic=True),
+        lambda: lattice.torus(2),
+        lambda: lattice.torus(3),
+        _with_impurity,
+        _disconnected,
+    ],
+    ids=["chain", "ring", "torus2", "torus3", "impurity", "disconnected"],
+)
+def test_distance_matrix_matches_csgraph_oracle(make):
+    G = make()
+    got = G._dist
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, _csgraph_dist(G))
+
+
+def test_disconnected_graph_distances_are_inf():
+    G = _disconnected()
+    assert G.distance(0, 3) == 3
+    assert G.distance(0, 4) == math.inf
+    assert G.distance(5, 6) == math.inf
+    assert G.region_distance({0, 1}, {4, 5}) == math.inf
+    assert G.region_distance({3, 6}, {4}) == math.inf
+    assert G.region_distance({0, 6}, {3, 5}) == 3
+    assert G.diameter() == 3  # the largest finite distance
+    with pytest.raises(ValueError, match="never joined"):
+        lattice.effective_distance(G, {0}, {4}, set())
 
 
 def test_chain_and_torus_shapes():
