@@ -17,10 +17,10 @@ speed claim compares two such files taken on the same machine, and
 equal digests in the two show that a change kept the outputs
 byte-identical.
 
-Before the configs it starts 5 fresh processes that only import
-`lpplab.cli` and records the median wall time and peak RSS of the five
-in a `startup` block, with the public `scipy.*` subpackages that import
-leaves loaded.  The environment block also records
+Before the configs it starts 5 fresh processes that import `lpplab.cli`
+and print the public `scipy.*` subpackages the import loaded, and
+records the median wall time and peak RSS of the five, with that list,
+in a `startup` block.  The environment block also records
 `PYTHONDONTWRITEBYTECODE`: when it is set, every process compiles
 lpplab's sources again, and that is part of every wall time here.
 """
