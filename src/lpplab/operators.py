@@ -128,32 +128,29 @@ def compress(B, matrix, sites, dims):
     return B.conj().T @ apply_embedded(matrix, sites, dims, B)
 
 
-def partial_trace_localize(A, X, G):
-    """Normalized partial trace of a full-volume matrix onto region X.
+def partial_trace_localize(A, X, G, right=None):
+    """Normalized partial trace Tr_E(A right^dagger) / d_E onto region X.
 
-    Returns a LocalOperator on X; the complement is traced out and divided
-    by its dimension, so the normalized trace is preserved and the spectral
-    norm can only shrink.
+    A and right are (D, k) factors on the full volume, right=None the
+    identity; their product is never formed.  Their rows are gathered in
+    (X, E) order by the embedding table (kernels.EmbeddingPlan) and
+    reshaped to (d_X, d_E k), so the trace is one product of the two.
+    Returns a LocalOperator on X, real for real inputs; the normalized
+    trace of A right^dagger is preserved and its spectral norm can only
+    shrink.
     """
     X = G.check_region(X)
     if not X:
         raise ValueError("target region is empty")
-    xs = sorted(X)
-    n = G.n_sites
-    dims = G.site_dims
-    D = int(np.prod(dims, dtype=np.int64))
+    xs = tuple(sorted(X))
+    idx = EmbeddingPlan(G.site_dims, xs).idx
     A = np.asarray(A)
-    if A.shape != (D, D):
-        raise ValueError("matrix does not live on the full volume")
-    env = [p for p in range(n) if p not in X]
-    dX = int(np.prod([dims[x] for x in xs], dtype=np.int64))
-    dE = D // dX
-    perm = xs + env
-    shaped = A.reshape(tuple(dims) + tuple(dims))
-    shaped = shaped.transpose(tuple(perm) + tuple(p + n for p in perm))
-    blocks = shaped.reshape(dX, dE, dX, dE)
-    mat = np.einsum("aebe->ab", blocks) / dE
-    return LocalOperator(tuple(xs), tuple(dims[x] for x in xs), mat)
+    right = np.eye(idx.size) if right is None else np.asarray(right)
+    if A.shape[0] != idx.size or right.shape != A.shape:
+        raise ValueError("factors do not live on the full volume")
+    dX, dE = idx.shape
+    mat = A[idx].reshape(dX, -1) @ right[idx].reshape(dX, -1).conj().T / dE
+    return LocalOperator(xs, tuple(G.site_dims[x] for x in xs), mat)
 
 
 @dataclass

@@ -7,19 +7,23 @@ The construction chain:
      at mu g l / (g + 4 C_mu ||Phi||'_mu) = l / xi.
   2. solve_filter_coefficients interpolates a_lambda so the filtered sum
      P_script = sum a_lambda P_lambda acts as the identity on sigma_in.
-  3. build_R evaluates the truncated time integral
+  3. The truncated time integral
 
         R_i = sum_lambda a_lambda sqrt(a/pi) int_{-T}^{T} dt e^{-a t^2}
               e^{it(lambda_i0 - lambda)} e^{itH} e^{-itH0}
 
-     in closed form: in the eigenbasis pair the integrand is diagonal,
-     so R_i = V (C o Phi_i) V0^dagger with C = V^dagger V0 and Phi_i
-     the truncated Gaussian integral (a Faddeeva expression) at
-     kappa_a - kappa0_b + lambda_i0 - lambda.  The zeroth Dyson term is
-     carried at its full (untruncated) value: the |t| >= T remainder of
-     that scalar term belongs to R^{<=T}, which is what makes the
-     eps = 0 step exact.
-  4. partial_trace_localize takes the normalized partial trace onto K_l.
+     has a closed form: in the eigenbasis pair the integrand is diagonal,
+     so R_i = W_i V0^dagger + comp_i 1 with W_i = V (C o Phi_i),
+     C = V^dagger V0 and Phi_i the truncated Gaussian integral (a
+     Faddeeva expression) at kappa_a - kappa0_b + lambda_i0 - lambda.
+     comp_i 1 carries the zeroth Dyson term at its full (untruncated)
+     value: the |t| >= T remainder of that scalar term belongs to
+     R^{<=T}, which is what makes the eps = 0 step exact.
+  4. R_i is used only through its normalized partial trace onto K_l, and
+     that is taken from the factors (partial_trace_localize(W_i, K_l,
+     right=V0) + comp_i 1), so the D x D matrix R_i is never formed.
+     The weak step's unlocalized R_i psi is V (C o Phi_i) V0^dagger psi
+     + comp_i psi, a few matrix-vector products.
   5. path_transport iterates localized steps through the coefficient
      recursion L^(m) = c(m) R^(m) L^(m-1) entirely on H_{K_l}: one
      batched matmul R_p L_pq and one tensordot over p per step, with L
@@ -39,12 +43,7 @@ from . import lattice
 from .blas import fan_out
 from .exceptions import StepTooLarge
 from .kernels import apply_embedded
-from .operators import (
-    LocalOperator,
-    _span_error,
-    embed_matrix,
-    partial_trace_localize,
-)
+from .operators import LocalOperator, _span_error, partial_trace_localize
 from .sectors import (
     SectorSpectrum,
     _cluster_slices,
@@ -54,10 +53,10 @@ from .sectors import (
     verify_gap_along_path,
 )
 
-# build_R works in row blocks: each thread evaluates Phi PHI_BLOCK
-# entries at a time, so its temporaries stay small, and forms R in
-# blocks of R_ROWS rows, whose products do not depend on how many
-# threads share them.
+# The localized R is built in row blocks: each thread evaluates Phi
+# PHI_BLOCK entries at a time, so its temporaries stay small, and forms
+# W = V (C o Phi) in blocks of R_ROWS rows, whose products do not depend
+# on how many threads share them.
 PHI_BLOCK = 1 << 14
 R_ROWS = 128
 STEP_CAP = 10_000
@@ -162,84 +161,88 @@ def gaussian_filtered_projector(S, lam, alpha):
     return (S.vectors * w) @ S.vectors.conj().T
 
 
-# ------------------------------------------------------------- build_R
+# ------------------------------------------------------------ localized R
 
 
-def _build_R_batch(S0, S, lam0s, params: FilterParams, overlap=None):
-    """R_i^{<=T} for several sector eigenvalues lambda_i0 in one sweep.
+def _filter_factor(S0, S, C, shift, params: FilterParams, run):
+    """W = V (C o Phi) for one lambda_i0, shift = lambda_i0 - params.nodes.
+
+    Phi[a, b] = sum_lambda a_lambda g_T(kappa_a - kappa0_b + shift_lambda),
+    g_T = _gauss_truncated.  `run` (blas.fan_out) splits the work: the
+    threads fill row ranges of C o Phi, PHI_BLOCK entries at a time, then
+    form W in R_ROWS-row blocks; every block is the same computation
+    whichever thread runs it, so W is bitwise the same at every budget.
+    """
+    alpha, T, a = params.alpha, params.T, params.a
+    kap, kap0, V = S.values, S0.values, S.vectors
+    D = len(kap)
+    rows = max(1, PHI_BLOCK // D)
+    CPhi = np.empty((D, D), dtype=np.result_type(C, V))
+    W = np.empty_like(CPhi)
+
+    def fill(lo, hi):
+        for r in range(lo, hi, rows):
+            r1 = min(r + rows, hi)
+            omega = kap[r:r1, None] - kap0[None, :]
+            phi = sum(w * _gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shift))
+            np.multiply(C[r:r1], phi, out=CPhi[r:r1])
+
+    def product(lo, hi):
+        for r in range(lo * R_ROWS, min(hi * R_ROWS, D), R_ROWS):
+            np.matmul(V[r : r + R_ROWS], CPhi, out=W[r : r + R_ROWS])
+
+    run(fill, D)
+    run(product, -(-D // R_ROWS))
+    return W
+
+
+def _localized_R_batch(S0, S, lam0s, params: FilterParams, region, G, overlap=None,
+                       states=None):
+    """Tr_E(R_i^{<=T}) / d_E on `region` for several lambda_i0 in one sweep.
 
     With C = V^dagger V0 the integrand is diagonal in the eigenbasis pair,
-    so the truncated integral is exact:
+    so the truncated integral is exact (module docstring, step 3):
 
-        R_i = V (C o Phi_i) V0^dagger,
-        Phi_i[a, b] = sum_lambda a_lambda g_T(kappa_a - kappa0_b + lambda_i0 - lambda),
+        R_i = W_i V0^dagger + comp_i 1,   W_i = V (C o Phi_i)  (_filter_factor),
+        comp_i = sum_lambda a_lambda (e^{-w^2/4a} - g_T(w)),  w = lambda_i0 - lambda.
 
-    g_T = _gauss_truncated.  The zeroth Dyson term is then lifted to its
-    full-time value by adding sum_lambda a_lambda (e^{-w^2/4a} - g_T(w)),
-    w = lambda_i0 - lambda, on the diagonal (see module docstring).  Phi
-    is real, so the stack is real when both eigenbases are.  R_i depends
-    on i only through lambda_i0, so entries whose lambda_i0 are bitwise
-    equal (a degenerate sector) share one evaluation.
+    R_i is localized from its factors and never formed.  Phi is real, so
+    the result is real when both eigenbases are.  Entries whose lambda_i0
+    are bitwise equal (a degenerate sector) share one W, and each W is
+    bitwise the same at every thread budget.
 
-    The work is split over the thread budget (blas.fan_out): the threads
-    fill contiguous row ranges of C o Phi_i, PHI_BLOCK entries at a time,
-    then form contiguous ranges of R_i's R_ROWS-row blocks.  Every block
-    is the same computation whichever thread runs it, so the stack is
-    bitwise the same at every budget.
-    Returns (stack, diagnostics).
+    Returns the (n_i, d_K, d_K) localized matrices and, when `states`
+    (D, n_i) is given, the columns R_i states[:, i] (else None).
     """
     if params.nodes is None or params.a is None:
         raise ValueError("filter coefficients not solved; call with_coefficients")
-    S0.require_complete("build_R")
-    S.require_complete("build_R")
+    S0.require_complete("the localized R")
+    S.require_complete("the localized R")
     lam0s = np.asarray(lam0s, dtype=float)
-    alpha, T = params.alpha, params.T
-    nodes, a = params.nodes, params.a
+    alpha, T, a = params.alpha, params.T, params.a
     C = overlap if overlap is not None else S.vectors.conj().T @ S0.vectors
-    kap, kap0 = S.values, S0.values
-    n_i, D = len(lam0s), C.shape[0]
-    shifts = lam0s[:, None] - nodes[None, :]
-    V, V0h = S.vectors, S0.vectors.conj().T
-    rows = max(1, PHI_BLOCK // D)
-
-    stack = np.empty((n_i, D, D), dtype=np.result_type(C, V, V0h))
-    CPhi = np.empty((D, D), dtype=stack.dtype)
-    _, first, inverse = np.unique(lam0s, return_index=True, return_inverse=True)
-    with fan_out() as run:
-        for i, j in enumerate(first[inverse]):
-            if j < i:
-                stack[i] = stack[j]
-                continue
-
-            def fill(lo, hi, shift=shifts[i]):
-                for r in range(lo, hi, rows):
-                    r1 = min(r + rows, hi)
-                    omega = kap[r:r1, None] - kap0[None, :]
-                    phi = sum(w * _gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shift))
-                    np.multiply(C[r:r1], phi, out=CPhi[r:r1])
-
-            def product(lo, hi, R=stack[i]):
-                for r in range(lo * R_ROWS, min(hi * R_ROWS, D), R_ROWS):
-                    np.matmul(V[r : r + R_ROWS] @ CPhi, V0h, out=R[r : r + R_ROWS])
-
-            run(fill, D)
-            run(product, -(-D // R_ROWS))
-
-    # full-time value of the zeroth Dyson term, per i
+    shifts = lam0s[:, None] - params.nodes[None, :]
     comp = np.sum(
         a * (np.exp(-(shifts**2) / (4 * alpha)) - _gauss_truncated(shifts, alpha, T)),
         axis=1,
     )
-    idx = np.arange(D)
-    stack[:, idx, idx] += comp[:, None]
-    return stack, {"sum_a": float(a.sum()), "tail_compensation": comp}
-
-
-def build_R(S0, S, lam0, params: FilterParams, overlap=None):
-    """Single-eigenvalue wrapper around the batched evaluation."""
-    stack, diag = _build_R_batch(S0, S, [lam0], params, overlap=overlap)
-    diag["tail_compensation"] = float(diag["tail_compensation"][0])
-    return stack[0], diag
+    dK = int(np.prod([G.site_dims[x] for x in region], dtype=np.int64))
+    R_loc = np.empty((len(lam0s), dK, dK), dtype=np.result_type(C, S.vectors))
+    R_states = None
+    if states is not None:
+        R_states = np.empty(states.shape, dtype=np.result_type(R_loc, states))
+        coords = S0.vectors.conj().T @ states
+    _, first, inverse = np.unique(lam0s, return_index=True, return_inverse=True)
+    with fan_out() as run:
+        for k, i in enumerate(first):
+            W = _filter_factor(S0, S, C, shifts[i], params, run)
+            loc = partial_trace_localize(W, region, G, right=S0.vectors).matrix
+            loc[np.diag_indices(dK)] += comp[i]
+            members = np.flatnonzero(inverse == k)
+            R_loc[members] = loc
+            if states is not None:
+                R_states[:, members] = W @ coords[:, members] + comp[members] * states[:, members]
+    return R_loc, R_states
 
 
 # ------------------------------------------------------------- weak step
@@ -285,14 +288,15 @@ def weak_step(path, s0, eps, ls):
            "warnings": [], "gap": g}
     for lv in ls:
         params, warns = _filter(g, consts, lv, sec1.values_in)
-        stack, _ = _build_R_batch(S0, S1, sec0.values_in, params, overlap=C)
         Kl = tuple(sorted(lattice.fatten(G, K, lv)))
+        R_loc, R_psi0 = _localized_R_batch(
+            S0, S1, sec0.values_in, params, Kl, G, overlap=C, states=psi0
+        )
         errs, raw_errs = [], []
         for i in range(sec0.dim):
-            R_loc = partial_trace_localize(stack[i], Kl, G).matrix
-            approx = apply_embedded(R_loc, Kl, G.site_dims, psi0[:, i])
+            approx = apply_embedded(R_loc[i], Kl, G.site_dims, psi0[:, i])
             errs.append(float(np.linalg.norm(proj0[:, i] - approx)))
-            raw_errs.append(float(np.linalg.norm(proj0[:, i] - stack[i] @ psi0[:, i])))
+            raw_errs.append(float(np.linalg.norm(proj0[:, i] - R_psi0[:, i])))
         out["l"].append(float(lv))
         out["errors"].append(errs)
         out["unlocalized_errors"].append(raw_errs)
@@ -380,9 +384,8 @@ def _transport_attempt(path, n, ls, g, consts):
         for lv in ls:
             params, warns = _filter(g, consts, lv, sec_next.values_in)
             warnings.extend(warns)
-            stack, _ = _build_R_batch(S_prev, S_next, sec_prev.values_in, params, overlap=C)
-            R_small = np.array(
-                [partial_trace_localize(stack[j], regions[lv], G).matrix for j in range(d)]
+            R_small, _ = _localized_R_batch(
+                S_prev, S_next, sec_prev.values_in, params, regions[lv], G, overlap=C
             )
             L[lv] = _recursion_step(c, R_small, L[lv])
         sec_prev = sec_next
@@ -497,17 +500,14 @@ def impurity_transform(path, ts: TransportSet, site, impurity_dim):
     sec0 = ts.sector0
     _check_product_sector(sec0.basis, G, site, impurity_dim)
 
+    # I_ji is |j><i| on the impurity factor (the fastest axis of the
+    # site) and the identity elsewhere, so L_ij I_ji moves column
+    # (left, bulk, j, right) of L_ij to (left, bulk, i, right)
     pos = ts.support.index(site)
-    dims = list(ts.dims)
-    T_small = np.zeros((int(np.prod(dims)),) * 2, dtype=np.result_type(ts.L, float))
-    for i in range(d):
-        for j in range(d):
-            # |j><i| on the impurity factor, identity on the rest
-            ketbra = np.zeros((d, d))
-            ketbra[j, i] = 1.0
-            on_site = np.kron(np.eye(d0), ketbra)
-            I_ji = embed_matrix(on_site, (pos,), dims)
-            T_small += ts.L[i, j] @ I_ji
+    DK = ts.L.shape[-1]
+    left = int(np.prod(ts.dims[:pos], dtype=np.int64))
+    L7 = ts.L.reshape(d, d, DK, left, d0, d, DK // (left * d_site))
+    T_small = np.einsum("ijxlajr->xlair", L7).reshape(DK, DK)
 
     TB0 = apply_embedded(T_small, ts.support, G.site_dims, sec0.basis)
     err = _span_error(path.sector(1.0).basis, TB0)

@@ -155,6 +155,28 @@ def test_partial_trace_of_identity():
     assert np.allclose(loc.matrix, np.eye(2), atol=1e-14)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize(
+    "X", [(1, 3), (0, 2, 4), (2,), (0, 1, 2, 3, 4)], ids=["1-3", "0-2-4", "2", "full"]
+)
+def test_partial_trace_of_factors_matches_their_product(dtype, X):
+    # Tr_E(W B^dagger) from the factors against the trace of W B^dagger,
+    # on non-contiguous regions, one site and the full volume
+    G = lattice.chain(5)
+    rng = np.random.default_rng(len(X))
+
+    def draw():
+        M = rng.normal(size=(32, 32))
+        return M + 1j * rng.normal(size=(32, 32)) if dtype is complex else M
+
+    W, B = draw(), draw()
+    loc = partial_trace_localize(W, X, G, right=B)
+    ref = partial_trace_localize(W @ B.conj().T, X, G)
+    assert loc.support == ref.support == X
+    assert loc.matrix.dtype == np.result_type(dtype, float)
+    assert np.abs(loc.matrix - ref.matrix).max() <= 1e-13
+
+
 def test_local_operators_keep_the_callers_dtype():
     G = lattice.chain(3)
     rng = np.random.default_rng(5)

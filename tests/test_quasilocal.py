@@ -6,11 +6,15 @@ panel-doubling time quadrature in quadrature_oracle, commuting (H, H0)
 reducing the whole R matrix to scalar Gaussians at eigenvalue
 differences, and an unperturbed step that must return the identity
 exactly because the sector eigenvalue sits on an interpolation node.
+These check the full-volume R stack of transport_oracle; the library's
+R, localized from its factors, is checked against the partial trace of
+that stack.
 """
 
 import os
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import quadrature_projector, quadrature_R_batch
 from scipy.integrate import quad
-from transport_oracle import einsum_recursion_step, full_space_mismatch
+from transport_oracle import (
+    build_R,
+    build_R_stack,
+    einsum_recursion_step,
+    full_space_mismatch,
+    loop_impurity_transform,
+)
 
 from lpplab import interactions as itx
 from lpplab import lattice, quasilocal as ql, sectors
@@ -240,7 +250,7 @@ def test_build_R_unperturbed_is_identity():
     H = random_hermitian(6, seed=11)
     S = eigendecompose(H, mode="dense")
     params = _manual_params(alpha=0.4, T=1.3, sigma_in=S.values[:2])
-    R, diag = ql.build_R(S, S, float(S.values[0]), params)
+    R, diag = build_R(S, S, float(S.values[0]), params)
     assert np.abs(R - np.eye(6)).max() < 1e-10
     assert diag["sum_a"] == pytest.approx(float(np.sum(params.a)))
 
@@ -255,7 +265,7 @@ def test_build_R_commuting_closed_form():
     alpha, T = 0.4, 1.7
     params = _manual_params(alpha, T, (vals0 + shift)[:2])
     lam0 = float(vals0[0])
-    R, _ = ql.build_R(S0, S1, lam0, params)
+    R, _ = build_R(S0, S1, lam0, params)
 
     nodes, a = params.nodes, params.a
     expected = np.zeros(4, dtype=float)
@@ -281,7 +291,7 @@ def test_build_R_matches_entrywise_quadrature():
     alpha, T = 0.5, 1.2
     params = _manual_params(alpha, T, S1.values[:1])
     lam0 = float(S0.values[0])
-    R, _ = ql.build_R(S0, S1, lam0, params)
+    R, _ = build_R(S0, S1, lam0, params)
 
     nodes, a = params.nodes, params.a
 
@@ -343,7 +353,7 @@ def test_build_R_matches_time_quadrature(name):
     if name == "past-cutoff":
         widest = np.abs(S1.values[:, None] - S0.values[None, :]).max()
         assert widest**2 / (4 * params.alpha) > 500
-    stack, _ = ql._build_R_batch(S0, S1, lam0s, params)
+    stack, _ = build_R_stack(S0, S1, lam0s, params)
     ref = quadrature_R_batch(S0, S1, lam0s, params)
     assert np.abs(stack - ref).max() <= 1e-12
 
@@ -352,25 +362,14 @@ def test_build_R_shares_bitwise_equal_eigenvalues():
     # a degenerate sector: the batch evaluates each distinct lambda_i0 once
     S0, S1, params, lam0s = _R_case("past-cutoff")
     lam0s = [lam0s[0], lam0s[1], lam0s[0], lam0s[0]]
-    stack, diag = ql._build_R_batch(S0, S1, lam0s, params)
-    one_by_one = [ql._build_R_batch(S0, S1, [lam], params) for lam in lam0s]
-    assert np.array_equal(stack, np.concatenate([R for R, _ in one_by_one]))
-    assert np.array_equal(
-        diag["tail_compensation"], np.concatenate([d["tail_compensation"] for _, d in one_by_one])
-    )
+    G, region = lattice.chain(3), (1, 2)
+    R_loc, _ = ql._localized_R_batch(S0, S1, lam0s, params, region, G)
+    one_by_one = [ql._localized_R_batch(S0, S1, [lam], params, region, G) for lam in lam0s]
+    assert np.array_equal(R_loc, np.concatenate([R for R, _ in one_by_one]))
 
 
-@pytest.mark.parametrize(
-    "D, dtype, blocks",
-    [(100, float, (24, 500)), (64, complex, (24, 500)), (256, float, None)],
-)
-def test_build_R_is_bitwise_the_same_at_every_thread_budget(D, dtype, blocks, monkeypatch):
-    # D = 100 splits unevenly over 3 threads; the small blocks give each
-    # thread several Phi blocks and R row blocks at a test-sized D
-    if blocks:
-        monkeypatch.setattr(ql, "R_ROWS", blocks[0])
-        monkeypatch.setattr(ql, "PHI_BLOCK", blocks[1])
-    gen = np.random.default_rng(D)
+def _hermitian_pair(D, dtype, seed):
+    gen = np.random.default_rng(seed)
 
     def hermitian():
         M = gen.normal(size=(D, D)).astype(dtype)
@@ -379,11 +378,51 @@ def test_build_R_is_bitwise_the_same_at_every_thread_budget(D, dtype, blocks, mo
         return (M + M.conj().T) / 2
 
     H0 = 3.0 * hermitian()
-    S0 = eigendecompose(H0, mode="dense")
-    S1 = eigendecompose(H0 + 0.2 * hermitian(), mode="dense")
+    return eigendecompose(H0, mode="dense"), eigendecompose(H0 + 0.2 * hermitian(), mode="dense")
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize(
+    "region", [(0,), (1, 2), (1, 3), (0, 1, 2, 3)], ids=["edge", "inside", "split", "full"]
+)
+def test_localized_R_matches_partial_trace_of_the_stack(dtype, region):
+    # the factored trace against the traced full-volume stack, on a
+    # d = 3 sector whose first and last lambda_i0 are equal; (0, 1, 2, 3)
+    # is the full volume, d_E = 1
+    G = lattice.chain(4)
+    S0, S1 = _hermitian_pair(16, dtype, seed=61)
+    params = _manual_params(0.3, 2.0, S1.values[:2])
+    lam0s = [S0.values[0], S0.values[1], S0.values[0]]
+    psi0 = S0.vectors[:, :3]
+    R_loc, R_psi0 = ql._localized_R_batch(S0, S1, lam0s, params, region, G, states=psi0)
+    stack, _ = build_R_stack(S0, S1, lam0s, params)
+    assert R_loc.dtype == stack.dtype == np.result_type(dtype, float)
+    for i in range(3):
+        ref = partial_trace_localize(stack[i], region, G).matrix
+        assert np.abs(R_loc[i] - ref).max() <= 1e-13
+        assert np.abs(R_psi0[:, i] - stack[i] @ psi0[:, i]).max() <= 1e-13
+    assert np.array_equal(R_loc[0], R_loc[2])
+
+
+@pytest.mark.parametrize(
+    "D, dtype, blocks",
+    [(100, float, (24, 500)), (64, complex, (24, 500)), (256, float, None)],
+)
+def test_build_R_is_bitwise_the_same_at_every_thread_budget(D, dtype, blocks, monkeypatch):
+    # D = 100 splits unevenly over 3 threads; the small blocks give each
+    # thread several Phi blocks and W row blocks at a test-sized D
+    if blocks:
+        monkeypatch.setattr(ql, "R_ROWS", blocks[0])
+        monkeypatch.setattr(ql, "PHI_BLOCK", blocks[1])
+    if D == 100:
+        G = lattice.LatticeGraph(3, [(0, 1), (1, 2)], site_dims=(4, 5, 5))
+    else:
+        G = lattice.chain(int(np.log2(D)))
+    S0, S1 = _hermitian_pair(D, dtype, seed=D)
     params = _manual_params(0.3, 2.0, S1.values[:2])
     # a d = 3 sector whose first and last lambda_i0 are equal
     lam0s = [S0.values[0], S0.values[1], S0.values[0]]
+    psi0 = S0.vectors[:, :3]
 
     threads = set()
     g_T = ql._gauss_truncated
@@ -393,27 +432,30 @@ def test_build_R_is_bitwise_the_same_at_every_thread_budget(D, dtype, blocks, mo
         return g_T(*args)
 
     monkeypatch.setattr(ql, "_gauss_truncated", recording)
-    stacks = []
+    results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the threads' writes finely
     try:
         for budget in (1, 2, 3):
             monkeypatch.setattr(os, "cpu_count", lambda budget=budget: budget)
             threads.clear()
-            stack, _ = ql._build_R_batch(S0, S1, lam0s, params)
+            results.append(ql._localized_R_batch(S0, S1, lam0s, params, (1, 2), G, states=psi0))
             assert (len(threads) > 1) == (budget > 1)
-            stacks.append(stack)
     finally:
         sys.setswitchinterval(interval)
-    assert stacks[0].dtype == np.result_type(dtype, float)
-    assert all(np.array_equal(stacks[0], other) for other in stacks[1:])
+    assert results[0][0].dtype == np.result_type(dtype, float)
+    for R_loc, R_psi0 in results[1:]:
+        assert np.array_equal(results[0][0], R_loc)
+        assert np.array_equal(results[0][1], R_psi0)
 
 
 def test_build_R_requires_coefficients():
     S = eigendecompose(np.diag([0.0, 1.0]).astype(complex), mode="dense")
     bare = ql.FilterParams(alpha=0.3, T=1.0, l=1.0, mu_prime=0.1, exponent=0.3)
     with pytest.raises(ValueError, match="coefficients"):
-        ql.build_R(S, S, 0.0, bare)
+        build_R(S, S, 0.0, bare)
+    with pytest.raises(ValueError, match="coefficients"):
+        ql._localized_R_batch(S, S, [0.0], bare, (0,), lattice.chain(1))
 
 
 # ------------------------------------------------------------- localize
@@ -601,6 +643,38 @@ def test_impurity_mismatch_matches_full_space(coupling):
     ts = ql.path_transport(path, 8, l=1)
     T_op, err = ql.impurity_transform(path, ts, site=1, impurity_dim=2)
     assert abs(err - full_space_mismatch(path, T_op)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_impurity_transform_matches_the_embedded_loop(d):
+    # sites (2, 2*d, 3) with the impurity the fast factor of site 1; d = 2
+    # is bitwise the loop, d = 3 sums three terms in another order
+    G = lattice.LatticeGraph(3, [(0, 1), (1, 2)], site_dims=(2, 2 * d, 3))
+    gen = np.random.default_rng(d)
+
+    def unit(m):
+        v = gen.normal(size=m)
+        return v / np.linalg.norm(v)
+
+    # a product sector: one bulk vector times each impurity state
+    bulk = [unit(2), unit(2), unit(3)]
+    B = np.stack(
+        [np.kron(bulk[0], np.kron(np.kron(bulk[1], e), bulk[2])) for e in np.eye(d)], axis=1
+    )
+    sector0 = sectors.SectorSpectrum(np.zeros(d), np.ones(1), B, gap=1.0, width=0.0)
+    path = SimpleNamespace(graph=G, sector=lambda s: sector0)
+    DK = int(np.prod(G.site_dims))
+    L = gen.normal(size=(d, d, DK, DK)) + 1j * gen.normal(size=(d, d, DK, DK))
+    ts = ql.TransportSet(
+        L=L, support=(0, 1, 2), dims=G.site_dims, n=1, l=1.0, c_norm_max=1.0,
+        c_bound=1.0, errors=np.zeros(d), warnings=(), gap=1.0, sector0=sector0,
+    )
+    T_op, _ = ql.impurity_transform(path, ts, site=1, impurity_dim=d)
+    ref = loop_impurity_transform(L, G.site_dims, 1, 2)
+    if d == 2:
+        assert np.array_equal(T_op.matrix, ref)
+    else:
+        assert np.abs(T_op.matrix - ref).max() <= 1e-14
 
 
 def test_impurity_transform_rejects_entangled_sector():

@@ -1,24 +1,72 @@
 """Reference forms of the sector transport in lpplab.quasilocal.
 
+  build_R_stack             the full-volume R_i^{<=T} = V (C o Phi_i)
+                            V0^dagger + comp_i 1 as an (n_i, D, D) stack,
+                            one lambda_i0 at a time on one thread;
+  build_R                   the same for a single lambda_i0;
   einsum_recursion_step     one step of L^(m)_{iq} = sum_p c_{ip} R_p
                             L^(m-1)_{pq} as two `np.einsum` contractions,
                             in complex arithmetic;
+  loop_impurity_transform   T_l = sum_ij L_ij I_ji as d^2 embedded
+                            matrices and dense products;
   full_space_mismatch       ||P1 - T P0 T^dagger|| with T embedded on the
                             whole volume and the norm taken there.
 
-The library writes the first as a batched matmul and a tensordot in the
-dtype of its inputs, and takes the second in span[B1, T B0]; both forms
-agree with these to rounding.
+The library localizes R from its factors without forming the stack,
+writes the recursion as a batched matmul and a tensordot in the dtype of
+its inputs, takes T_l as one index contraction, and takes the mismatch
+in span[B1, T B0]; each form agrees with these to rounding.
 """
 
 import numpy as np
 
-from lpplab.operators import embed, operator_norm
+from lpplab.operators import embed, embed_matrix, operator_norm
+from lpplab.quasilocal import _gauss_truncated
+
+
+def build_R_stack(S0, S, lam0s, params, overlap=None):
+    """(stack, diagnostics) with stack[i] = R_i^{<=T} on the full volume."""
+    if params.nodes is None or params.a is None:
+        raise ValueError("filter coefficients not solved; call with_coefficients")
+    lam0s = np.asarray(lam0s, dtype=float)
+    alpha, T, nodes, a = params.alpha, params.T, params.nodes, params.a
+    C = overlap if overlap is not None else S.vectors.conj().T @ S0.vectors
+    omega = S.values[:, None] - S0.values[None, :]
+    shifts = lam0s[:, None] - nodes[None, :]
+    comp = np.sum(
+        a * (np.exp(-(shifts**2) / (4 * alpha)) - _gauss_truncated(shifts, alpha, T)),
+        axis=1,
+    )
+    stack = []
+    for shift, c in zip(shifts, comp):
+        phi = sum(w * _gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shift))
+        R = S.vectors @ (C * phi) @ S0.vectors.conj().T
+        stack.append(R + c * np.eye(len(R)))
+    return np.array(stack), {"sum_a": float(a.sum()), "tail_compensation": comp}
+
+
+def build_R(S0, S, lam0, params, overlap=None):
+    stack, diag = build_R_stack(S0, S, [lam0], params, overlap=overlap)
+    diag["tail_compensation"] = float(diag["tail_compensation"][0])
+    return stack[0], diag
 
 
 def einsum_recursion_step(c, R_small, L):
     RL = np.einsum("pab,pqbc->pqac", np.asarray(R_small, complex), np.asarray(L, complex))
     return np.einsum("ip,pqac->iqac", np.asarray(c, complex), RL)
+
+
+def loop_impurity_transform(L, dims, pos, d0):
+    """sum_ij L[i, j] I_ji with I_ji = |j><i| on the impurity factor (the
+    fastest axis of site `pos`, after a bulk factor of dimension d0)."""
+    d = L.shape[0]
+    T = np.zeros(L.shape[2:], dtype=np.result_type(L, float))
+    for i in range(d):
+        for j in range(d):
+            ketbra = np.zeros((d, d))
+            ketbra[j, i] = 1.0
+            T += L[i, j] @ embed_matrix(np.kron(np.eye(d0), ketbra), (pos,), dims)
+    return T
 
 
 def full_space_mismatch(path, T_op):
