@@ -38,6 +38,7 @@ from ..operators import (
     LocalOperator,
     compress,
     embed_matrix,
+    flip_action,
     operator_norm,
     sigma_x,
     sigma_y,
@@ -189,21 +190,86 @@ def _probe_commutator_norm(A, sigma, site, dims):
     return 2.0 * operator_norm(blk.reshape(rows, -1))
 
 
+def _flip_commutators(S, sigma, site_a, n_sites):
+    """t -> (b -> ||[A(t), sigma_b]||) read from the spin-flip blocks.
+
+    A Pauli maps parity q to parity p = eps q (eps = -1 for y and z, +1
+    for x), and its (p, q) block is a phased permutation
+    (operators.flip_action): S_q for sigma_a, T_q for sigma_b.  A(t)'s
+    (p, q) block is A_q(t) = U_p e^{i L_p t} (U_p^T S_q U_q) e^{-i L_q t}
+    U_q^T, so [A(t), sigma_b] is block-diagonal with (p, p) block
+    K = A_q T_q^dag - T_q A_q^dag.  K has the norm of T_q^dag K T_q =
+    Z - Z^dag, where Z = T_q^dag A_q(t) is a row gather of A_q(t): one
+    `eigvalsh` at D/2.  For y and z the source q = -1 suffices, since
+    the other diagonal block is -T^dag K T; for x both parities count and
+    the norm is the larger.  No matrix here is larger than D/2 x D/2.
+    """
+    blocks = {b.parity: b for b in S.blocks}
+    eps = flip_action(sigma, site_a, n_sites, 1)[0]
+    sources = (-1,) if eps < 0 else (1, -1)
+    W = {}
+    for q in sources:
+        p, r, phase = flip_action(sigma, site_a, n_sites, q)
+        SU = np.empty(blocks[q].vectors.shape, np.result_type(phase, float))
+        SU[r] = phase[:, None] * blocks[q].vectors
+        W[q] = blocks[p].vectors.T @ SU
+
+    def at(t):
+        A = {}
+        for q in sources:
+            bp, bq = blocks[q * eps], blocks[q]
+            phases = np.outer(np.exp(1j * t * bp.values), np.exp(-1j * t * bq.values))
+            A[q] = bp.vectors @ (W[q] * phases) @ bq.vectors.T
+
+        def norm(b):
+            out = 0.0
+            for q in sources:
+                _, r, phase = flip_action(sigma, b, n_sites, q)
+                Z = A[q][r] * phase.conj()[:, None]
+                K = Z - Z.conj().T
+                K *= 1j
+                out = max(out, float(np.abs(np.linalg.eigvalsh(K)).max()))
+            return out
+
+        return norm
+
+    return at
+
+
+def _full_commutators(S, sigma, site_a, dims):
+    """t -> (b -> ||[A(t), sigma_b]||) from A(t) on the full volume, for
+    models without a declared spin flip."""
+    V, evals = S.vectors, S.values
+    WA = V.conj().T @ embed_matrix(sigma, (site_a,), dims) @ V
+
+    def at(t):
+        U = V * np.exp(1j * evals * t)
+        At = U @ WA @ U.conj().T
+        return lambda b: _probe_commutator_norm(At, sigma, b, dims)
+
+    return at
+
+
 def run_lr_cone(config, workers=1, rng=None):
     """Commutator growth ||[A(t), B]|| against the Lieb-Robinson bound.
 
     A is the probe Pauli on the perturbation site, evolved exactly from
     the dense spectrum, and B the same Pauli on one site per distance.
-    A(t) is formed once per t in the computational basis; since
-    B = P+ - P- with P+- its eigenprojectors,
+    On a model that declares the spin flip (the transverse-field Ising
+    chain) the norms come from the two D/2 parity blocks of the
+    spectrum: an odd probe (y, z) takes one `eigvalsh` of a D/2 matrix
+    per norm and an even probe (x) two, and no D x D matrix is formed
+    (_flip_commutators).  Other models form A(t) once per t in the
+    computational basis; since B = P+ - P- with P+- its eigenprojectors,
 
         ||[A(t), B]|| = 2 ||P+ A(t) P-||,
 
     one singular value of a half-dimension block per distance rather
-    than a full-dimension commutator and its spectrum.  The times are a
-    pmap sweep; within a time the distances' norms are split over the
-    thread budget (blas.fan_out), so a run at --workers 1 still uses
-    every core.
+    than a full-dimension commutator and its spectrum.  The time grid is
+    split over the thread budget (blas.fan_out): each thread takes a
+    contiguous range of times and their distances in turn, so every core
+    is busy from the first product to the last norm whatever --workers
+    is, and the rows are the same at any budget.
     """
     model = build_model(config.get("model", {}))
     G = model.graph
@@ -231,8 +297,10 @@ def run_lr_cone(config, workers=1, rng=None):
             warnings.append(f"no site at distance {d} from site {site_a}; skipped")
 
     S = model.spectral(mode="dense")
-    V, evals = S.vectors, S.values
-    WA = V.conj().T @ embed_matrix(sigma, (site_a,), G.site_dims) @ V
+    if S.blocks:
+        commutators = _flip_commutators(S, sigma, site_a, G.n_sites)
+    else:
+        commutators = _full_commutators(S, sigma, site_a, G.site_dims)
     A_loc = LocalOperator((site_a,), (G.site_dims[site_a],), sigma)
     B_loc = {
         d: LocalOperator((b,), (G.site_dims[b],), sigma) for d, b in partners.items()
@@ -241,22 +309,22 @@ def run_lr_cone(config, workers=1, rng=None):
     pairs = sorted(partners.items())
 
     def one_time(t):
-        U = V * np.exp(1j * evals * t)
-        At = U @ WA @ U.conj().T
-        out = [None] * len(pairs)
-
-        def norms(lo, hi):
-            for k in range(lo, hi):
-                d, b = pairs[k]
-                norm = _probe_commutator_norm(At, sigma, b, G.site_dims)
-                bound = lr_bound_rhs(A_loc, B_loc[d], t, phi, decay)
-                out[k] = (float(t), d, b, norm, float(bound))
-
-        with fan_out() as run:
-            run(norms, len(pairs))
+        norm = commutators(t)
+        out = []
+        for d, b in pairs:
+            bound = lr_bound_rhs(A_loc, B_loc[d], t, phi, decay)
+            out.append((float(t), d, b, norm(b), float(bound)))
         return out
 
-    rows = [r for chunk in pmap(one_time, times, workers) for r in chunk]
+    grid = [None] * len(times)
+
+    def sweep(lo, hi):
+        for i in range(lo, hi):
+            grid[i] = one_time(times[i])
+
+    with fan_out() as run:
+        run(sweep, len(times))
+    rows = [r for chunk in grid for r in chunk]
 
     viol = [r for r in rows if r[3] > r[4] * (1 + 1e-9) + 1e-12]
     checks = [

@@ -11,7 +11,11 @@ Three families:
     for topological-order checks.
 
 Builders are pure and return a Model; none of them diagonalizes.  The
-spectrum is taken where it is read, through Model.spectral.
+spectrum is taken where it is read, through Model.spectral.  The
+transverse-field Ising builder declares the global spin flip
+P = prod sigma_x, which commutes with -J sum ZZ - h sum X for every J
+and h on open and periodic chains, so its dense spectrum is taken in the
+two D/2 parity blocks (operators.FlipBlock).
 """
 
 from __future__ import annotations
@@ -53,13 +57,18 @@ class Model:
 
     Spectral data is kept in a SpectralCache keyed by the resolved solver
     mode (and, in iterative mode, the eigen-depth k), so every consumer
-    of the same mode shares one decomposition.
+    of the same mode shares one decomposition.  spin_flip declares that
+    H commutes with the global spin flip of its spin-1/2 sites; the dense
+    decomposition then comes from the two parity blocks, with the blocks
+    kept in the SpectralData and the vectors lifted when first read.  It
+    picks a solver route only, so it takes no part in equality.
     """
 
     graph: lattice.LatticeGraph
     family: itx.InteractionFamily
     kind: str
     params: dict = field(default_factory=dict)
+    spin_flip: bool = field(default=False, compare=False)
     _spectra: SpectralCache = field(
         default_factory=SpectralCache, init=False, repr=False, compare=False
     )
@@ -73,7 +82,9 @@ class Model:
             mode = "dense" if self.graph.dimension() <= DENSE_LIMIT else "iterative"
         return self._spectra.fetch(
             (mode, None if mode == "dense" else k),
-            lambda: eigendecompose(self.hamiltonian(), mode=mode, k=k),
+            lambda: eigendecompose(
+                self.hamiltonian(), mode=mode, k=k, spin_flip=self.spin_flip
+            ),
         )
 
 
@@ -96,7 +107,9 @@ def build_gapped_chain(kind, params):
         terms += [
             LocalOperator((x,), (2,), -h * sigma_x, hermitian=True) for x in G.sites()
         ]
-        return Model(G, itx.InteractionFamily(terms), kind, dict(params))
+        return Model(
+            G, itx.InteractionFamily(terms), kind, dict(params), spin_flip=True
+        )
     if kind == "xy-with-potential":
         n = int(params["n"])
         gamma = float(params["gamma"])

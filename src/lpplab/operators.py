@@ -10,6 +10,13 @@ Dense embeddings and assembled Hamiltonians are float64 whenever no
 input matrix has a nonzero imaginary part, and complex128 otherwise;
 the dense eigensolver keeps the dtype it is given, so real Hamiltonians
 are diagonalized in real arithmetic.
+
+A chain of spin-1/2 sites whose H commutes with the global spin flip
+P = prod sigma_x (P|s> = |s-bar>, all bits flipped, index D - 1 - s) is
+diagonalized in its two parity blocks: the real orthonormal basis
+(|s> + p |s-bar>)/sqrt(2), p = +-1, with s over the first D/2 states
+(those whose site 0 is up).  FlipBlock holds one block's eigenpairs in
+that basis, and flip_action says how a one-site Pauli maps the blocks.
 """
 
 from __future__ import annotations
@@ -154,18 +161,47 @@ def partial_trace_localize(A, X, G, right=None):
 
 
 @dataclass
+class FlipBlock:
+    """Eigenpairs of H in one parity block of the global spin flip.
+
+    parity is +1 or -1; vectors holds the block's eigenvectors as
+    columns over the D/2 basis states (|s> + parity |s-bar>)/sqrt(2).
+    """
+
+    parity: int
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def lift(self):
+        """The eigenvectors as (D, D/2) columns of the full space."""
+        U = self.vectors
+        return np.vstack([U, self.parity * U[::-1]]) * np.sqrt(0.5)
+
+
+@dataclass
 class SpectralData:
     """Eigenpairs of a hermitian operator, ascending.
 
     vectors holds eigenvectors as columns.  residual_tol is the largest
     measured ||H v - w v||; mode records which solver produced the data.
+    Data from the two spin-flip blocks keeps them in `blocks` (even,
+    odd); its values are the two blocks' values merged, and its vectors
+    are lifted to the full space on first read, in the same order.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
+    _vectors: np.ndarray
     mode: str
     residual_tol: float
     dim: int
+    blocks: tuple = ()
+
+    @property
+    def vectors(self):
+        if self._vectors is None:
+            order = _merge_order(self.blocks)
+            self._vectors = np.hstack([b.lift() for b in self.blocks])[:, order]
+        return self._vectors
 
     @property
     def complete(self):
@@ -174,6 +210,38 @@ class SpectralData:
     def require_complete(self, what):
         if not self.complete:
             raise ValueError(f"{what} needs a full eigendecomposition")
+
+
+def _merge_order(blocks):
+    """The ascending order of the blocks' values, concatenated."""
+    return np.argsort(np.concatenate([b.values for b in blocks]), kind="stable")
+
+
+def flip_action(sigma, site, n_sites, parity):
+    """How a one-site operator maps one spin-flip parity block.
+
+    sigma is a 2x2 matrix with one nonzero entry per column that is even
+    or odd under conjugation by sigma_x, as every Pauli matrix is.  With
+    Q_p e_s = (|s> + p |s-bar>)/sqrt(2), returns (target, r, phase) such
+    that sigma_site Q_parity e_s = phase[s] Q_target e_{r[s]} for every
+    half-state s; r is a permutation, so the block is a phased
+    permutation matrix.
+    """
+    sigma = np.asarray(sigma)
+    m = int(sigma[0, 0] == 0)  # 1 when sigma flips the spin
+    c = np.array([sigma[m, 0], sigma[1 - m, 1]])  # column u's entry
+    if not np.iscomplex(c).any():
+        c = c.real  # x and z keep real blocks, so products with them stay real
+    target = parity * int(np.real(c[1] / c[0]))
+    half = 2 ** (n_sites - 1)
+    shift = n_sites - 1 - site
+    s = np.arange(half)
+    f = s ^ (m << shift)
+    # a flip of site 0 leaves the half: |f> = |r-bar> with r = D - 1 - f
+    low = f < half
+    r = np.where(low, f, 2 * half - 1 - f)
+    phase = c[(s >> shift) & 1] * np.where(low, 1, target)
+    return target, r, phase
 
 
 CACHE_SIZE = 3  # spectra a SpectralCache keeps
@@ -216,7 +284,7 @@ class HamiltonianAction(sp.csr_matrix):
 DENSE_LIMIT = 2**13
 
 
-def eigendecompose(H, mode="auto", k=6):
+def eigendecompose(H, mode="auto", k=6, spin_flip=False):
     """Eigenpairs of a hermitian operator.
 
     H is a dense array or a sparse matrix, which is taken as a
@@ -224,9 +292,13 @@ def eigendecompose(H, mode="auto", k=6):
     decomposition (LAPACK) of the densified H in its dtype; "iterative"
     produces the k lowest pairs (ARPACK Lanczos on H itself) from a fixed
     start vector, so its results repeat run to run; "auto" picks dense up
-    to 2**13 total dimension.
-    residual_tol is max_j ||H v_j - w_j v_j|| in either mode.  A solver
-    failure is raised as EigensolverFailed carrying dim, dtype and mode.
+    to 2**13 total dimension.  spin_flip=True declares that H, on a chain
+    of spin-1/2 sites, commutes with the global spin flip: the dense mode
+    then diagonalizes the two D/2 parity blocks instead (SpectralData
+    `blocks`), after checking that P H P is bitwise H.
+    residual_tol is max_j ||H v_j - w_j v_j|| in either mode, taken with
+    the full H.  A solver failure is raised as EigensolverFailed
+    carrying dim, dtype and mode.
     """
     H = HamiltonianAction(H) if sp.issparse(H) else np.asarray(H)
     dim = int(H.shape[0])
@@ -237,15 +309,15 @@ def eigendecompose(H, mode="auto", k=6):
     if mode == "iterative" and k >= dim - 1:
         raise ValueError("iterative mode needs k < dim - 1")
 
+    if mode == "dense" and spin_flip:
+        blocks = tuple(
+            FlipBlock(p, *_dense_eigh(B)) for p, B in zip((1, -1), _flip_blocks(H))
+        )
+        res = max(_residual(H, b.lift(), b.values) for b in blocks)
+        vals = np.concatenate([b.values for b in blocks])[_merge_order(blocks)]
+        return SpectralData(vals, None, mode, res, dim, blocks)
     if mode == "dense":
-        M = H.dense() if sp.issparse(H) else H
-        scale = max(np.abs(M).max(), 1.0)
-        if np.abs(M - M.conj().T).max() > 1e-10 * scale:
-            raise ValueError("operator is not hermitian")
-        try:
-            vals, vecs = np.linalg.eigh(M)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverFailed(dim, H.dtype, mode) from exc
+        vals, vecs = _dense_eigh(H.dense() if sp.issparse(H) else H)
     else:
         # imported here: it loads scipy.linalg, which no dense run needs
         import scipy.sparse.linalg as spla
@@ -257,8 +329,39 @@ def eigendecompose(H, mode="auto", k=6):
             raise EigensolverFailed(dim, H.dtype, mode) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    res = float(np.linalg.norm(H @ vecs - vecs * vals, axis=0).max())
-    return SpectralData(vals, vecs, mode, res, dim)
+    return SpectralData(vals, vecs, mode, _residual(H, vecs, vals), dim)
+
+
+def _dense_eigh(M):
+    """LAPACK eigenpairs of a dense hermitian matrix, in its dtype."""
+    scale = max(np.abs(M).max(), 1.0)
+    if np.abs(M - M.conj().T).max() > 1e-10 * scale:
+        raise ValueError("operator is not hermitian")
+    try:
+        return np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailed(M.shape[0], M.dtype, "dense") from exc
+
+
+def _flip_blocks(H):
+    """The even and odd blocks of H in the spin-flip basis.
+
+    With P H P = H, the block of parity p is H[s, s'] + p H[s, s'-bar]
+    over the half-states s, s' < D/2, so both come from the first D/2
+    rows of H, and the blocks between the two parities are exactly 0.
+    """
+    dim = H.shape[0]
+    flip = np.arange(dim)[::-1]
+    H = HamiltonianAction(H)
+    if (H[flip][:, flip] != H).nnz:
+        raise ValueError("H does not commute with the global spin flip")
+    top = H[: dim // 2].toarray()
+    left, mirror = top[:, : dim // 2], top[:, ::-1][:, : dim // 2]
+    return left + mirror, left - mirror
+
+
+def _residual(H, vecs, vals):
+    return float(np.linalg.norm(H @ vecs - vecs * vals, axis=0).max())
 
 
 def commutator_norm(A, B):

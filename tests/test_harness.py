@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 from tqo_oracle import full_space_tqo_check
 
-from lpplab import lattice, models, quasilocal, sectors
+from lpplab import lattice, models, operators, quasilocal, sectors
 from lpplab import spectral_flow as sflow
 from lpplab.blas import blas_thread_counts, fan_out, pmap, thread_budget
 from lpplab.cli import main
@@ -28,6 +28,7 @@ from lpplab.harness import (
     write_csv,
     write_manifest,
 )
+from lpplab.harness import experiments
 from lpplab.harness.experiments import (
     RUNNERS,
     _ramp_path,
@@ -260,30 +261,67 @@ def test_lr_cone_report_shape():
     assert bound_check["passed"]
 
 
+LR_CONE_ORACLE_CASES = [
+    # (model, perturbation site): the open chain with the probe inside it,
+    # site 0, whose flip blocks of sigma leave the half-states, a periodic
+    # chain, and a model with no spin flip (the full-volume path)
+    ({"kind": "transverse-field-Ising", "n": 6}, 1),
+    ({"kind": "transverse-field-Ising", "n": 6}, 0),
+    (
+        {"kind": "transverse-field-Ising", "n": 6, "periodic": True, "J": 0.8, "h": 1.1},
+        2,
+    ),
+    ({"kind": "xy-with-potential", "n": 6}, 1),
+]
+
+
+# the periodic case crosses the cone threshold at few distinct times, so
+# the slope fit (not checked here) warns that it is poorly conditioned
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
 @pytest.mark.parametrize("pauli", ["x", "y", "z"])
 def test_lr_cone_norms_match_dense_commutators(pauli):
     # oracle: the full commutator [e^{iHt} A e^{-iHt}, B] with the
     # evolution from expm of the dense Hamiltonian, no eigenbasis involved
-    cfg = {
-        "schema_version": 1,
-        "experiment": "lr-cone",
-        "model": {"kind": "transverse-field-Ising", "n": 6},
-        "perturbation": {"site": 1},
-        "probes": {"pauli": pauli},
-        "sweep": {"t_max": 1.5, "n_times": 4, "distances": [1, 2, 3, 4]},
-    }
-    rows = run_lr_cone(cfg)["tables"][0]["rows"]
-    assert len(rows) == 16
-    model = build_model(cfg["model"])
-    H = model.hamiltonian().dense()
-    dims = model.graph.site_dims
     sigma = {"x": sigma_x, "y": sigma_y, "z": sigma_z}[pauli]
-    A = embed_matrix(sigma, (1,), dims)
-    for t, d, b, measured, _ in rows:
-        U = scipy.linalg.expm(1j * t * H)
-        want = commutator_norm(U @ A @ U.conj().T, embed_matrix(sigma, (b,), dims))
-        assert abs(measured - want) <= 1e-12, (t, d, b, measured, want)
-    assert max(r[3] for r in rows) > 0.1  # the grid reaches visible growth
+    for mcfg, site in LR_CONE_ORACLE_CASES:
+        cfg = {
+            "schema_version": 1,
+            "experiment": "lr-cone",
+            "model": mcfg,
+            "perturbation": {"site": site},
+            "probes": {"pauli": pauli},
+            "sweep": {"t_max": 1.5, "n_times": 4, "distances": [1, 2, 3, 4]},
+        }
+        rows = run_lr_cone(cfg)["tables"][0]["rows"]
+        # a periodic chain of 6 has no site at distance 4
+        assert len(rows) == (12 if mcfg.get("periodic") else 16)
+        model = build_model(mcfg)
+        H = model.hamiltonian().dense()
+        dims = model.graph.site_dims
+        A = embed_matrix(sigma, (site,), dims)
+        for t, d, b, measured, _ in rows:
+            U = scipy.linalg.expm(1j * t * H)
+            want = commutator_norm(U @ A @ U.conj().T, embed_matrix(sigma, (b,), dims))
+            assert abs(measured - want) <= 1e-12, (mcfg, site, t, d, b, measured, want)
+        assert max(r[3] for r in rows) > 0.1  # the grid reaches visible growth
+
+
+def test_lr_cone_on_the_ising_chain_forms_no_full_volume_matrix(monkeypatch):
+    # the spin-flip path reads the blocks only: neither the full-volume
+    # A(t) nor the lifted eigenvectors are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("lr-cone left the spin-flip blocks")
+
+    monkeypatch.setattr(experiments, "_full_commutators", refuse)
+    monkeypatch.setattr(operators.SpectralData, "vectors", property(refuse))
+    for pauli in ("x", "z"):
+        rows = run_lr_cone({
+            "schema_version": 1, "experiment": "lr-cone",
+            "model": {"kind": "transverse-field-Ising", "n": 6},
+            "probes": {"pauli": pauli},
+            "sweep": {"t_max": 0.5, "n_times": 2, "distances": [1]},
+        })["tables"][0]["rows"]
+        assert len(rows) == 2
 
 
 @pytest.mark.skipif(

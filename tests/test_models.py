@@ -17,6 +17,7 @@ from lpplab.operators import (
     CACHE_SIZE,
     LocalOperator,
     commutator_norm,
+    eigendecompose,
     embed,
     embed_matrix,
     operator_norm,
@@ -65,6 +66,33 @@ def test_tfim_paramagnetic_gap():
     )
     assert _gap(model) > 0.5
     assert model.graph.n_sites == 8
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_tfim_flip_blocks_match_the_full_eigh(periodic):
+    model = models.build_gapped_chain(
+        "transverse-field-Ising", {"n": 7, "J": 0.9, "h": 1.4, "periodic": periodic}
+    )
+    S = model.spectral(mode="dense")
+    assert [b.parity for b in S.blocks] == [1, -1]
+    H = model.hamiltonian()
+    dense = H.dense()
+    # oracle: the full-volume eigh that the two blocks replace
+    assert np.abs(S.values - np.linalg.eigh(dense)[0]).max() <= 1e-12
+    V = S.vectors
+    res = np.linalg.norm(H @ V - V * S.values, axis=0)
+    assert res.max() <= S.residual_tol <= 1e-10
+    assert np.abs(V.T @ V - np.eye(len(V))).max() <= 1e-12
+    # the blocks between the parities, (H[s, s'] - H[s, s'-bar]
+    # + H[s-bar, s'] - H[s-bar, s'-bar]) / 2 over the half-states s, s',
+    # are exactly 0
+    half = len(dense) // 2
+    top, bottom = dense[:half], dense[half:][::-1]
+    off = top[:, :half] - top[:, ::-1][:, :half]
+    off += bottom[:, :half] - bottom[:, ::-1][:, :half]
+    assert not off.any()
+    with pytest.raises(ValueError, match="global spin flip"):
+        eigendecompose(dense + np.diag(np.arange(2 * half)), spin_flip=True)
 
 
 def test_xy_chain_kind_matches_single_particle():
