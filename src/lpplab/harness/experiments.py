@@ -1144,9 +1144,11 @@ def run_kato_flow(config, workers=1, rng=None):
     d_fit = int(ctcfg.get("max_fit_distance", max(2, L // 2 - 1)))
     ct_rows, ct_checks = [], []
     for n in ns:
-        if n < 1 or system.block(n).dim < 2:
+        if n < 1:
             continue
         block = system.block(n)
+        if block.dim < 2:
+            continue
         x0 = tuple(sorted((x0_site + j) % L for j in range(n)))
         for z in zs:
             prof = sflow.combes_thomas_profile(block, z, x0, s=s_ct)

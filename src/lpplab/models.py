@@ -37,18 +37,14 @@ from .operators import (
     eigendecompose,
     operator_norm,
     sigma_x,
-    sigma_y,
     sigma_z,
 )
 from .sectors import HamiltonianPath
 
-# spin-1/2 operators (eigenvalues +-1/2); S_plus maps down to up
-S1 = sigma_x / 2
-S2 = sigma_y / 2
-S3 = sigma_z / 2
+# spin-1/2 ladder operators; S_plus maps down to up
 S_plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 S_minus = S_plus.conj().T
-n_up = np.diag([1.0, 0.0]).astype(complex)  # 1/2 + S3
+n_up = np.diag([1.0, 0.0]).astype(complex)  # 1/2 + S_z
 
 
 @dataclass(frozen=True)
@@ -191,100 +187,7 @@ def single_particle_hamiltonian(G, u):
     return M
 
 
-def vacuum_state(G):
-    """All-down product state (the boson vacuum)."""
-    psi = np.zeros(G.dimension(), dtype=complex)
-    psi[-1] = 1.0  # all sites in their last local basis state
-    return psi
-
-
-# --------------------------------------- Matsubara-Matsueda correspondence
-
-
-class MMCorrespondence:
-    """Relabeling between spin basis states and hard-core boson
-    configurations: spin-up (first local basis state) = occupied.
-
-    Configurations are ordered by particle number, then lexicographically
-    by the occupied-site tuple; the map is a basis permutation, hence
-    unitary, and supports are preserved site by site.
-    """
-
-    def __init__(self, G):
-        if any(d != 2 for d in G.site_dims):
-            raise ValueError("the correspondence is defined for spin-1/2 sites")
-        self.graph = G
-        n = G.n_sites
-        self.configs = []
-        self.block_slices = {}
-        start = 0
-        for npart in range(n + 1):
-            combos = list(itertools.combinations(range(n), npart))
-            self.configs.extend(combos)
-            self.block_slices[npart] = slice(start, start + len(combos))
-            start += len(combos)
-        self.perm = np.array([self.spin_index(c) for c in self.configs])
-
-    def spin_index(self, config):
-        # occupied site x contributes bit 0 at position x (site 0 slowest)
-        n = self.graph.n_sites
-        j = 0
-        occ = set(config)
-        for x in range(n):
-            j = 2 * j + (0 if x in occ else 1)
-        return j
-
-    def config(self, spin_index):
-        n = self.graph.n_sites
-        return tuple(
-            x for x in range(n) if not (spin_index >> (n - 1 - x)) & 1
-        )
-
-    def to_boson(self, obj):
-        obj = np.asarray(obj)
-        if obj.ndim == 1:
-            return obj[self.perm]
-        return obj[np.ix_(self.perm, self.perm)]
-
-    def to_spin(self, obj):
-        inv = np.argsort(self.perm)
-        obj = np.asarray(obj)
-        if obj.ndim == 1:
-            return obj[inv]
-        return obj[np.ix_(inv, inv)]
-
-
 # ------------------------------------------------------------- impurities
-
-
-def coupling_preset(name, theta, n_spins=1):
-    """Named spin-conserving couplings on H_k x I, I = (C^2)^(n_spins).
-
-    "hopping-ramp": -theta s sum_a (S+_k S-_a + S-_k S+_a)
-    "exchange-ramp": theta s sum_a (S1 S1 + S2 S2 + S3 S3) between k and a
-    """
-    dims = [2] * (n_spins + 1)  # site factor first, impurity spins after
-
-    def pair(A, B, a):
-        # A on the k factor (axis 0), B on impurity spin a (axis a+1)
-        M = embed_matrix(np.kron(A, B), (0, a + 1), dims)
-        return M
-
-    static = np.zeros((2 ** (n_spins + 1),) * 2, dtype=complex)
-    for a in range(n_spins):
-        if name == "hopping-ramp":
-            static += -theta * (pair(S_plus, S_minus, a) + pair(S_minus, S_plus, a))
-        elif name == "exchange-ramp":
-            static += theta * (
-                pair(S1, S1, a) + pair(S2, S2, a) + pair(S3, S3, a)
-            )
-        else:
-            raise ValueError(f"unknown coupling preset {name!r}")
-
-    def W(s):
-        return s * static
-
-    return W
 
 
 def _lift_term(t: LocalOperator, site, dI, G2):
@@ -301,93 +204,54 @@ def _lift_term(t: LocalOperator, site, dI, G2):
 
 def lift_state(psi, dims, site, phi):
     """psi (on product of dims) tensored with phi on the factor inserted
-    directly after site's local space."""
+    directly after site's local space, in the dtype of the two."""
     dims = list(dims)
-    psi_r = np.asarray(psi, dtype=complex).reshape(dims)
-    phi = np.asarray(phi, dtype=complex)
+    psi_r = np.asarray(psi).reshape(dims)
+    phi = np.asarray(phi)
     out = np.expand_dims(psi_r, axis=site + 1) * phi.reshape(
         (1,) * (site + 1) + (len(phi),) + (1,) * (len(dims) - site - 1)
     )
     return out.ravel()
 
 
-def attach_impurity(model: Model, k, impurity_dims, W_path, mu=None,
-                    bulk_degeneracy=1):
-    """HamiltonianPath for the model with internal spaces I_k at the
-    impurity sites and the coupling ramp W(s).
+def attach_impurity(model: Model, k, impurity_dim, W, mu=None, bulk_degeneracy=1):
+    """HamiltonianPath for the model with an internal space I at site k
+    and the coupling ramp W(s).
 
-    k / impurity_dims: a site and its dim(I), or matching sequences.
-    W_path: callable s -> matrix on the enlarged site space, a list of
-    (site, callable), or a ready PerturbationPath on the enlarged graph.
-    The unperturbed sector basis is the product (bulk eigenvectors) x
-    (standard basis of I), so D = bulk_degeneracy * prod dim(I).
+    W is a callable s -> matrix on the enlarged site space.  The
+    unperturbed sector basis is the product (bulk eigenvectors) x
+    (standard basis of I), so D = bulk_degeneracy * dim(I); it is real
+    when the bulk eigenvectors are.
     """
-    ks = [int(k)] if np.ndim(k) == 0 else [int(x) for x in k]
-    dIs = [int(impurity_dims)] if np.ndim(impurity_dims) == 0 else [
-        int(d) for d in impurity_dims
-    ]
-    if len(ks) != len(dIs):
-        raise ValueError("impurity sites and dimensions must match up")
-    if any(d < 1 for d in dIs):
-        raise ValueError("impurity dimensions must be positive")
-    if len(set(ks)) != len(ks):
-        raise ValueError("impurity sites must be distinct")
+    k, dI = int(k), int(impurity_dim)
+    if dI < 1:
+        raise ValueError("impurity dimension must be positive")
 
     G = model.graph
     dims2 = list(G.site_dims)
-    for site, dI in zip(ks, dIs):
-        dims2[site] *= dI
+    dims2[k] *= dI
     G2 = lattice.LatticeGraph(G.n_sites, G.edges, dims2)
-
-    terms = list(model.family.terms)
-    # lift through one enlargement at a time; intermediate graphs carry
-    # the partially enlarged dimensions
-    cur_dims = list(G.site_dims)
-    for site, dI in zip(ks, dIs):
-        if dI == 1:
-            continue
-        cur_dims[site] *= dI
-        Gmid = lattice.LatticeGraph(G.n_sites, G.edges, cur_dims)
-        terms = [_lift_term(t, site, dI, Gmid) for t in terms]
+    terms = model.family.terms
+    if dI > 1:
+        terms = [_lift_term(t, k, dI, G2) for t in terms]
     phi2 = itx.InteractionFamily(terms)
 
-    if isinstance(W_path, itx.PerturbationPath):
-        W = W_path
-        if set(W.sites) - set(ks):
-            raise ValueError("coupling path must be supported on the impurity sites")
-    else:
-        entries = [(ks[0], W_path)] if callable(W_path) else [
-            (int(s), fn) for s, fn in W_path
-        ]
-        if set(s for s, _ in entries) - set(ks):
-            raise ValueError("coupling path must be supported on the impurity sites")
-        W = itx.PerturbationPath(G2, entries)
-
     f = int(bulk_degeneracy)
-    S = model.spectral(k=max(6, f + 5))
-    bulk = S.vectors[:, :f]
+    bulk = model.spectral(k=max(6, f + 5)).vectors[:, :f]
+    basis = np.eye(dI)
+    B = np.stack(
+        [lift_state(v, G.site_dims, k, phi) for v in bulk.T for phi in basis.T],
+        axis=1,
+    )
 
-    cols = []
-    for ib in range(f):
-        vecs = [bulk[:, ib]]
-        cur_dims = list(G.site_dims)
-        for site, dI in zip(ks, dIs):
-            if dI == 1:
-                continue
-            basis = np.eye(dI)
-            vecs = [
-                lift_state(v, cur_dims, site, basis[:, i])
-                for v in vecs
-                for i in range(dI)
-            ]
-            cur_dims[site] *= dI
-        cols.extend(vecs)
-    B = np.stack(cols, axis=1)
-
-    d = B.shape[1]
     decay = itx.DecayFunctions(G2, mu) if mu is not None else None
     return HamiltonianPath(
-        G2, phi2, W=W, rule=("fixed_d", d), decay=decay, initial_basis=B
+        G2,
+        phi2,
+        W=itx.PerturbationPath(G2, [(k, W)]),
+        rule=("fixed_d", B.shape[1]),
+        decay=decay,
+        initial_basis=B,
     )
 
 

@@ -70,12 +70,6 @@ class LocalOperator:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_graph(cls, G, sites, matrix, hermitian=False):
-        sites = tuple(sorted(int(x) for x in sites))
-        dims = tuple(G.site_dims[x] for x in sites)
-        return cls(sites, dims, matrix, hermitian)
-
     def norm(self):
         return operator_norm(self.matrix, hermitian=self.hermitian)
 
@@ -105,14 +99,6 @@ def _span_error(B1, C):
     R = np.linalg.qr(np.hstack([B1, C]), mode="r")
     M = R[:, :d] @ R[:, :d].conj().T - R[:, d:] @ R[:, d:].conj().T
     return float(np.abs(np.linalg.eigvalsh(M)).max())
-
-
-def embed(op: LocalOperator, G):
-    """Dense matrix of `op` on the full volume of graph G."""
-    for x, d in zip(op.support, op.dims):
-        if G.site_dims[x] != d:
-            raise ValueError(f"site {x}: operator dim {d} != graph dim {G.site_dims[x]}")
-    return embed_matrix(op.matrix, op.support, G.site_dims)
 
 
 def embed_matrix(A, positions, all_dims):
@@ -362,11 +348,3 @@ def _flip_blocks(H):
 
 def _residual(H, vecs, vals):
     return float(np.linalg.norm(H @ vecs - vecs * vals, axis=0).max())
-
-
-def commutator_norm(A, B):
-    """Spectral norm of [A, B]."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    C = A @ B - B @ A
-    return operator_norm(C)

@@ -1,4 +1,4 @@
-"""Gaussian-filtered quasi-projectors and localized sector transport.
+"""Gaussian filters and localized sector transport.
 
 The construction chain:
 
@@ -148,17 +148,6 @@ def _gauss_truncated(omega, alpha, T):
     iz = -omega / (2 * ra) + 1j * ra * T
     edge = np.real(np.exp(-1j * T * omega) * wofz(iz))
     return np.exp(-(omega**2) / (4 * alpha)) - np.exp(-alpha * T * T) * edge
-
-
-def gaussian_filtered_projector(S, lam, alpha):
-    """P_lambda = sum_kappa e^{-(kappa-lam)^2/4a} Q_kappa, from the spectrum.
-
-    This is the full-time filter sqrt(a/pi) int e^{-a t^2} e^{it(H-lam)} dt
-    with the Gaussian weights evaluated in the eigenbasis.
-    """
-    S.require_complete("gaussian_filtered_projector")
-    w = np.exp(-((S.values - lam) ** 2) / (4 * alpha))
-    return (S.vectors * w) @ S.vectors.conj().T
 
 
 # ------------------------------------------------------------ localized R

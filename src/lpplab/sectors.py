@@ -52,10 +52,6 @@ class SectorSpectrum:
     def dim(self):
         return len(self.values_in)
 
-    @property
-    def projector(self):
-        return self.basis @ self.basis.conj().T
-
 
 def split_sector(values, rule, s=None, complete=True):
     """(in_idx, out_idx, gap): the sector `rule` picks from ascending
@@ -252,9 +248,10 @@ class HamiltonianPath:
             B = self.initial_basis
             if B.shape != sec.basis.shape:
                 raise ValueError("initial basis has the wrong shape")
-            # must span the same subspace as the eigenbasis
-            P_eig = sec.projector
-            mismatch = np.abs(P_eig @ B - B).max()
+            # must span the same subspace as the eigenbasis: P B = B,
+            # with P = V V^dagger applied in its rank-d form
+            V = sec.basis
+            mismatch = np.abs(V @ (V.conj().T @ B) - B).max()
             if mismatch > 1e-8:
                 raise ValueError(
                     f"initial basis does not span the s=0 sector (deviation {mismatch:.2e})"

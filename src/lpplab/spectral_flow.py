@@ -57,19 +57,12 @@ import numpy as np
 
 from . import lattice
 from .exceptions import UnitarityLost
-from .models import n_up, single_particle_hamiltonian
-from .operators import (
-    SpectralCache,
-    _span_error,
-    commutator_norm,
-    embed_matrix,
-    operator_norm,
-)
+from .models import single_particle_hamiltonian
+from .operators import SpectralCache, _span_error, operator_norm
 from .sectors import split_sector
 
 PROJECTOR_TOL = 1e-8
 UNITARITY_TOL = 1e-10
-_FD_H = 1e-4
 _SCALAR_H = 1e-6
 
 
@@ -258,10 +251,6 @@ class BlockSectorPath:
 
         return self._cache.fetch(key, compute)[1]
 
-    def projector(self, s):
-        B = sector_basis(self, s)
-        return B @ B.T
-
 
 def sector_basis(path, s):
     """Orthonormal columns B with P(s) = B B*: the path's lowest d
@@ -289,33 +278,21 @@ def kato_generator(P, dP):
     return 1j * ((C - C.conj().T) / 2)
 
 
-def projector_derivative(path, s, method="resolvent"):
+def projector_derivative(path, s):
     """dP/ds for the sector projector of a block path.
 
-    "resolvent": eigen-sum over (in, out) pairs with the exact dH,
-    machine precision from the spectral data.  "finite-difference": one
-    Richardson step on central differences of P, the independent check.
-    An empty or full sector has dP = 0; any other raises GapClosed
-    through `sectors.split_sector` when its gap is closed.
+    The resolvent eigen-sum over (in, out) pairs with the exact dH,
+    machine precision from the spectral data.  An empty or full sector
+    has dP = 0; any other raises GapClosed through `sectors.split_sector`
+    when its gap is closed.
     """
     d = path.d
     dim = path.dim
     if d == 0 or d >= dim:
         return np.zeros((dim, dim))
-
-    if method == "resolvent":
-        B, Y = _resolvent_factor(path, s)
-        M = Y @ B.conj().T
-        return M + M.conj().T
-
-    split_sector(path.spectral(s)[0], ("fixed_d", d), s=s)
-    if method == "finite-difference":
-        def D(step):
-            return (path.projector(s + step) - path.projector(s - step)) / (2 * step)
-
-        return (4 * D(_FD_H / 2) - D(_FD_H)) / 3
-
-    raise ValueError(f"unknown method {method!r}")
+    B, Y = _resolvent_factor(path, s)
+    M = Y @ B.conj().T
+    return M + M.conj().T
 
 
 def _resolvent_factor(path, s):
@@ -458,40 +435,6 @@ def integrate_flows(path, ls, ds, K=None):
             raise UnitarityLost(l, defect)
         out.append((U, grid.copy(), np.array(errs)))
     return out
-
-
-# ------------------------------------------------- number conservation
-
-
-def number_operator(G, impurity_spins=None):
-    """Dense total particle number on a (possibly enlarged) volume.
-
-    impurity_spins maps a site to its count of internal spin factors;
-    such a site has local dimension 2^(count+1) and contributes the sum
-    of occupations over all its factors.
-    """
-    impurity_spins = dict(impurity_spins or {})
-    dim = G.dimension()
-    total = np.zeros((dim, dim), dtype=complex)
-    for x in G.sites():
-        d = G.site_dims[x]
-        if x in impurity_spins:
-            nf = impurity_spins[x] + 1
-            if 2**nf != d:
-                raise ValueError(f"site {x} dimension {d} does not hold {nf} spins")
-            local_dims = [2] * nf
-            loc = sum(embed_matrix(n_up, (a,), local_dims) for a in range(nf))
-        else:
-            if d != 2:
-                raise ValueError(f"site {x} is not a spin-1/2 site")
-            loc = n_up
-        total += embed_matrix(loc, (x,), G.site_dims)
-    return total
-
-
-def number_conservation_defect(H, G, impurity_spins=None):
-    """||[H, N]|| for a dense Hamiltonian on G."""
-    return commutator_norm(H, number_operator(G, impurity_spins))
 
 
 # ------------------------------------------------------- Combes-Thomas

@@ -8,9 +8,16 @@
   term_sum           the former dense Hamiltonian assembly: a zero
                      matrix, float64 unless a term has an imaginary part,
                      plus kron_embed of each term in order.
+  embed              a LocalOperator as a dense matrix on a graph's full
+                     volume, through operators.embed_matrix.
+  from_graph         a LocalOperator on the given sites, with the local
+                     dimensions read from the graph.
+  commutator_norm    the spectral norm of [A, B], in complex arithmetic.
 """
 
 import numpy as np
+
+from lpplab.operators import LocalOperator, embed_matrix, operator_norm
 
 
 def bruteforce_embed(A, positions, dims):
@@ -72,3 +79,26 @@ def term_sum(terms, dims):
     for t in terms:
         H += kron_embed(t.matrix, t.support, dims)
     return H
+
+
+def embed(op, G):
+    """Dense matrix of `op` on the full volume of graph G."""
+    for x, d in zip(op.support, op.dims):
+        if G.site_dims[x] != d:
+            raise ValueError(f"site {x}: operator dim {d} != graph dim {G.site_dims[x]}")
+    return embed_matrix(op.matrix, op.support, G.site_dims)
+
+
+def from_graph(G, sites, matrix, hermitian=False):
+    """LocalOperator on `sites` with dims taken from G."""
+    sites = tuple(sorted(int(x) for x in sites))
+    dims = tuple(G.site_dims[x] for x in sites)
+    return LocalOperator(sites, dims, matrix, hermitian)
+
+
+def commutator_norm(A, B):
+    """Spectral norm of [A, B]."""
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    C = A @ B - B @ A
+    return operator_norm(C)

@@ -12,6 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from embed_oracle import commutator_norm
+from flow_oracle import block_projector
 from tqo_oracle import full_space_tqo_check
 
 from lpplab import lattice, models, operators, quasilocal, sectors
@@ -42,7 +44,7 @@ from lpplab.harness.experiments import (
 )
 from lpplab.harness.io import format_cell
 from lpplab.interactions import DecayFunctions
-from lpplab.operators import commutator_norm, embed_matrix, sigma_x, sigma_y, sigma_z
+from lpplab.operators import embed_matrix, sigma_x, sigma_y, sigma_z
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -732,8 +734,8 @@ def test_sequential_coupling_matches_dense_traces():
                       for p, (_, K) in zip(paths, jobs)])
         occ.append([np.diag([float(m in cfg) for cfg in paths[0].block.configs])
                     for m in (L, L + 1)])
-        P0.append(paths[0].projector(0.0))
-        P1.append(paths[0].projector(1.0))
+        P0.append(block_projector(paths[0], 0.0))
+        P1.append(block_projector(paths[0], 1.0))
     D = sum(math.comb(2, n) for n in ns)
 
     def omega(Ps, k):

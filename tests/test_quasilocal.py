@@ -27,11 +27,12 @@ from transport_oracle import (
     build_R_stack,
     einsum_recursion_step,
     full_space_mismatch,
+    gaussian_filtered_projector,
     loop_impurity_transform,
 )
 
 from lpplab import interactions as itx
-from lpplab import lattice, quasilocal as ql, sectors
+from lpplab import lattice, models, quasilocal as ql, sectors
 from lpplab.operators import (
     LocalOperator,
     SpectralData,
@@ -195,16 +196,16 @@ def test_gauss_truncated_matches_quadrature(omega, alpha, T):
 
 def test_projector_spectral_two_level():
     S = eigendecompose(np.diag([0.0, 1.0]).astype(complex), mode="dense")
-    P = ql.gaussian_filtered_projector(S, lam=0.0, alpha=0.25)
+    P = gaussian_filtered_projector(S, lam=0.0, alpha=0.25)
     assert np.allclose(P, np.diag([1.0, np.exp(-1.0)]), atol=1e-14)
     partial = SpectralData(S.values[:1], S.vectors[:, :1], "iterative", 0.0, 2)
     with pytest.raises(ValueError, match="full eigendecomposition"):
-        ql.gaussian_filtered_projector(partial, lam=0.0, alpha=0.25)
+        gaussian_filtered_projector(partial, lam=0.0, alpha=0.25)
 
 
 def test_projector_small_alpha_is_eigenprojection():
     S = eigendecompose(np.diag([0.0, 1.0]).astype(complex), mode="dense")
-    P = ql.gaussian_filtered_projector(S, lam=0.0, alpha=1e-3)
+    P = gaussian_filtered_projector(S, lam=0.0, alpha=1e-3)
     assert np.allclose(P, np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -216,7 +217,7 @@ def test_projector_quadrature_matches_spectral():
     )
     S = eigendecompose(H, mode="dense")
     lam = float(S.values[0])
-    P_spec = ql.gaussian_filtered_projector(S, lam, alpha=0.6)
+    P_spec = gaussian_filtered_projector(S, lam, alpha=0.6)
     P_quad = quadrature_projector(S, lam, alpha=0.6)
     assert np.abs(P_spec - P_quad).max() < 1e-10
 
@@ -228,7 +229,7 @@ def test_filtered_sum_acts_as_identity_on_sector():
     sigma_in = S.values[:3]
     nodes, a, _ = ql.solve_filter_coefficients(sigma_in, alpha=0.3)
     P_script = sum(
-        a[k] * ql.gaussian_filtered_projector(S, nodes[k], alpha=0.3)
+        a[k] * gaussian_filtered_projector(S, nodes[k], alpha=0.3)
         for k in range(len(nodes))
     )
     for i in range(3):
@@ -578,6 +579,21 @@ def test_transport_keeps_a_real_path_real():
     path = decayed_path(4, J=0.05, h=1.0, site=0, W_final=0.2 * sigma_z)
     assert path.spectral(0.0).vectors.dtype == np.float64
     assert ql.path_transport(path, 2, l=1).L.dtype == np.float64
+
+
+def test_attached_impurity_on_a_real_model_keeps_the_transport_real():
+    # the s = 0 basis lifted from real bulk eigenvectors, and the
+    # transport started from it, keep the dtype of the real H(s)
+    model = models.build_gapped_chain(
+        "transverse-field-Ising", {"n": 5, "J": 0.3, "h": 1.0}
+    )
+    coupling = 0.2 * np.kron(sigma_z, sigma_x)
+    path = models.attach_impurity(model, 2, 2, lambda s: s * coupling, mu=0.7)
+    assert path.hamiltonian(0.5).dtype == np.float64
+    assert path.initial_basis.dtype == np.float64
+    ts = ql.path_transport(path, 2, l=1)
+    assert ts.sector0.basis.dtype == np.float64
+    assert ts.L.dtype == np.float64
 
 
 def test_transport_adaptive_step_doubling():

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flow_oracle import _expm_i, flow_pass, loop_assemble
+from boson_oracle import coupling_preset, number_conservation_defect
+from flow_oracle import (
+    _expm_i,
+    block_projector,
+    fd_projector_derivative,
+    flow_pass,
+    loop_assemble,
+)
 from lpplab import lattice, models
 from lpplab import spectral_flow as sf
 from lpplab.exceptions import GapClosed, UnitarityLost
@@ -125,7 +132,7 @@ def test_block_spectra_match_spin_model():
     # the hard-core block decomposition against the full spin Hamiltonian
     L, theta = 6, 0.5
     model = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
-    W = models.coupling_preset("hopping-ramp", theta, n_spins=1)
+    W = coupling_preset("hopping-ramp", theta, n_spins=1)
     path = models.attach_impurity(model, 2, 2, W, mu=1.0)
     system = sf.BosonSystem(
         model.graph, np.ones(L), [sf.ImpurityModes(2, 1, lambda s: theta * s)]
@@ -145,19 +152,11 @@ def test_number_conservation_exact_along_path():
     L, theta = 5, 0.4
     model = models.build_xy_model(models.XYModelSpec(L=L, gamma=1.0))
     for preset in ("hopping-ramp", "exchange-ramp"):
-        W = models.coupling_preset(preset, theta, n_spins=1)
+        W = coupling_preset(preset, theta, n_spins=1)
         path = models.attach_impurity(model, 1, 2, W, mu=1.0)
         for s in (0.0, 0.5, 1.0):
             H = path.hamiltonian(s).dense()
-            assert sf.number_conservation_defect(H, path.graph, {1: 1}) <= 1e-10
-
-
-def test_number_operator_validation():
-    G = lattice.chain(3)
-    N = sf.number_operator(G)
-    assert np.allclose(np.diag(N), [3, 2, 2, 1, 2, 1, 1, 0])
-    with pytest.raises(ValueError, match="does not hold"):
-        sf.number_operator(G, {1: 2})
+            assert number_conservation_defect(H, path.graph, {1: 1}) <= 1e-10
 
 
 def test_system_validation():
@@ -216,9 +215,9 @@ def test_projector_derivative_constant_coupling_is_zero():
     G = lattice.chain(6, periodic=True)
     system = sf.BosonSystem(G, 1.0, [sf.ImpurityModes(2, 1, 0.3)])
     path = sf.BlockSectorPath(system, 1)
-    dP = sf.projector_derivative(path, 0.5, method="resolvent")
+    dP = sf.projector_derivative(path, 0.5)
     assert np.abs(dP).max() < 1e-12
-    dPf = sf.projector_derivative(path, 0.5, method="finite-difference")
+    dPf = fd_projector_derivative(path, 0.5)
     assert np.abs(dPf).max() < 1e-8
 
 
@@ -236,8 +235,8 @@ def test_projector_derivative_avoided_crossing():
         m = s - 0.5
         r = np.hypot(delta, m)
         analytic = (delta * m * sigma_x - delta**2 * sigma_z) / (2 * r**3)
-        res = sf.projector_derivative(path, s, method="resolvent")
-        fd = sf.projector_derivative(path, s, method="finite-difference")
+        res = sf.projector_derivative(path, s)
+        fd = fd_projector_derivative(path, s, projector=TinyPath.projector)
         assert operator_norm(res - analytic) < 1e-10
         assert operator_norm(fd - analytic) < 1e-6
 
@@ -245,8 +244,8 @@ def test_projector_derivative_avoided_crossing():
 def test_projector_derivative_methods_agree_on_block():
     path = sf.BlockSectorPath(ring_system(), 1)
     for s in (0.3, 0.7):
-        res = sf.projector_derivative(path, s, method="resolvent")
-        fd = sf.projector_derivative(path, s, method="finite-difference")
+        res = sf.projector_derivative(path, s)
+        fd = fd_projector_derivative(path, s)
         assert operator_norm(res - res.conj().T) < 1e-12
         assert operator_norm(res - fd) < 1e-6
 
@@ -258,8 +257,6 @@ def test_projector_derivative_gap_closed():
     path = TinyPath(H, lambda s: sigma_z, 1)
     with pytest.raises(GapClosed):
         sf.projector_derivative(path, 0.5)
-    with pytest.raises(ValueError, match="unknown method"):
-        sf.projector_derivative(path, 0.1, method="midpoint")
 
 
 # -------------------------------------------------- generator truncation
@@ -268,7 +265,7 @@ def test_projector_derivative_gap_closed():
 def _block_generator(system, s=0.5):
     path = sf.BlockSectorPath(system, 1)
     dP = sf.projector_derivative(path, s)
-    return path, sf.kato_generator(path.projector(s), dP)
+    return path, sf.kato_generator(block_projector(path, s), dP)
 
 
 def test_truncate_generator_full_radius_is_identity():
@@ -522,11 +519,11 @@ def test_sub_block_step_leaves_other_rows_untouched():
 
 def test_block_path_cache_is_bounded():
     path = sf.BlockSectorPath(ring_system(), 1)
-    P0 = path.projector(0.0)
+    P0 = block_projector(path, 0.0)
     sf.integrate_flows(path, [None, 1], 0.1)
     assert len(path._cache) <= CACHE_SIZE
     assert 0.0 not in path._cache
-    assert np.array_equal(path.projector(0.0), P0)
+    assert np.array_equal(block_projector(path, 0.0), P0)
 
 
 def test_lost_unitarity_is_typed(monkeypatch):

@@ -10,7 +10,11 @@
   loop_impurity_transform   T_l = sum_ij L_ij I_ji as d^2 embedded
                             matrices and dense products;
   full_space_mismatch       ||P1 - T P0 T^dagger|| with T embedded on the
-                            whole volume and the norm taken there.
+                            whole volume and the norm taken there;
+  sector_projector          the D x D projector B B^dagger of a sector;
+  gaussian_filtered_projector
+                            the full-time filter P_lambda = sum_kappa
+                            e^{-(kappa-lam)^2/4a} Q_kappa from a spectrum.
 
 The library localizes R from its factors without forming the stack,
 writes the recursion as a batched matmul and a tensordot in the dtype of
@@ -19,8 +23,9 @@ in span[B1, T B0]; each form agrees with these to rounding.
 """
 
 import numpy as np
+from embed_oracle import embed
 
-from lpplab.operators import embed, embed_matrix, operator_norm
+from lpplab.operators import embed_matrix, operator_norm
 from lpplab.quasilocal import _gauss_truncated
 
 
@@ -72,6 +77,22 @@ def loop_impurity_transform(L, dims, pos, d0):
 def full_space_mismatch(path, T_op):
     """The projector mismatch of impurity_transform on the full volume."""
     T_full = embed(T_op, path.graph)
-    P0 = path.sector(0.0).projector
-    P1 = path.sector(1.0).projector
+    P0 = sector_projector(path.sector(0.0))
+    P1 = sector_projector(path.sector(1.0))
     return operator_norm(P1 - T_full @ P0 @ T_full.conj().T)
+
+
+def sector_projector(sec):
+    """P = B B^dagger for a sector with orthonormal basis columns B."""
+    return sec.basis @ sec.basis.conj().T
+
+
+def gaussian_filtered_projector(S, lam, alpha):
+    """P_lambda = sum_kappa e^{-(kappa-lam)^2/4a} Q_kappa, from the spectrum.
+
+    This is the full-time filter sqrt(a/pi) int e^{-a t^2} e^{it(H-lam)} dt
+    with the Gaussian weights evaluated in the eigenbasis.
+    """
+    S.require_complete("gaussian_filtered_projector")
+    w = np.exp(-((S.values - lam) ** 2) / (4 * alpha))
+    return (S.vectors * w) @ S.vectors.conj().T
