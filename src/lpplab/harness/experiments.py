@@ -214,12 +214,19 @@ def _flip_commutators(S, sigma, site_a, n_sites):
         SU[r] = phase[:, None] * blocks[q].vectors
         W[q] = blocks[p].vectors.T @ SU
 
+    def real_left(U, Y):
+        """U @ Y for real U and C-contiguous complex Y: one real product
+        on Y's float view, not a complex one with U promoted."""
+        return (U @ Y.view(float)).view(complex)
+
     def at(t):
         A = {}
         for q in sources:
             bp, bq = blocks[q * eps], blocks[q]
-            phases = np.outer(np.exp(1j * t * bp.values), np.exp(-1j * t * bq.values))
-            A[q] = bp.vectors @ (W[q] * phases) @ bq.vectors.T
+            M = np.outer(np.exp(1j * t * bp.values), np.exp(-1j * t * bq.values))
+            M *= W[q]
+            M = real_left(bp.vectors, M)
+            A[q] = real_left(bq.vectors, M.T.copy()).T  # (U_q (U_p M)^T)^T
 
         def norm(b):
             out = 0.0
@@ -800,17 +807,21 @@ def run_sequential_coupling(config, workers=1, rng=None):
 
         One flow pass per (system, block) serves every radius; these
         passes are independent, so they are what the workers split.
+        Only the coupled passes' flow errors are read, so the
+        one-impurity passes track none.
         """
         jobs = [
-            (system, n, K)
+            (system, n, K, track)
             for n in ns
-            for system, K in ((sxy, (x0, y0)), (sx, (x0,)), (sy, (y0,)))
+            for system, K, track in (
+                (sxy, (x0, y0), None), (sx, (x0,), ()), (sy, (y0,), ())
+            )
         ]
 
         def flows(job):
-            system, n, K = job
+            system, n, K, track = job
             path = sflow.BlockSectorPath(system, n)
-            return path, sflow.integrate_flows(path, radii, ds, K=K)
+            return path, sflow.integrate_flows(path, radii, ds, K=K, track=track)
 
         done = pmap(flows, jobs, workers)
         p_xy = [path for path, _ in done[0::3]]
@@ -1080,10 +1091,11 @@ def run_kato_flow(config, workers=1, rng=None):
     ns = list(range(n_max + 1))
     checks, warnings, rows = [], [], []
 
-    # one flow pass per block serves the untruncated flow and every radius
+    # one flow pass per block serves the untruncated flow and every
+    # radius; the truncated errors are read at s = 1 only
     def block_errors(n):
         path = sflow.BlockSectorPath(system, n)
-        flows = sflow.integrate_flows(path, [None, *ls], ds, K=(site,))
+        flows = sflow.integrate_flows(path, [None, *ls], ds, K=(site,), track=(None,))
         return [errs for _, _, errs in flows]
 
     errors = pmap(block_errors, ns, workers)

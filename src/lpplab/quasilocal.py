@@ -25,9 +25,10 @@ The construction chain:
      The weak step's unlocalized R_i psi is V (C o Phi_i) V0^dagger psi
      + comp_i psi, a few matrix-vector products.
   5. path_transport iterates localized steps through the coefficient
-     recursion L^(m) = c(m) R^(m) L^(m-1) entirely on H_{K_l}: one
-     batched matmul R_p L_pq and one tensordot over p per step, with L
-     kept in the dtype of c and R (real on a real path).
+     recursion L^(m) = c(m) R^(m) L^(m-1) entirely on H_{K_l}: each
+     product R_p L_pq is formed once and accumulated into the output
+     blocks it feeds, with L kept in the dtype of c and R (real on a
+     real path).
 
 Everything here works on explicit spectral data; no contour integrals.
 """
@@ -329,9 +330,16 @@ class _PredicateFailure(Exception):
 
 
 def _recursion_step(c, R_small, L):
-    """L^(m)_{iq} = sum_p c_{ip} R_p L^(m-1)_{pq}: the products R_p L_pq
-    as one batched matmul, then the sum over p as one tensordot."""
-    return np.tensordot(c, R_small[:, None] @ L, axes=(1, 0))
+    """L^(m)_{iq} = sum_p c_{ip} R_p L^(m-1)_{pq}, accumulated into the
+    output one (p, q) product at a time: besides L and the output, only
+    one D_K x D_K product and its scaled copy are held."""
+    out = np.zeros(L.shape, dtype=np.result_type(c, R_small, L))
+    RL = np.empty(L.shape[2:], dtype=out.dtype)
+    for p, q in np.ndindex(*L.shape[:2]):
+        np.matmul(R_small[p], L[p, q], out=RL)
+        for i in range(len(c)):
+            out[i, q] += c[i, p] * RL
+    return out
 
 
 def _transport_attempt(path, n, ls, g, consts):

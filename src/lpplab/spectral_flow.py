@@ -38,10 +38,12 @@ the s-grid once for a list of radii: it diagonalizes each grid point
 and forms B and Y once, then truncates, steps and measures the flow
 error per radius.  Nothing is kept beyond the current grid point: a
 flow returns its endpoint U, the grid and the flow error at each grid
-point, and no D x D generator is formed along the way.  A block whose
-one-particle matrix is bitwise unchanged between grid points (an
-uncoupled control) reuses the spectrum it already has, so such a flow
-takes one block `eigh`.
+point, and no D x D generator is formed along the way.  A radius whose
+error series no caller reads is measured at s = 1 only (`track`), and
+a pass that reads no series skips the spectra at the inner grid
+points.  A block whose one-particle matrix is bitwise unchanged between
+grid points (an uncoupled control) reuses the spectrum it already has,
+so such a flow takes one block `eigh`.
 
 Blocks with more particles than the impurity can hold carry an empty
 sector: P = 0, K = 0, and the flow is exactly the identity.
@@ -388,18 +390,25 @@ def integrate_flow(path, l, ds, K=None):
     return integrate_flows(path, [l], ds, K=K)[0]
 
 
-def integrate_flows(path, ls, ds, K=None):
+def integrate_flows(path, ls, ds, K=None, track=None):
     """integrate_flow for every radius in `ls`, in one pass over the grid.
 
     Returns one (U, grid, errors) per radius, in the order of `ls`,
     each what integrate_flow gives for that radius alone.  The resolvent
     factors B and Y of K = [P, dP] = B Y* - Y B* are formed once per
     grid point and shared by the radii; only the kept rows, the rank-2d
-    step on them and the span-sized error are per radius.  Raises
-    UnitarityLost, with the radius and the defect, when a flow ends
-    further than UNITARITY_TOL from unitary.
+    step on them and the span-sized error are per radius.
+
+    `track` lists the radii whose flow error the caller reads at every
+    grid point; by default every radius is tracked.  An untracked
+    radius gets its error at s = 1 only, as a one-entry errors array.
+    A pass that tracks no radius takes the spectrum only at s = 0, at
+    the midpoints and at s = 1.  U and the tracked errors do not depend
+    on `track`.  Raises UnitarityLost, with the radius and the defect,
+    when a flow ends further than UNITARITY_TOL from unitary.
     """
     ls = list(ls)
+    tracked = [track is None or l in track for l in ls]
     if K is None and any(l is not None for l in ls):
         system = getattr(path, "system", None)
         if system is None:
@@ -414,18 +423,20 @@ def integrate_flows(path, ls, ds, K=None):
     B0 = sector_basis(path, 0.0)
     Us = [np.eye(dim) for _ in ls]
     grid = [0.0]
-    errors = [[0.0] for _ in ls]
+    errors = [[0.0] if t else [] for t in tracked]
     for j in range(n_steps):
         smid = (j + 0.5) * ds
         B, Y = _resolvent_factor(path, smid) if moving else (None, None)
         s1 = (j + 1) * ds
-        B1 = sector_basis(path, s1)
+        last = j == n_steps - 1
+        B1 = sector_basis(path, s1) if last or any(tracked) else None
         for i, r in enumerate(rows):
             if moving and Y[r].any():
                 Q, F = _span_step(B[r], Y[r], ds)
                 Us[i] = Us[i].astype(np.result_type(Us[i], Q), copy=False)
                 Us[i][r] += Q @ (F @ (Q.conj().T @ Us[i][r]))
-            errors[i].append(_span_error(B1, Us[i] @ B0))
+            if last or tracked[i]:
+                errors[i].append(_span_error(B1, Us[i] @ B0))
         grid.append(s1)
     grid = np.array(grid)
     out = []

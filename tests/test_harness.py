@@ -1,5 +1,6 @@
 """Harness layer: fitting, CSV/manifest I/O, config validation, CLI."""
 
+import collections
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from lpplab.harness.experiments import (
     build_model,
     run_clustering,
     run_impurity_lppl,
+    run_kato_flow,
     run_lr_cone,
     run_sequential_coupling,
     run_tqo,
@@ -539,6 +541,34 @@ def test_transport_runners_diagonalize_each_path_point_once(eig_calls):
         "perturbation": {"site": 0, "epsilon": 0.05}, "sweep": {"l_values": [1, 2, 3]},
     })
     assert eig_calls == {"models": 1, "sectors": 13}
+
+
+def test_flow_runners_diagonalize_only_the_points_they_read(monkeypatch):
+    # block eigh calls per block dimension on the small flow configs
+    # (ds = 0.1, so 10 steps): a pass that reads its errors takes s = 0,
+    # the 10 midpoints and the 10 endpoints; sequential-coupling reads
+    # only U from its one-impurity passes, which take s = 0, the
+    # midpoints and s = 1
+    shapes = collections.Counter()
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes[a.shape[0]] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    run_sequential_coupling({"schema_version": 1, "experiment": "sequential-coupling",
+                             **FLOW_CONFIGS["sequential-coupling"]})
+    # n = 1 (dim 8) and n = 2 (dim 28): the coupled pass 21 and its
+    # s = 0 basis read again after the pass 1, each one-impurity pass
+    # 12, and one per pass of the uncoupled control
+    assert (shapes[8], shapes[28]) == (21 + 1 + 2 * 12 + 3,) * 2
+    shapes.clear()
+    run_kato_flow({"schema_version": 1, "experiment": "kato-flow",
+                   **FLOW_CONFIGS["kato-flow"]})
+    # n = 1 (dim 9) reads the untruncated series: 21, then 11 for the
+    # step-halving probe at 2 ds; n = 2 has an empty sector and no eigh
+    assert (shapes[9], shapes[36]) == (21 + 11, 0)
 
 
 def test_clustering_bulk_takes_the_gap_from_the_spectrum():

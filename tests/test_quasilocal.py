@@ -450,6 +450,26 @@ def test_build_R_is_bitwise_the_same_at_every_thread_budget(D, dtype, blocks, mo
         assert np.array_equal(results[0][1], R_psi0)
 
 
+@pytest.mark.parametrize("J, h, d", [(0.05, 1.0, 1), (1.0, 0.3, 2)],
+                         ids=["paramagnet", "ferromagnet-pair"])
+@pytest.mark.parametrize("lv", [1, 2])
+def test_localized_R_at_eps_zero_is_the_identity(J, h, d, lv):
+    # criterion 1's filter identity through the runners' own filter: with
+    # the coefficients solved on sigma_in and S = S0 (eps = 0), each R_i
+    # is sum_lambda a_lambda e^{-(lambda_i0 - lambda)^2 / 4a} 1 = 1, so it
+    # localizes to 1 on K_l and leaves the sector states unchanged
+    path = decayed_path(6, J=J, h=h, site=0, W_final=0.4 * sigma_z, rule=("fixed_d", d))
+    sec, S = path.sector(0.3), path.spectral(0.3)
+    params, _ = ql._filter(sec.gap, path.constants(), lv, sec.values_in)
+    Kl = tuple(sorted(lattice.fatten(path.graph, path.K, lv)))
+    R_loc, R_states = ql._localized_R_batch(
+        S, S, sec.values_in, params, Kl, path.graph, states=sec.basis
+    )
+    assert R_loc.shape == (d, 2 ** len(Kl), 2 ** len(Kl))
+    assert np.abs(R_loc - np.eye(2 ** len(Kl))).max() <= 1e-12
+    assert np.abs(R_states - sec.basis).max() <= 1e-12
+
+
 def test_build_R_requires_coefficients():
     S = eigendecompose(np.diag([0.0, 1.0]).astype(complex), mode="dense")
     bare = ql.FilterParams(alpha=0.3, T=1.0, l=1.0, mu_prime=0.1, exponent=0.3)

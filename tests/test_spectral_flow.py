@@ -504,6 +504,38 @@ def test_ramped_block_takes_one_eigh_per_grid_point(monkeypatch):
     assert len(calls) == 21  # s = 0, 0.05, ..., 1: endpoints and midpoints
 
 
+def test_untracked_flow_reads_the_spectrum_at_the_midpoints_and_ends(monkeypatch):
+    # track=() skips the ten inner endpoints: s = 0, the ten midpoints
+    # and s = 1; U and the s = 1 errors are bitwise the tracked pass's
+    radii = [None, 1, 2]
+    full = sf.integrate_flows(sf.BlockSectorPath(two_impurity_system(), 1), radii, 0.1,
+                              K=(0, 4))
+    path = sf.BlockSectorPath(two_impurity_system(), 1)
+    calls = _count_block_eigh(monkeypatch, path.dim)
+    bare = sf.integrate_flows(path, radii, 0.1, K=(0, 4), track=())
+    assert len(calls) == 12
+    for (U, grid, errs), (U_t, grid_t, errs_t) in zip(bare, full):
+        assert np.array_equal(U, U_t)
+        assert np.array_equal(grid, grid_t)
+        assert np.array_equal(errs, errs_t[-1:])
+        assert errs_t[-1] > 0
+
+
+def test_tracked_radii_keep_their_series():
+    # tracking the untruncated flow alone, as kato-flow does: its series
+    # and every U are bitwise the fully tracked pass's
+    radii = [None, 1, 2, 3]
+    full = sf.integrate_flows(sf.BlockSectorPath(ring_system(), 1), radii, 0.1)
+    part = sf.integrate_flows(sf.BlockSectorPath(ring_system(), 1), radii, 0.1,
+                              track=(None,))
+    assert np.array_equal(part[0][2], full[0][2])
+    assert len(part[0][2]) == 11
+    for (U, _, errs), (U_t, _, errs_t) in zip(part, full):
+        assert np.array_equal(U, U_t)
+        assert np.array_equal(errs[-1:], errs_t[-1:])
+    assert all(len(errs) == 1 for _, _, errs in part[1:])
+
+
 def test_sub_block_step_leaves_other_rows_untouched():
     system = ring_system()
     path = sf.BlockSectorPath(system, 1)
