@@ -28,8 +28,8 @@ from ..blas import fan_out, pmap
 from ..exceptions import GapClosed, NotApplicable
 from ..interactions import (
     DecayFunctions,
+    InteractionFamily,
     decay_constants,
-    linear_ramp,
     lr_bound_rhs,
     xi,
 )
@@ -157,15 +157,21 @@ def _internal_mixer(dI):
     return M / operator_norm(M, hermitian=True)
 
 
-def _impurity_ramp(icfg, site_dim):
-    """W(s) on the enlarged site, a linear ramp of pauli (x) mixer."""
+def _impurity_slope(icfg, site_dim):
+    """(dim(I), W): the slope of the impurity coupling s W on the
+    enlarged site, strength * pauli (x) mixer."""
     dI = int(icfg.get("dim", 2))
     theta = float(icfg.get("strength", 0.5))
     bulk = PAULI[icfg.get("pauli", "z")]
     if site_dim != bulk.shape[0]:
         raise ValueError("impurity coupling assumes a spin-1/2 bulk site")
-    static = theta * np.kron(bulk, _internal_mixer(dI))
-    return dI, (lambda s: s * static)
+    return dI, theta * np.kron(bulk, _internal_mixer(dI))
+
+
+def _site_slope(G, site, W):
+    """The slope family of a ramp s W at one site."""
+    term = LocalOperator((site,), (G.site_dims[site],), W, hermitian=True)
+    return InteractionFamily([term])
 
 
 # --------------------------------------------------------------- lr-cone
@@ -190,6 +196,14 @@ def _probe_commutator_norm(A, sigma, site, dims):
     return 2.0 * operator_norm(blk.reshape(rows, -1))
 
 
+def _real_left(U, Y):
+    """U @ Y for real U and C-contiguous Y: for complex Y one real
+    product on Y's float view, not a complex one with U promoted."""
+    if Y.dtype.kind != "c":
+        return U @ Y
+    return (U @ Y.view(float)).view(complex)
+
+
 def _flip_commutators(S, sigma, site_a, n_sites):
     """t -> (b -> ||[A(t), sigma_b]||) read from the spin-flip blocks.
 
@@ -212,12 +226,7 @@ def _flip_commutators(S, sigma, site_a, n_sites):
         p, r, phase = flip_action(sigma, site_a, n_sites, q)
         SU = np.empty(blocks[q].vectors.shape, np.result_type(phase, float))
         SU[r] = phase[:, None] * blocks[q].vectors
-        W[q] = blocks[p].vectors.T @ SU
-
-    def real_left(U, Y):
-        """U @ Y for real U and C-contiguous complex Y: one real product
-        on Y's float view, not a complex one with U promoted."""
-        return (U @ Y.view(float)).view(complex)
+        W[q] = _real_left(blocks[p].vectors.T, SU)
 
     def at(t):
         A = {}
@@ -225,8 +234,8 @@ def _flip_commutators(S, sigma, site_a, n_sites):
             bp, bq = blocks[q * eps], blocks[q]
             M = np.outer(np.exp(1j * t * bp.values), np.exp(-1j * t * bq.values))
             M *= W[q]
-            M = real_left(bp.vectors, M)
-            A[q] = real_left(bq.vectors, M.T.copy()).T  # (U_q (U_p M)^T)^T
+            M = _real_left(bp.vectors, M)
+            A[q] = _real_left(bq.vectors, M.T.copy()).T  # (U_q (U_p M)^T)^T
 
         def norm(b):
             out = 0.0
@@ -391,10 +400,10 @@ def run_lr_cone(config, workers=1, rng=None):
 def _ramp_path(config, model, decay):
     p = config.get("perturbation", {})
     site = int(p.get("site", 0))
-    W_final = float(p.get("strength", 1.0)) * PAULI[p.get("pauli", "z")]
-    W = linear_ramp(model.graph, site, W_final)
+    W = float(p.get("strength", 1.0)) * PAULI[p.get("pauli", "z")]
     return HamiltonianPath(
-        model.graph, model.family, W=W, rule=_sector_rule(config), decay=decay
+        model.graph, model.family, W=_site_slope(model.graph, site, W),
+        rule=_sector_rule(config), decay=decay,
     )
 
 
@@ -518,10 +527,10 @@ def run_impurity_lppl(config, workers=1, rng=None):
     n = G.n_sites
     icfg = config.get("impurity", {})
     k = int(icfg.get("site", n // 2))
-    dI, Wfn = _impurity_ramp(icfg, G.site_dims[k])
+    dI, W = _impurity_slope(icfg, G.site_dims[k])
     mu = float(config.get("mu", 1.0))
 
-    path = models.attach_impurity(model, k, dI, Wfn, mu=mu)
+    path = models.attach_impurity(model, k, dI, W, mu=mu)
     G2 = path.graph
     sweep = config.get("sweep", {})
     ls = [float(v) for v in sweep.get("l_values", [1, 2, 3, 4])]
@@ -583,7 +592,7 @@ def run_impurity_lppl(config, workers=1, rng=None):
     if config.get("control", True):
         dk = G.site_dims[k]
         zero = np.zeros((dk * dI, dk * dI), dtype=complex)
-        path0 = models.attach_impurity(model, k, dI, lambda s: zero, mu=mu)
+        path0 = models.attach_impurity(model, k, dI, zero, mu=mu)
         ts0 = quasilocal.path_transport(path0, 2, ls[0])
         steps["control_n_steps_final"] = ts0.n
         _, err0 = quasilocal.impurity_transform(path0, ts0, k, dI)
@@ -642,10 +651,9 @@ def run_clustering(config, workers=1, rng=None):
     else:
         icfg = config.get("impurity", {})
         k = int(icfg.get("site", G.n_sites // 2))
-        W_final = float(icfg.get("strength", 3.0)) * PAULI[icfg.get("pauli", "z")]
+        W = float(icfg.get("strength", 3.0)) * PAULI[icfg.get("pauli", "z")]
         path = HamiltonianPath(
-            G, model.family, W=linear_ramp(G, k, W_final),
-            rule=_sector_rule(config), decay=decay,
+            G, model.family, W=_site_slope(G, k, W), rule=_sector_rule(config), decay=decay
         )
         # transported-step coefficient norms on the same perturbed path;
         # the sweep ends at s = 1, so the spectrum there stays cached
@@ -774,13 +782,11 @@ def run_sequential_coupling(config, workers=1, rng=None):
     ns = list(range(n_max + 1))
 
     def systems(strength):
-        ramp = lambda s: strength * s
-        zero = lambda s: 0.0
         mk = lambda cx, cy: sflow.BosonSystem(
             ring, gamma,
             (sflow.ImpurityModes(x0, 1, cx), sflow.ImpurityModes(y0, 1, cy)),
         )
-        return mk(ramp, ramp), mk(ramp, zero), mk(zero, ramp)
+        return mk(strength, strength), mk(strength, 0.0), mk(0.0, strength)
 
     sys_xy, sys_x, sys_y = systems(theta)
     blocks = [sys_xy.block(n) for n in ns]
@@ -808,7 +814,8 @@ def run_sequential_coupling(config, workers=1, rng=None):
         One flow pass per (system, block) serves every radius; these
         passes are independent, so they are what the workers split.
         Only the coupled passes' flow errors are read, so the
-        one-impurity passes track none.
+        one-impurity passes track none.  Each pass also gives B(0) and
+        diag P(1), read while the path still caches s = 0 and s = 1.
         """
         jobs = [
             (system, n, K, track)
@@ -821,13 +828,14 @@ def run_sequential_coupling(config, workers=1, rng=None):
         def flows(job):
             system, n, K, track = job
             path = sflow.BlockSectorPath(system, n)
-            return path, sflow.integrate_flows(path, radii, ds, K=K, track=track)
+            B0 = sflow.sector_basis(path, 0.0)
+            out = sflow.integrate_flows(path, radii, ds, K=K, track=track)
+            return B0, diag_projector(sflow.sector_basis(path, 1.0)), out
 
         done = pmap(flows, jobs, workers)
-        p_xy = [path for path, _ in done[0::3]]
-        B0 = [sflow.sector_basis(p, 0.0) for p in p_xy]
-        P1 = [diag_projector(sflow.sector_basis(p, 1.0)) for p in p_xy]
-        flows_xy, flows_x, flows_y = ([f for _, f in done[k::3]] for k in range(3))
+        B0 = [b for b, _, _ in done[0::3]]
+        P1 = [p for _, p, _ in done[0::3]]
+        flows_xy, flows_x, flows_y = ([f for _, _, f in done[k::3]] for k in range(3))
         return [
             one_radius(l, B0, P1, [f[i] for f in flows_xy],
                        [f[i][0] @ g[i][0] for f, g in zip(flows_x, flows_y)])
@@ -998,11 +1006,9 @@ def run_tqo(config, workers=1, rng=None):
     # impurity sweep on the exact dressed sector
     icfg = config.get("impurity", {})
     k = int(icfg.get("site", 0))
-    dI, Wfn = _impurity_ramp(icfg, G.site_dims[k])
+    dI, W = _impurity_slope(icfg, G.site_dims[k])
     mu = float(config.get("mu", 1.0))
-    path = models.attach_impurity(
-        model, k, dI, Wfn, mu=mu, bulk_degeneracy=degeneracy
-    )
+    path = models.attach_impurity(model, k, dI, W, mu=mu, bulk_degeneracy=degeneracy)
     B1 = path.sector(1.0).basis
     G2 = path.graph
 
@@ -1086,7 +1092,7 @@ def run_kato_flow(config, workers=1, rng=None):
 
     ring = lattice.chain(L, periodic=True)
     system = sflow.BosonSystem(
-        ring, gamma, (sflow.ImpurityModes(site, n_spins, lambda s: theta * s),)
+        ring, gamma, (sflow.ImpurityModes(site, n_spins, theta),)
     )
     ns = list(range(n_max + 1))
     checks, warnings, rows = [], [], []
@@ -1215,9 +1221,7 @@ def run_ct_profile(config, workers=1, rng=None):
         strength = float(icfg.get("strength", 0.5))
         impurities = (
             sflow.ImpurityModes(
-                int(icfg.get("site", 0)),
-                int(icfg.get("n_spins", 1)),
-                lambda s: strength * s,
+                int(icfg.get("site", 0)), int(icfg.get("n_spins", 1)), strength
             ),
         )
     system = sflow.BosonSystem(ring, u, impurities)

@@ -11,6 +11,10 @@ are plain maxima over sites:
 The primed interaction norm drops single-site terms; it feeds the group
 velocity v = 2 ||Phi||'_mu C_mu / mu and the locality length
 xi = 1/mu + 2 v / g.
+
+A perturbation is an InteractionFamily too: the slope W of the linear
+path H(s) = sum(Phi) + s W (sectors.HamiltonianPath), each assembled
+once by assemble_hamiltonian.
 """
 
 from __future__ import annotations
@@ -142,53 +146,13 @@ def lr_bound_rhs(A: LocalOperator, B: LocalOperator, t, phi, decay):
     return pref * A.norm() * B.norm() * min(bx, by) * np.exp(-decay.mu * (d - v * abs(t)))
 
 
-def add_terms(H, terms, G):
-    """H plus each local term embedded on G as CSR, added in order."""
-    for t in terms:
-        H = H + embed_sparse(t.matrix, t.support, G.site_dims)
-    return HamiltonianAction(H)
-
-
 def assemble_hamiltonian(phi: InteractionFamily, G):
     """sum(Phi) as a HamiltonianAction (CSR); `.dense()` gives the array.
 
-    The terms are added in order; the sum is float64 unless a term has
-    an imaginary part.
+    The terms are embedded and added in order; the sum is float64 unless
+    a term has an imaginary part.
     """
-    return add_terms(HamiltonianAction((G.dimension(),) * 2), phi.terms, G)
-
-
-class PerturbationPath:
-    """Per-site perturbations W_i(s), s in [0, 1].
-
-    entries: list of (site, fn) where fn(s) returns the matrix on that
-    site's full local space.
-    """
-
-    def __init__(self, G, entries):
-        self.graph = G
-        self.entries = []
-        for site, fn in entries:
-            site = int(site)
-            d = G.site_dims[site]
-            W0 = np.asarray(fn(0.0), dtype=complex)
-            if W0.shape != (d, d):
-                raise ValueError(f"W at site {site} has shape {W0.shape}, expected {(d, d)}")
-            if np.abs(W0).max() > 1e-12:
-                raise ValueError(f"W at site {site} must vanish at s=0")
-            self.entries.append((site, fn))
-        self.sites = tuple(s for s, _ in self.entries)
-
-    def terms(self, s):
-        out = []
-        for site, fn in self.entries:
-            M = np.asarray(fn(s))
-            M = (M + M.conj().T) / 2
-            out.append(LocalOperator((site,), (self.graph.site_dims[site],), M, hermitian=True))
-        return out
-
-
-def linear_ramp(G, site, W_final):
-    """W(s) = s * W_final at one site."""
-    W_final = np.asarray(W_final)
-    return PerturbationPath(G, [(site, lambda s: s * W_final)])
+    H = HamiltonianAction((G.dimension(),) * 2)
+    for t in phi.terms:
+        H = H + embed_sparse(t.matrix, t.support, G.site_dims)
+    return HamiltonianAction(H)

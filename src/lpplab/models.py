@@ -216,9 +216,9 @@ def lift_state(psi, dims, site, phi):
 
 def attach_impurity(model: Model, k, impurity_dim, W, mu=None, bulk_degeneracy=1):
     """HamiltonianPath for the model with an internal space I at site k
-    and the coupling ramp W(s).
+    and the coupling ramp s W.
 
-    W is a callable s -> matrix on the enlarged site space.  The
+    W is the slope, a Hermitian matrix on the enlarged site space.  The
     unperturbed sector basis is the product (bulk eigenvectors) x
     (standard basis of I), so D = bulk_degeneracy * dim(I); it is real
     when the bulk eigenvectors are.
@@ -248,7 +248,7 @@ def attach_impurity(model: Model, k, impurity_dim, W, mu=None, bulk_degeneracy=1
     return HamiltonianPath(
         G2,
         phi2,
-        W=itx.PerturbationPath(G2, [(k, W)]),
+        W=itx.InteractionFamily([LocalOperator((k,), (dims2[k],), W, hermitian=True)]),
         rule=("fixed_d", B.shape[1]),
         decay=decay,
         initial_basis=B,

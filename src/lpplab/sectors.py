@@ -19,11 +19,16 @@ from .exceptions import GapClosed, StepTooLarge
 from .interactions import (
     DecayFunctions,
     InteractionFamily,
-    add_terms,
     assemble_hamiltonian,
     decay_constants,
 )
-from .operators import DENSE_LIMIT, SpectralCache, SpectralData, eigendecompose
+from .operators import (
+    DENSE_LIMIT,
+    HamiltonianAction,
+    SpectralCache,
+    SpectralData,
+    eigendecompose,
+)
 
 GAP_TOL = 1e-10
 CLUSTER_TOL = 1e-9
@@ -178,69 +183,57 @@ def solve_step_coefficients(prev: SectorSpectrum, next: SectorSpectrum):
 
 
 class HamiltonianPath:
-    """H(s) = sum(Phi) + W(s) on a fixed graph, with sector tracking.
+    """H(s) = sum(Phi) + s W on a fixed graph, with sector tracking.
 
-    sum(Phi) is assembled once as CSR; each s adds the terms of W(s) to
-    it.  Spectral data is kept in a SpectralCache keyed by float(s):
-    transport sweeps touch consecutive path points only.  A point whose
-    W(s) terms are bitwise a cached point's (a W that vanishes along the
-    path) has bitwise the same H(s) and reuses that spectrum.  The cache
-    keeps those few bytes rather than H(s), since a long-lived CSR
-    matrix can pin freed D x D temporaries in the heap (about +8 MB of
-    peak memory at D = 1024).
+    Phi and the slope W are InteractionFamily instances (no W: a
+    constant path), each assembled once as CSR, so H(s) = H_Phi + s V
+    with V = sum(W); s = 0 gives H_Phi itself, in its own dtype.  K is
+    the union of W's supports.  Spectral data is kept in a SpectralCache
+    keyed by float(s): transport sweeps touch consecutive path points
+    only.  A path whose V is zero has one H for every s, so it keys
+    every s to 0.0 and takes one spectrum.  The path holds V for its
+    lifetime but never H(s): a long-lived CSR matrix made between D x D
+    temporaries can pin them in the heap (about +8 MB of peak memory at
+    D = 1024), so V is made in __init__, before any spectrum.
     """
 
     def __init__(
         self,
         G,
         phi: InteractionFamily,
-        W=None,
+        W: InteractionFamily | None = None,
         rule=("fixed_d", 1),
         decay: DecayFunctions | None = None,
         initial_basis=None,
     ):
         self.graph = G
         self.phi = phi
-        self.W = W
+        self.W = InteractionFamily([]) if W is None else W
         self.rule = tuple(rule)
         self.decay = decay
         self.initial_basis = None if initial_basis is None else np.asarray(initial_basis)
         self.dim = int(np.prod(G.site_dims, dtype=np.int64))
         self._cache = SpectralCache()
         self._H_phi = assemble_hamiltonian(phi, G)
+        V = assemble_hamiltonian(self.W, G)
+        self._V = V if V.data.any() else None
 
     @property
     def K(self):
-        return () if self.W is None else tuple(sorted(set(self.W.sites)))
+        return tuple(sorted(set().union(*self.W.regions())))
 
     def hamiltonian(self, s):
         """H(s) as a HamiltonianAction (CSR); `.dense()` gives the array."""
-        if self.W is None:
+        if self._V is None or s == 0:
             return self._H_phi
-        return add_terms(self._H_phi, self.W.terms(s), self.graph)
+        return HamiltonianAction(self._H_phi + float(s) * self._V)
 
     def spectral(self, s) -> SpectralData:
         # ARPACK pairs for the iterative mode: the sector plus a margin
         d = self.rule[1] if self.rule[0] == "fixed_d" else 2
         k = min(self.dim - 2, max(6, int(d) + 5))
-
-        def compute():
-            terms = self._terms_bytes(s)
-            for seen, spectrum in self._cache.values():
-                if seen == terms:
-                    return terms, spectrum
-            return terms, eigendecompose(self.hamiltonian(s), k=k)
-
-        return self._cache.fetch(float(s), compute)[1]
-
-    def _terms_bytes(self, s):
-        """The terms of W(s) as bytes: points with equal bytes have
-        bitwise the same H(s)."""
-        if self.W is None:
-            return ()
-        return tuple(
-            (t.support, t.matrix.dtype.str, t.matrix.tobytes()) for t in self.W.terms(s)
-        )
+        key = 0.0 if self._V is None else float(s)
+        return self._cache.fetch(key, lambda: eigendecompose(self.hamiltonian(key), k=k))
 
     def sector(self, s) -> SectorSpectrum:
         sec = identify_sector(self.spectral(s), self.rule, s=s)
@@ -262,11 +255,12 @@ class HamiltonianPath:
     def sector_values(self, s):
         """Eigenvalues for gap grids.
 
-        Dense paths take them from `eigvalsh` alone, outside the cache:
-        a gap grid runs before any eigenpairs exist at its points.  Above
+        A dense path that moves takes them from `eigvalsh` alone, outside
+        the cache: a gap grid runs before any eigenpairs exist at its
+        points.  A constant path reads its one cached spectrum, and above
         DENSE_LIMIT they are the cached iterative spectrum's values.
         """
-        if self.dim <= DENSE_LIMIT:
+        if self._V is not None and self.dim <= DENSE_LIMIT:
             return np.linalg.eigvalsh(self.hamiltonian(s).dense())
         return self.spectral(s).values
 

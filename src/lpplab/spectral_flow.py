@@ -41,9 +41,12 @@ flow returns its endpoint U, the grid and the flow error at each grid
 point, and no D x D generator is formed along the way.  A radius whose
 error series no caller reads is measured at s = 1 only (`track`), and
 a pass that reads no series skips the spectra at the inner grid
-points.  A block whose one-particle matrix is bitwise unchanged between
-grid points (an uncoupled control) reuses the spectrum it already has,
-so such a flow takes one block `eigh`.
+points.
+
+Every coupling is a linear ramp, so the one-particle matrix is
+M(s) = M0 + s M1 and dH/ds is the block of M1: exact, and assembled once
+per block path.  A block whose dH is zero (an uncoupled control) keys
+every s to one spectrum, so such a flow takes one block `eigh`.
 
 Blocks with more particles than the impurity can hold carry an empty
 sector: P = 0, K = 0, and the flow is exactly the identity.
@@ -65,41 +68,29 @@ from .sectors import split_sector
 
 PROJECTOR_TOL = 1e-8
 UNITARITY_TOL = 1e-10
-_SCALAR_H = 1e-6
-
-
-def _as_fn(value):
-    if callable(value):
-        return value
-    return lambda s, v=float(value): v
-
-
-def _scalar_derivative(f, s, h=_SCALAR_H):
-    return (f(s + h) - f(s - h)) / (2 * h)
 
 
 @dataclass(frozen=True)
 class ImpurityModes:
     """One impurity: n_spins boson modes co-located at a bulk site.
 
-    coupling(s) is the hopping amplitude between the anchor site and
-    each mode (the term enters H with a minus sign); potential(s) is a
-    common on-mode energy, zero by default.
+    The hopping amplitude between the anchor site and each mode is
+    coupling * s (the term enters H with a minus sign).
     """
 
     site: int
     n_spins: int
-    coupling: object
-    potential: object = 0.0
+    coupling: float
 
 
 class BosonSystem:
     """Bulk graph with potential u plus impurity modes.
 
     Modes 0..n-1 are the bulk sites; impurity modes follow in the order
-    the impurities are listed.  The one-particle operator is -Delta + u
-    on the bulk block (models.single_particle_hamiltonian), coupling(s)
-    hops to the impurity modes, and potential(s) on their diagonal.
+    the impurities are listed.  The one-particle operator is
+    M(s) = M0 + s M1: M0 is -Delta + u on the bulk block
+    (models.single_particle_hamiltonian), and the slope M1 hops to the
+    impurity modes with amplitude -coupling.
     """
 
     def __init__(self, graph, u, impurities=()):
@@ -108,7 +99,6 @@ class BosonSystem:
         u = np.full(n, float(u)) if np.isscalar(u) else np.asarray(u, dtype=float)
         if u.shape != (n,):
             raise ValueError("potential must be a scalar or one value per site")
-        self.u = u
         self.impurities = tuple(impurities)
         for imp in self.impurities:
             if not (0 <= imp.site < n):
@@ -127,6 +117,11 @@ class BosonSystem:
         self.mode_site = tuple(mode_site)
         self.impurity_modes = tuple(range(n, self.n_modes))
         self._pairs = tuple(pairs)
+        self._M0 = np.zeros((self.n_modes, self.n_modes))
+        self._M0[:n, :n] = single_particle_hamiltonian(graph, u)
+        self._M1 = np.zeros((self.n_modes, self.n_modes))
+        for site, mode, imp in pairs:
+            self._M1[site, mode] = self._M1[mode, site] = -float(imp.coupling)
 
     @property
     def capacity(self):
@@ -137,23 +132,12 @@ class BosonSystem:
         return tuple(sorted({imp.site for imp in self.impurities}))
 
     def single_particle(self, s):
-        n = self.graph.n_sites
-        M = np.zeros((self.n_modes, self.n_modes))
-        M[:n, :n] = single_particle_hamiltonian(self.graph, self.u)
-        for site, mode, imp in self._pairs:
-            c = _as_fn(imp.coupling)(s)
-            M[site, mode] = M[mode, site] = -c
-            M[mode, mode] = _as_fn(imp.potential)(s)
-        return M
+        """M(s) = M0 + s M1."""
+        return self._M0 + s * self._M1
 
-    def dsingle_particle(self, s):
-        M = np.zeros((self.n_modes, self.n_modes))
-        for site, mode, imp in self._pairs:
-            M[site, mode] = M[mode, site] = -_scalar_derivative(
-                _as_fn(imp.coupling), s
-            )
-            M[mode, mode] = _scalar_derivative(_as_fn(imp.potential), s)
-        return M
+    def dsingle_particle(self):
+        """dM/ds = M1, exactly (read-only: it is the system's own)."""
+        return self._M1
 
     def block(self, n_particles):
         return SectorBlockHamiltonian(self, n_particles)
@@ -212,8 +196,9 @@ class SectorBlockHamiltonian:
     def matrix(self, s):
         return self._assemble(self.system.single_particle(s))
 
-    def dmatrix(self, s):
-        return self._assemble(self.system.dsingle_particle(s))
+    def dmatrix(self):
+        """dH/ds, the block of M1: the same for every s."""
+        return self._assemble(self.system.dsingle_particle())
 
 
 class BlockSectorPath:
@@ -221,10 +206,10 @@ class BlockSectorPath:
 
     The sector dimension is C(capacity, n): at s=0 exactly the
     configurations with every particle on an impurity mode have zero
-    energy, anything else costs at least the bulk gap.  Spectra are
-    kept in a SpectralCache keyed by float(s), since a flow walks the
-    grid forward; each entry also holds its one-particle matrix, and a
-    miss whose matrix equals a cached one bitwise reuses that spectrum.
+    energy, anything else costs at least the bulk gap.  dH/ds is
+    assembled once.  Spectra are kept in a SpectralCache keyed by
+    float(s), since a flow walks the grid forward; a block whose dH is
+    zero has one H for every s, so it keys every s to 0.0.
     """
 
     def __init__(self, system: BosonSystem, n):
@@ -233,25 +218,18 @@ class BlockSectorPath:
         self.n = int(n)
         self.d = math.comb(system.capacity, self.n)
         self._cache = SpectralCache()
+        self._dH = self.block.dmatrix()
 
     @property
     def dim(self):
         return self.block.dim
 
     def dhamiltonian(self, s):
-        return self.block.dmatrix(s)
+        return self._dH
 
     def spectral(self, s):
-        key = float(s)
-
-        def compute():
-            sp = self.system.single_particle(key)
-            for seen, spectrum in self._cache.values():
-                if np.array_equal(seen, sp):
-                    return sp, spectrum
-            return sp, np.linalg.eigh(self.block._assemble(sp))
-
-        return self._cache.fetch(key, compute)[1]
+        key = float(s) if self._dH.any() else 0.0
+        return self._cache.fetch(key, lambda: np.linalg.eigh(self.block.matrix(key)))
 
 
 def sector_basis(path, s):

@@ -86,10 +86,11 @@ class MMCorrespondence:
 
 
 def coupling_preset(name, theta, n_spins=1):
-    """Named spin-conserving couplings on H_k x I, I = (C^2)^(n_spins).
+    """Slopes W of named spin-conserving coupling ramps s W on H_k x I,
+    I = (C^2)^(n_spins).
 
-    "hopping-ramp": -theta s sum_a (S+_k S-_a + S-_k S+_a)
-    "exchange-ramp": theta s sum_a (S1 S1 + S2 S2 + S3 S3) between k and a
+    "hopping-ramp": -theta sum_a (S+_k S-_a + S-_k S+_a)
+    "exchange-ramp": theta sum_a (S1 S1 + S2 S2 + S3 S3) between k and a
     """
     dims = [2] * (n_spins + 1)  # site factor first, impurity spins after
 
@@ -108,11 +109,7 @@ def coupling_preset(name, theta, n_spins=1):
             )
         else:
             raise ValueError(f"unknown coupling preset {name!r}")
-
-    def W(s):
-        return s * static
-
-    return W
+    return static
 
 
 def number_operator(G, impurity_spins=None):

@@ -13,10 +13,17 @@
   from_graph         a LocalOperator on the given sites, with the local
                      dimensions read from the graph.
   commutator_norm    the spectral norm of [A, B], in complex arithmetic.
+  site_slope         the slope family of a ramp s W at one site.
+  scaled_terms       the terms of s W as the former per-s path gave
+                     them: s times each slope matrix, made Hermitian as
+                     (M + M^H) / 2.
+  per_s_hamiltonian  the former per-s path assembly: the CSR sum of the
+                     terms of Phi and then scaled_terms, in order.
 """
 
 import numpy as np
 
+from lpplab.interactions import InteractionFamily, assemble_hamiltonian
 from lpplab.operators import LocalOperator, embed_matrix, operator_norm
 
 
@@ -102,3 +109,24 @@ def commutator_norm(A, B):
     B = np.asarray(B, dtype=complex)
     C = A @ B - B @ A
     return operator_norm(C)
+
+
+def site_slope(G, site, W):
+    """InteractionFamily of the one Hermitian slope term W at `site`."""
+    return InteractionFamily([from_graph(G, (site,), W, hermitian=True)])
+
+
+def scaled_terms(W, s):
+    """The terms of s W, each made Hermitian as (M + M^H) / 2."""
+    out = []
+    for t in W:
+        M = s * t.matrix
+        out.append(LocalOperator(t.support, t.dims, (M + M.conj().T) / 2, hermitian=True))
+    return out
+
+
+def per_s_hamiltonian(path, s):
+    """H(s) of a HamiltonianPath assembled afresh at s: H_Phi plus each
+    term of s W embedded as CSR, added in order."""
+    terms = list(path.phi) + scaled_terms(path.W, s)
+    return assemble_hamiltonian(InteractionFamily(terms), path.graph)

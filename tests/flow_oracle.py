@@ -13,7 +13,10 @@
   fd_projector_derivative
                   dP/ds by one Richardson step on central differences of
                   P, the independent check of the resolvent
-                  spectral_flow.projector_derivative.
+                  spectral_flow.projector_derivative;
+  fd_block_derivative
+                  dH/ds of a block by a central difference of its
+                  matrix, the former finite-difference slope.
 
 loop_assemble does the same floating-point operations as the library
 code, in the same order per matrix entry, so blocks agree bit for bit.
@@ -29,6 +32,7 @@ from lpplab.operators import operator_norm
 from lpplab.sectors import split_sector
 
 FD_H = 1e-4
+SCALAR_H = 1e-6
 
 
 def loop_assemble(block, sp):
@@ -79,6 +83,11 @@ def fd_projector_derivative(path, s, projector=block_projector):
         return (projector(path, s + step) - projector(path, s - step)) / (2 * step)
 
     return (4 * D(FD_H / 2) - D(FD_H)) / 3
+
+
+def fd_block_derivative(block, s, h=SCALAR_H):
+    """(H(s + h) - H(s - h)) / 2h for a SectorBlockHamiltonian."""
+    return (block.matrix(s + h) - block.matrix(s - h)) / (2 * h)
 
 
 def flow_pass(path, l, ds, K):

@@ -215,7 +215,7 @@ def test_criterion_9_oracle_equivalences():
     # resolvent vs finite-difference projector derivative
     ring = lattice.chain(8, periodic=True)
     system = sflow.BosonSystem(
-        ring, 1.0, (sflow.ImpurityModes(0, 1, lambda s: 0.5 * s),)
+        ring, 1.0, (sflow.ImpurityModes(0, 1, 0.5),)
     )
     path = sflow.BlockSectorPath(system, 1)
     dev_fd = 0.0

@@ -559,10 +559,9 @@ def test_flow_runners_diagonalize_only_the_points_they_read(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     run_sequential_coupling({"schema_version": 1, "experiment": "sequential-coupling",
                              **FLOW_CONFIGS["sequential-coupling"]})
-    # n = 1 (dim 8) and n = 2 (dim 28): the coupled pass 21 and its
-    # s = 0 basis read again after the pass 1, each one-impurity pass
-    # 12, and one per pass of the uncoupled control
-    assert (shapes[8], shapes[28]) == (21 + 1 + 2 * 12 + 3,) * 2
+    # n = 1 (dim 8) and n = 2 (dim 28): the coupled pass 21, each
+    # one-impurity pass 12, and one per pass of the uncoupled control
+    assert (shapes[8], shapes[28]) == (21 + 2 * 12 + 3,) * 2
     shapes.clear()
     run_kato_flow({"schema_version": 1, "experiment": "kato-flow",
                    **FLOW_CONFIGS["kato-flow"]})
@@ -754,9 +753,8 @@ def test_sequential_coupling_matches_dense_traces():
         return sflow.BosonSystem(ring, 1.0, (sflow.ImpurityModes(x0, 1, cx),
                                              sflow.ImpurityModes(y0, 1, cy)))
 
-    ramp, zero = (lambda s: 0.5 * s), (lambda s: 0.0)
-    jobs = [(system(ramp, ramp), (x0, y0)), (system(ramp, zero), (x0,)),
-            (system(zero, ramp), (y0,))]
+    jobs = [(system(0.5, 0.5), (x0, y0)), (system(0.5, 0.0), (x0,)),
+            (system(0.0, 0.5), (y0,))]
     P0, P1, flows, occ = [], [], [], []
     for n in ns:
         paths = [sflow.BlockSectorPath(sys_, n) for sys_, _ in jobs]

@@ -311,26 +311,10 @@ def test_assemble_with_path_at_s():
     G = lattice.chain(4)
     phi = ising_family(G, 1.0)
     Wf = 0.9 * sigma_x
-    path = sectors.HamiltonianPath(G, phi, W=itx.linear_ramp(G, 2, Wf))
+    W = itx.InteractionFamily([LocalOperator((2,), (2,), Wf, hermitian=True)])
+    path = sectors.HamiltonianPath(G, phi, W=W)
     H0 = path.hamiltonian(0.0).dense()
     assert np.allclose(H0, itx.assemble_hamiltonian(phi, G).dense(), atol=1e-14)
     Hs = path.hamiltonian(0.7).dense()
     lift = embed_matrix(0.7 * Wf, (2,), [2, 2, 2, 2])
     assert np.allclose(Hs - H0, lift, atol=1e-13)
-
-
-# ---------------------------------------------------- perturbation paths
-
-
-def test_path_rejects_nonzero_start():
-    G = lattice.chain(3)
-    with pytest.raises(ValueError):
-        itx.PerturbationPath(G, [(1, lambda s: (1 + s) * sigma_x)])
-
-
-def test_path_terms_are_hermitized():
-    G = lattice.chain(3)
-    M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    W = itx.PerturbationPath(G, [(0, lambda s: s * M)])
-    T = W.terms(0.5)[0].matrix
-    assert np.allclose(T, T.conj().T)

@@ -15,10 +15,9 @@ from boson_oracle import (
     coupling_preset,
     vacuum_state,
 )
-from embed_oracle import commutator_norm, embed, term_sum
+from embed_oracle import commutator_norm, embed, scaled_terms, site_slope, term_sum
 from tqo_oracle import full_space_tqo_check
 
-from lpplab import interactions as itx
 from lpplab import lattice, models, sectors
 from lpplab.exceptions import NotApplicable
 from lpplab.operators import (
@@ -290,7 +289,7 @@ def test_attach_impurity_lift_acts_trivially_on_internal_space():
 
 def test_attach_impurity_zero_coupling_projector_is_product():
     model = models.build_xy_model(models.XYModelSpec(L=5, gamma=1.0))
-    path = models.attach_impurity(model, 1, 2, lambda s: np.zeros((4, 4)), mu=1.0)
+    path = models.attach_impurity(model, 1, 2, np.zeros((4, 4)), mu=1.0)
     sec = path.sector(0.7)
     P = sec.basis @ sec.basis.conj().T
     vac = vacuum_state(model.graph)
@@ -311,9 +310,7 @@ def test_attach_impurity_gap_preserved_on_ramp():
 
 def test_coupling_presets():
     for name in ("hopping-ramp", "exchange-ramp"):
-        W = coupling_preset(name, 0.3, n_spins=1)
-        assert np.abs(W(0.0)).max() == 0.0
-        M = W(1.0)
+        M = coupling_preset(name, 0.3, n_spins=1)
         assert np.abs(M - M.conj().T).max() < 1e-14
         S3tot = np.kron(S3, np.eye(2)) + np.kron(np.eye(2), S3)
         assert commutator_norm(M, S3tot) < 1e-14
@@ -324,7 +321,7 @@ def test_coupling_presets():
 def test_attach_impurity_trivial_internal_space():
     # dim(I) = 1 degenerates to a plain local perturbation
     model = models.build_xy_model(models.XYModelSpec(L=5, gamma=1.0))
-    path = models.attach_impurity(model, 1, 1, lambda s: 0.1 * s * sigma_z, mu=1.0)
+    path = models.attach_impurity(model, 1, 1, 0.1 * sigma_z, mu=1.0)
     assert path.graph.site_dims == model.graph.site_dims
     assert path.rule == ("fixed_d", 1)
 
@@ -332,7 +329,7 @@ def test_attach_impurity_trivial_internal_space():
 def test_attach_impurity_validation():
     model = models.build_xy_model(models.XYModelSpec(L=5, gamma=1.0))
     with pytest.raises(ValueError, match="must be positive"):
-        models.attach_impurity(model, 1, 0, lambda s: np.zeros((0, 0)))
+        models.attach_impurity(model, 1, 0, np.zeros((0, 0)))
 
 
 # ------------------------------------------------------------ toric code
@@ -471,12 +468,12 @@ def _bitwise_cases():
         yield name, model.hamiltonian().dense(), want
     _, impurity = _xy_with_impurity()
     ramp = sectors.HamiltonianPath(
-        tfim.graph, tfim.family, W=itx.linear_ramp(tfim.graph, 2, 0.7 * sigma_y)
+        tfim.graph, tfim.family, W=site_slope(tfim.graph, 2, 0.7 * sigma_y)
     )
     for tag, path in (("impurity", impurity), ("sigma-y-ramp", ramp)):
         for s in (0.0, 0.37, 1.0):
             want = term_sum(
-                list(path.phi.terms) + path.W.terms(s), path.graph.site_dims
+                list(path.phi.terms) + scaled_terms(path.W, s), path.graph.site_dims
             )
             yield f"{tag}-s{s}", path.hamiltonian(s).dense(), want
 

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from embed_oracle import from_graph, site_slope
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import quadrature_projector, quadrature_R_batch
@@ -60,7 +61,7 @@ def tfim_family(G, J, h):
 def decayed_path(n, J, h, site, W_final, mu=0.7, rule=("fixed_d", 1)):
     G = lattice.chain(n)
     phi = tfim_family(G, J, h)
-    W = itx.linear_ramp(G, site, W_final)
+    W = site_slope(G, site, W_final)
     return sectors.HamiltonianPath(G, phi, W=W, rule=rule, decay=itx.DecayFunctions(G, mu))
 
 
@@ -531,7 +532,7 @@ def test_weak_step_error_roughly_linear_in_eps():
 def test_transport_zero_coupling_is_identity():
     G = lattice.chain(3)
     phi = tfim_family(G, 1.0, 2.0)
-    W = itx.PerturbationPath(G, [(0, lambda s: np.zeros((2, 2)))])
+    W = site_slope(G, 0, np.zeros((2, 2)))
     path = sectors.HamiltonianPath(
         G, phi, W=W, rule=("fixed_d", 1), decay=itx.DecayFunctions(G, 0.7)
     )
@@ -540,6 +541,33 @@ def test_transport_zero_coupling_is_identity():
     assert ts.errors.max() < 1e-9
     DK = ts.L.shape[-1]
     assert np.abs(ts.L[0, 0] - np.eye(DK)).max() < 1e-9
+
+
+def test_zero_slope_sweep_takes_one_spectrum(monkeypatch):
+    # W = 0 leaves one H on the whole path: the gap grid and every step
+    # read one eigendecomposition, and no eigvalsh of the full H is taken
+    G = lattice.chain(4)
+    path = sectors.HamiltonianPath(
+        G, tfim_family(G, 1.0, 2.0), W=site_slope(G, 1, np.zeros((2, 2))),
+        rule=("fixed_d", 1), decay=itx.DecayFunctions(G, 0.7),
+    )
+    calls = []
+    eigendecompose, eigvalsh = sectors.eigendecompose, np.linalg.eigvalsh
+
+    def counting_eigendecompose(H, *args, **kwargs):
+        calls.append("eigendecompose")
+        return eigendecompose(H, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        if len(a) == path.dim:
+            calls.append("eigvalsh")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sectors, "eigendecompose", counting_eigendecompose)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    tsets = ql.transport_sweep(path, 2, [1, 2])
+    assert calls == ["eigendecompose"]
+    assert all(ts.errors.max() < 1e-9 for ts in tsets.values())
 
 
 def test_transport_endpoint_reconstruction():
@@ -608,7 +636,7 @@ def test_attached_impurity_on_a_real_model_keeps_the_transport_real():
         "transverse-field-Ising", {"n": 5, "J": 0.3, "h": 1.0}
     )
     coupling = 0.2 * np.kron(sigma_z, sigma_x)
-    path = models.attach_impurity(model, 2, 2, lambda s: s * coupling, mu=0.7)
+    path = models.attach_impurity(model, 2, 2, coupling, mu=0.7)
     assert path.hamiltonian(0.5).dtype == np.float64
     assert path.initial_basis.dtype == np.float64
     ts = ql.path_transport(path, 2, l=1)
@@ -622,7 +650,7 @@ def test_transport_adaptive_step_doubling():
     # violates the 2 sqrt(D) bound, and n doubles
     G = lattice.chain(4)
     phi = tfim_family(G, 0.05, 1.0)
-    W = itx.PerturbationPath(G, [(x, lambda s: 4.0 * s * sigma_z) for x in G.sites()])
+    W = itx.InteractionFamily([from_graph(G, (x,), 4.0 * sigma_z, True) for x in G.sites()])
     path = sectors.HamiltonianPath(
         G, phi, W=W, rule=("fixed_d", 1), decay=itx.DecayFunctions(G, 0.7)
     )
@@ -643,9 +671,7 @@ def _impurity_setup(coupling):
     phi = itx.InteractionFamily(
         [LocalOperator((0, 1), (2, 4), bulk, hermitian=True)]
     )
-    W = itx.PerturbationPath(
-        G, [(1, lambda s: s * coupling * np.kron(sigma_z, sigma_x))]
-    )
+    W = site_slope(G, 1, coupling * np.kron(sigma_z, sigma_x))
     # product basis psi_gs x e_i; the impurity factor is the fastest axis
     Hb = -np.kron(sigma_z, sigma_z) - 0.8 * (np.kron(sigma_x, I2) + np.kron(I2, sigma_x))
     Sb = eigendecompose(Hb.astype(complex), mode="dense")
@@ -719,7 +745,7 @@ def test_impurity_transform_rejects_entangled_sector():
     phi = itx.InteractionFamily(
         [LocalOperator((0, 1), (2, 4), random_hermitian(8, seed=19), hermitian=True)]
     )
-    W = itx.PerturbationPath(G, [(1, lambda s: np.zeros((4, 4)))])
+    W = site_slope(G, 1, np.zeros((4, 4)))
     path = sectors.HamiltonianPath(
         G, phi, W=W, rule=("fixed_d", 2), decay=itx.DecayFunctions(G, 0.7)
     )

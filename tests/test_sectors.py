@@ -8,11 +8,13 @@ machinery itself is under test.
 
 import numpy as np
 import pytest
+from embed_oracle import per_s_hamiltonian, site_slope
 from transport_oracle import sector_projector
 
 from lpplab import interactions as itx
-from lpplab import lattice, operators, quasilocal, sectors
+from lpplab import lattice, models, operators, quasilocal, sectors
 from lpplab.exceptions import GapClosed, StepTooLarge
+from lpplab.harness.experiments import _impurity_slope
 from lpplab.operators import (
     CACHE_SIZE,
     HamiltonianAction,
@@ -20,6 +22,7 @@ from lpplab.operators import (
     eigendecompose,
     embed_matrix,
     sigma_x,
+    sigma_y,
     sigma_z,
 )
 
@@ -38,8 +41,7 @@ def tfim_family(G, J, h):
 def tfim_path(n, J=1.0, h=2.0, site=0, w=0.4, rule=("fixed_d", 1)):
     G = lattice.chain(n)
     phi = tfim_family(G, J, h)
-    W = itx.linear_ramp(G, site, w * sigma_z)
-    return sectors.HamiltonianPath(G, phi, W=W, rule=rule)
+    return sectors.HamiltonianPath(G, phi, W=site_slope(G, site, w * sigma_z), rule=rule)
 
 
 def spectral_of(diagonal):
@@ -272,6 +274,33 @@ def test_path_gap_certificate_weak_ramp():
     assert width_max == 0.0  # one-dimensional sector
 
 
+def _slope_paths():
+    """(name, path): one-site x, y and z ramps on a chain, and the
+    impurity ramps pauli (x) mixer on an enlarged site."""
+    G = lattice.chain(5)
+    phi = tfim_family(G, 1.0, 2.0)
+    for name, pauli in (("x", sigma_x), ("y", sigma_y), ("z", sigma_z)):
+        yield name, sectors.HamiltonianPath(G, phi, W=site_slope(G, 2, 0.7 * pauli))
+    model = models.build_gapped_chain("transverse-field-Ising", {"n": 5})
+    for pauli in "xyz":
+        dI, W = _impurity_slope({"dim": 3, "strength": 0.5, "pauli": pauli}, 2)
+        yield f"impurity-{pauli}", models.attach_impurity(model, 2, dI, W)
+
+
+def test_path_hamiltonian_is_bitwise_the_per_s_assembly():
+    # H_Phi + s V against the terms of s W embedded and added afresh at s
+    kinds = set()
+    for name, path in _slope_paths():
+        for s in (0.0, 0.25, 0.37, 1.0):
+            H = path.hamiltonian(s).dense()
+            want = per_s_hamiltonian(path, s).dense()
+            assert H.dtype == want.dtype, (name, s)
+            assert np.array_equal(H, want), (name, s)
+            kinds.add((name, s, H.dtype.kind))
+    assert ("y", 0.0, "f") in kinds and ("y", 0.37, "c") in kinds
+    assert ("impurity-y", 1.0, "c") in kinds and ("impurity-z", 1.0, "f") in kinds
+
+
 def test_path_gap_constant_without_perturbation():
     G = lattice.chain(5)
     path = sectors.HamiltonianPath(G, tfim_family(G, 1.0, 2.0))
@@ -288,7 +317,7 @@ def _crossing_path(rule):
     phi = itx.InteractionFamily(
         [LocalOperator((0,), (2,), np.diag([0.0, 1.0]).astype(complex), hermitian=True)]
     )
-    W = itx.PerturbationPath(G, [(0, lambda s: s * np.diag([0.0, -2.0]))])
+    W = site_slope(G, 0, np.diag([0.0, -2.0]))
     return sectors.HamiltonianPath(G, phi, W=W, rule=rule)
 
 

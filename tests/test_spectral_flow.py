@@ -13,6 +13,7 @@ from boson_oracle import coupling_preset, number_conservation_defect
 from flow_oracle import (
     _expm_i,
     block_projector,
+    fd_block_derivative,
     fd_projector_derivative,
     flow_pass,
     loop_assemble,
@@ -32,18 +33,15 @@ from lpplab.operators import (
 
 def ring_system(L=10, site=2, theta=0.5, u=1.0):
     G = lattice.chain(L, periodic=True)
-    imp = sf.ImpurityModes(site, 1, lambda s: theta * s)
+    imp = sf.ImpurityModes(site, 1, theta)
     return sf.BosonSystem(G, u, [imp])
 
 
-def two_impurity_system(L=8, theta=0.5, potential=0.0):
+def two_impurity_system(L=8, theta=0.5):
     """Impurities at sites 0 and L // 2, both ramped, as in the
     sequential-coupling experiment."""
     G = lattice.chain(L, periodic=True)
-    imps = [
-        sf.ImpurityModes(site, 1, lambda s: theta * s, potential)
-        for site in (0, L // 2)
-    ]
+    imps = [sf.ImpurityModes(site, 1, theta) for site in (0, L // 2)]
     return sf.BosonSystem(G, 1.0, imps)
 
 
@@ -96,7 +94,7 @@ def test_single_particle_coupling_entries():
     sp = system.single_particle(0.8)
     assert sp[2, 6] == sp[6, 2] == -0.4
     assert sp[6, 6] == 0.0
-    dsp = system.dsingle_particle(0.8)
+    dsp = system.dsingle_particle()
     assert abs(dsp[2, 6] + 0.5) < 1e-9
     assert np.abs(dsp[:6, :6]).max() == 0.0
 
@@ -117,15 +115,24 @@ def test_one_particle_block_is_single_particle_matrix():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_block_assembly_matches_loop_oracle(n):
-    system = two_impurity_system(L=6, potential=lambda s: 0.3 - 0.7 * s)
+    system = two_impurity_system(L=6)
     blk = system.block(n)
     for s in (0.0, 0.35, 1.0):
         assert np.array_equal(
             blk.matrix(s), loop_assemble(blk, system.single_particle(s))
         )
-        assert np.array_equal(
-            blk.dmatrix(s), loop_assemble(blk, system.dsingle_particle(s))
-        )
+    assert np.array_equal(blk.dmatrix(), loop_assemble(blk, system.dsingle_particle()))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_block_slope_matches_central_difference(n):
+    # dH/ds is assembled once from the exact slope M1; a central
+    # difference of H(s) agrees to rounding, since H is linear in s
+    path = sf.BlockSectorPath(two_impurity_system(L=6), n)
+    for s in (0.2, 0.5, 0.9):
+        dH = path.dhamiltonian(s)
+        assert dH.any()
+        assert np.abs(dH - fd_block_derivative(path.block, s)).max() <= 1e-8
 
 
 def test_block_spectra_match_spin_model():
@@ -135,7 +142,7 @@ def test_block_spectra_match_spin_model():
     W = coupling_preset("hopping-ramp", theta, n_spins=1)
     path = models.attach_impurity(model, 2, 2, W, mu=1.0)
     system = sf.BosonSystem(
-        model.graph, np.ones(L), [sf.ImpurityModes(2, 1, lambda s: theta * s)]
+        model.graph, np.ones(L), [sf.ImpurityModes(2, 1, theta)]
     )
     for s in (0.0, 0.37, 1.0):
         spin = np.linalg.eigvalsh(path.hamiltonian(s).dense())
@@ -162,9 +169,9 @@ def test_number_conservation_exact_along_path():
 def test_system_validation():
     G = lattice.chain(4)
     with pytest.raises(ValueError, match="not on the graph"):
-        sf.BosonSystem(G, 1.0, [sf.ImpurityModes(9, 1, lambda s: s)])
+        sf.BosonSystem(G, 1.0, [sf.ImpurityModes(9, 1, 1.0)])
     with pytest.raises(ValueError, match="at least one mode"):
-        sf.BosonSystem(G, 1.0, [sf.ImpurityModes(1, 0, lambda s: s)])
+        sf.BosonSystem(G, 1.0, [sf.ImpurityModes(1, 0, 1.0)])
     with pytest.raises(ValueError, match="one value per site"):
         sf.BosonSystem(G, np.ones(3))
     with pytest.raises(ValueError, match="out of range"):
@@ -213,7 +220,7 @@ def test_kato_generator_rotating_projector():
 
 def test_projector_derivative_constant_coupling_is_zero():
     G = lattice.chain(6, periodic=True)
-    system = sf.BosonSystem(G, 1.0, [sf.ImpurityModes(2, 1, 0.3)])
+    system = sf.BosonSystem(G, 1.0, [sf.ImpurityModes(2, 1, 0.0)])
     path = sf.BlockSectorPath(system, 1)
     dP = sf.projector_derivative(path, 0.5)
     assert np.abs(dP).max() < 1e-12
@@ -478,12 +485,11 @@ def _count_block_eigh(monkeypatch, dim):
     return calls
 
 
-@pytest.mark.parametrize("coupling", [0.0, 0.3], ids=["uncoupled", "constant"])
-def test_static_block_takes_one_eigh_per_flow(monkeypatch, coupling):
-    # H(s) does not depend on s: dP = 0, so no step is taken, and the
-    # first spectrum serves every grid point
+def test_static_block_takes_one_eigh_per_flow(monkeypatch):
+    # uncoupled, H(s) does not depend on s: dP = 0, so no step is taken,
+    # and one spectrum serves every grid point
     G = lattice.chain(8, periodic=True)
-    imps = [sf.ImpurityModes(site, 1, lambda s: coupling) for site in (0, 4)]
+    imps = [sf.ImpurityModes(site, 1, 0.0) for site in (0, 4)]
     path = sf.BlockSectorPath(sf.BosonSystem(G, 1.0, imps), 1)
     calls = _count_block_eigh(monkeypatch, path.dim)
     flows = sf.integrate_flows(path, [None, 1, 2], 0.1, K=(0, 4))
@@ -492,9 +498,8 @@ def test_static_block_takes_one_eigh_per_flow(monkeypatch, coupling):
     for U, _, errs in flows:
         assert np.array_equal(U, np.eye(path.dim))
         assert np.array_equal(errs[1:], np.full(10, _span_error(B0, B0)))
-    if coupling == 0.0:
-        # the uncoupled control: the basis is the impurity configurations
-        assert all(not errs.any() for _, _, errs in flows)
+    # the uncoupled control: the basis is the impurity configurations
+    assert all(not errs.any() for _, _, errs in flows)
 
 
 def test_ramped_block_takes_one_eigh_per_grid_point(monkeypatch):
