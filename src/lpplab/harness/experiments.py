@@ -95,6 +95,13 @@ def _monotone(errs, floor):
     return all(b <= a * (1 + 1e-9) for a, b in zip(vals, vals[1:]))
 
 
+def _rule_sizes(rules):
+    """Per radius, the largest node count and max|omega| T of the
+    filter's Gauss-Legendre rules, as manifest constants."""
+    nodes, omega_T = zip(*rules)
+    return {"quadrature_nodes": list(nodes), "omega_T_max": list(omega_T)}
+
+
 def _constants(phi, decay, g=None):
     """The decay-framework constants every record carries, with the gap g
     and the locality length xi when g is given."""
@@ -453,7 +460,7 @@ def run_weak_step(config, workers=1, rng=None):
             }
         ],
         "records": {"localized_step_error": record},
-        "constants": dict(consts, s0=s0, epsilon=eps),
+        "constants": dict(consts, s0=s0, epsilon=eps, **_rule_sizes(out["rules"])),
         "checks": checks,
         "warnings": warnings,
     }
@@ -512,7 +519,7 @@ def run_transport(config, workers=1, rng=None):
             }
         ],
         "records": {"transport_error": record},
-        "constants": consts,
+        "constants": dict(consts, **_rule_sizes(tsets[l].rule for l in ls)),
         "checks": checks,
         "warnings": warnings,
     }
@@ -540,8 +547,9 @@ def run_impurity_lppl(config, workers=1, rng=None):
     tsets = quasilocal.transport_sweep(path, n0, ls)
     g = float(tsets[ls[0]].gap)
     consts = _constants(model.family, DecayFunctions(G, mu), g=g)
-    # the sweeps' step counts after any doublings, for the manifest only
-    steps = {"n_steps_final": tsets[ls[0]].n}
+    # the sweeps' step counts after any doublings and the sizes of the
+    # filter's rules, for the manifest only
+    steps = {"n_steps_final": tsets[ls[0]].n, **_rule_sizes(tsets[l].rule for l in ls)}
 
     rows, proj_pts = [], []
     for l in ls:
@@ -751,7 +759,7 @@ def run_clustering(config, workers=1, rng=None):
                 f"over {ts.n} steps",
             )
         )
-        consts = dict(consts, n_steps_final=ts.n)
+        consts = dict(consts, n_steps_final=ts.n, **_rule_sizes([ts.rule]))
 
     return {
         "experiment": "clustering",

@@ -12,13 +12,14 @@ The construction chain:
         R_i = sum_lambda a_lambda sqrt(a/pi) int_{-T}^{T} dt e^{-a t^2}
               e^{it(lambda_i0 - lambda)} e^{itH} e^{-itH0}
 
-     has a closed form: in the eigenbasis pair the integrand is diagonal,
-     so R_i = W_i V0^dagger + comp_i 1 with W_i = V (C o Phi_i),
-     C = V^dagger V0 and Phi_i the truncated Gaussian integral (a
-     Faddeeva expression) at kappa_a - kappa0_b + lambda_i0 - lambda.
-     comp_i 1 carries the zeroth Dyson term at its full (untruncated)
-     value: the |t| >= T remainder of that scalar term belongs to
-     R^{<=T}, which is what makes the eps = 0 step exact.
+     is diagonal in the eigenbasis pair: R_i = W_i V0^dagger + comp_i 1
+     with W_i = V (C o Phi_i), C = V^dagger V0 and Phi_i the truncated
+     Gaussian integral at kappa_a - kappa0_b + lambda_i0 - lambda.  A
+     Gauss-Legendre rule in t, sized by an error bound, splits
+     e^{i omega t} = e^{i kappa_a t} e^{-i kappa0_b t}, so Phi_i is one
+     real matrix product.  comp_i 1 carries the zeroth Dyson term at its
+     full (untruncated) value: the |t| >= T remainder of that scalar term
+     belongs to R^{<=T}, which is what makes the eps = 0 step exact.
   4. R_i is used only through its normalized partial trace onto K_l, and
      that is taken from the factors (partial_trace_localize(W_i, K_l,
      right=V0) + comp_i 1), so the D x D matrix R_i is never formed.
@@ -36,12 +37,11 @@ Everything here works on explicit spectral data; no contour integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import wofz
 
 from . import lattice
-from .blas import fan_out
 from .exceptions import StepTooLarge
 from .kernels import apply_embedded
 from .operators import LocalOperator, _span_error, partial_trace_localize
@@ -54,12 +54,10 @@ from .sectors import (
     verify_gap_along_path,
 )
 
-# The localized R is built in row blocks: each thread evaluates Phi
-# PHI_BLOCK entries at a time, so its temporaries stay small, and forms
-# W = V (C o Phi) in blocks of R_ROWS rows, whose products do not depend
-# on how many threads share them.
-PHI_BLOCK = 1 << 14
-R_ROWS = 128
+# the error the filter's Gauss-Legendre rule is sized for, per entry of Phi
+QUAD_TOL = 1e-16
+# log rho of the Bernstein ellipses over which the rule's bound is minimized
+_LOG_RHO = np.geomspace(1e-3, 10.0, 400)
 STEP_CAP = 10_000
 
 
@@ -136,103 +134,104 @@ def solve_filter_coefficients(sigma_in, alpha):
 # ------------------------------------------------- truncated Gaussian
 
 
-def _gauss_truncated(omega, alpha, T):
-    """sqrt(a/pi) int_{-T}^{T} e^{-a t^2} e^{i omega t} dt, closed form.
+_legendre = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
-    Faddeeva form e^{-omega^2/4a} - e^{-aT^2} Re[e^{-i omega T} w(iz)] with
-    z = sqrt(a) T + i omega / (2 sqrt(a)).  Im(iz) = sqrt(a) T > 0, where
-    w is bounded, so no omega overflows and none needs a cutoff: far off
-    resonance the value decays like 2 e^{-aT^2} sin(omega T) / omega.
+
+def _gauss_rule(alpha, T, scale, theta):
+    """Nodes t, weights and size Q of a Gauss-Legendre rule for
+    sqrt(a/pi) int_{-T}^{T} e^{-a t^2} f(t) dt, f a sum of e^{i w t} with
+    |w| T <= theta and weights of total size `scale`.
+
+    Q is the fewest nodes whose error bound meets QUAD_TOL.  On [-1, 1]
+    the integrand is entire and, on the Bernstein ellipse E_rho (where
+    |Im x| <= y = (rho - 1/rho)/2), at most M = T sqrt(a/pi) scale
+    e^{theta y + a T^2 y^2}; Gauss quadrature errs by at most
+    64 M / (15 (rho^2 - 1) rho^{2Q}) (Trefethen, SIAM Review 50 (2008)
+    67-87, Thm 4.5), minimized over rho.
     """
-    omega = np.asarray(omega, dtype=float)
-    ra = np.sqrt(alpha)
-    iz = -omega / (2 * ra) + 1j * ra * T
-    edge = np.real(np.exp(-1j * T * omega) * wofz(iz))
-    return np.exp(-(omega**2) / (4 * alpha)) - np.exp(-alpha * T * T) * edge
+    y = np.sinh(_LOG_RHO)
+    log_err = (np.log(64 / 15 * T * np.sqrt(alpha / np.pi) * scale / QUAD_TOL)
+               + theta * y + alpha * T * T * y * y - np.log(np.expm1(2 * _LOG_RHO)))
+    Q = max(1, int(np.ceil((log_err / (2 * _LOG_RHO)).min())))
+    x, w = _legendre(Q)
+    return T * x, T * w * np.sqrt(alpha / np.pi) * np.exp(-alpha * (T * x) ** 2), Q
 
 
 # ------------------------------------------------------------ localized R
 
 
-def _filter_factor(S0, S, C, shift, params: FilterParams, run):
-    """W = V (C o Phi) for one lambda_i0, shift = lambda_i0 - params.nodes.
+def _filter_factor(S0, S, C, shift, params: FilterParams):
+    """W = V (C o Phi) and comp for one lambda_i0, shift = lambda_i0 - params.nodes.
 
     Phi[a, b] = sum_lambda a_lambda g_T(kappa_a - kappa0_b + shift_lambda),
-    g_T = _gauss_truncated.  `run` (blas.fan_out) splits the work: the
-    threads fill row ranges of C o Phi, PHI_BLOCK entries at a time, then
-    form W in R_ROWS-row blocks; every block is the same computation
-    whichever thread runs it, so W is bitwise the same at every budget.
+    g_T(w) = sqrt(a/pi) int_{-T}^{T} e^{-a t^2} e^{iwt} dt, by _gauss_rule:
+    with c_q = w_q sum_lambda a_lambda e^{i shift_lambda t_q}, Phi is
+    Re(E diag(c) E0^dagger), E = e^{i kappa t} and E0 = e^{i kappa0 t},
+    one real product of [Re, Im] factors; the imaginary part cancels
+    between the nodes +-t, since a, shift and omega are real.  Both
+    spectra are centred on one midpoint, which leaves Phi as it is and
+    keeps the phases small.  comp = sum_lambda a_lambda (e^{-shift^2/4a}
+    - g_T(shift)) takes g_T from the same rule, so R_i = 1 at eps = 0 to
+    rounding.
+
+    Returns W, comp, Q and theta = max|omega| T, which sized the rule.
     """
     alpha, T, a = params.alpha, params.T, params.a
-    kap, kap0, V = S.values, S0.values, S.vectors
-    D = len(kap)
-    rows = max(1, PHI_BLOCK // D)
-    CPhi = np.empty((D, D), dtype=np.result_type(C, V))
-    W = np.empty_like(CPhi)
-
-    def fill(lo, hi):
-        for r in range(lo, hi, rows):
-            r1 = min(r + rows, hi)
-            omega = kap[r:r1, None] - kap0[None, :]
-            phi = sum(w * _gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shift))
-            np.multiply(C[r:r1], phi, out=CPhi[r:r1])
-
-    def product(lo, hi):
-        for r in range(lo * R_ROWS, min(hi * R_ROWS, D), R_ROWS):
-            np.matmul(V[r : r + R_ROWS], CPhi, out=W[r : r + R_ROWS])
-
-    run(fill, D)
-    run(product, -(-D // R_ROWS))
-    return W
+    kap, kap0 = S.values, S0.values
+    mid = (min(kap.min(), kap0.min()) + max(kap.max(), kap0.max())) / 2
+    reach = max(abs(kap.max() - kap0.min()), abs(kap.min() - kap0.max()))
+    theta = float((reach + np.abs(shift).max()) * T)
+    t, w, Q = _gauss_rule(alpha, T, np.abs(a).sum(), theta)
+    c = w * (np.exp(1j * np.outer(t, shift)) @ a)
+    E = np.exp(1j * np.outer(kap - mid, t)) * c
+    E0 = np.exp(1j * np.outer(kap0 - mid, t))
+    Phi = np.hstack([E.real, E.imag]) @ np.hstack([E0.real, E0.imag]).T
+    comp = float(a @ np.exp(-(shift**2) / (4 * alpha)) - c.real.sum())
+    return S.vectors @ (C * Phi), comp, Q, theta
 
 
 def _localized_R_batch(S0, S, lam0s, params: FilterParams, region, G, overlap=None,
                        states=None):
     """Tr_E(R_i^{<=T}) / d_E on `region` for several lambda_i0 in one sweep.
 
-    With C = V^dagger V0 the integrand is diagonal in the eigenbasis pair,
-    so the truncated integral is exact (module docstring, step 3):
+    With C = V^dagger V0 the integrand is diagonal in the eigenbasis pair
+    (module docstring, step 3):
 
-        R_i = W_i V0^dagger + comp_i 1,   W_i = V (C o Phi_i)  (_filter_factor),
-        comp_i = sum_lambda a_lambda (e^{-w^2/4a} - g_T(w)),  w = lambda_i0 - lambda.
+        R_i = W_i V0^dagger + comp_i 1,   (W_i, comp_i) from _filter_factor.
 
     R_i is localized from its factors and never formed.  Phi is real, so
     the result is real when both eigenbases are.  Entries whose lambda_i0
-    are bitwise equal (a degenerate sector) share one W, and each W is
-    bitwise the same at every thread budget.
+    are bitwise equal (a degenerate sector) share one W.
 
-    Returns the (n_i, d_K, d_K) localized matrices and, when `states`
-    (D, n_i) is given, the columns R_i states[:, i] (else None).
+    Returns the (n_i, d_K, d_K) localized matrices, the columns
+    R_i states[:, i] when `states` (D, n_i) is given (else None), and
+    the largest (Q, max|omega| T) of the batch's rules.
     """
     if params.nodes is None or params.a is None:
         raise ValueError("filter coefficients not solved; call with_coefficients")
     S0.require_complete("the localized R")
     S.require_complete("the localized R")
     lam0s = np.asarray(lam0s, dtype=float)
-    alpha, T, a = params.alpha, params.T, params.a
     C = overlap if overlap is not None else S.vectors.conj().T @ S0.vectors
     shifts = lam0s[:, None] - params.nodes[None, :]
-    comp = np.sum(
-        a * (np.exp(-(shifts**2) / (4 * alpha)) - _gauss_truncated(shifts, alpha, T)),
-        axis=1,
-    )
     dK = int(np.prod([G.site_dims[x] for x in region], dtype=np.int64))
     R_loc = np.empty((len(lam0s), dK, dK), dtype=np.result_type(C, S.vectors))
     R_states = None
     if states is not None:
         R_states = np.empty(states.shape, dtype=np.result_type(R_loc, states))
         coords = S0.vectors.conj().T @ states
+    rule = (0, 0.0)
     _, first, inverse = np.unique(lam0s, return_index=True, return_inverse=True)
-    with fan_out() as run:
-        for k, i in enumerate(first):
-            W = _filter_factor(S0, S, C, shifts[i], params, run)
-            loc = partial_trace_localize(W, region, G, right=S0.vectors).matrix
-            loc[np.diag_indices(dK)] += comp[i]
-            members = np.flatnonzero(inverse == k)
-            R_loc[members] = loc
-            if states is not None:
-                R_states[:, members] = W @ coords[:, members] + comp[members] * states[:, members]
-    return R_loc, R_states
+    for k, i in enumerate(first):
+        W, comp, *size = _filter_factor(S0, S, C, shifts[i], params)
+        rule = tuple(map(max, rule, size))
+        loc = partial_trace_localize(W, region, G, right=S0.vectors).matrix
+        loc[np.diag_indices(dK)] += comp
+        members = np.flatnonzero(inverse == k)
+        R_loc[members] = loc
+        if states is not None:
+            R_states[:, members] = W @ coords[:, members] + comp * states[:, members]
+    return R_loc, R_states, rule
 
 
 # ------------------------------------------------------------- weak step
@@ -259,8 +258,9 @@ def weak_step(path, s0, eps, ls):
 
     One step over the radii in `ls`, which share all spectral work.
     Returns a dict of per-l lists: the localized errors
-    ||(P(s0+eps) - R_i^l) psi_i(s0)||, the unlocalized errors and the
-    filter parameters, plus the gap and the solver warnings.
+    ||(P(s0+eps) - R_i^l) psi_i(s0)||, the unlocalized errors, the
+    filter parameters and the largest (Q, max|omega| T) of the filter's
+    rules, plus the gap and the solver warnings.
     """
     consts = path.constants()
     g = _step_gap(path, s0, s0 + eps)
@@ -274,12 +274,12 @@ def weak_step(path, s0, eps, ls):
     # P(s0+eps) psi_i(s0), shared across the l-sweep
     proj0 = sec1.basis @ (sec1.basis.conj().T @ psi0)
 
-    out = {"l": [], "errors": [], "unlocalized_errors": [], "params": [],
+    out = {"l": [], "errors": [], "unlocalized_errors": [], "params": [], "rules": [],
            "warnings": [], "gap": g}
     for lv in ls:
         params, warns = _filter(g, consts, lv, sec1.values_in)
         Kl = tuple(sorted(lattice.fatten(G, K, lv)))
-        R_loc, R_psi0 = _localized_R_batch(
+        R_loc, R_psi0, rule = _localized_R_batch(
             S0, S1, sec0.values_in, params, Kl, G, overlap=C, states=psi0
         )
         errs, raw_errs = [], []
@@ -291,6 +291,7 @@ def weak_step(path, s0, eps, ls):
         out["errors"].append(errs)
         out["unlocalized_errors"].append(raw_errs)
         out["params"].append(params)
+        out["rules"].append(rule)
         out["warnings"].extend(warns)
     return out
 
@@ -305,7 +306,8 @@ class TransportSet:
     c_norm_max is the largest row 1-norm of the step coefficients over
     the n steps and c_bound their 2 sqrt(D) bound
     (sectors.solve_step_coefficients); sector0 is the s = 0 sector the
-    transport started from.
+    transport started from; rule is the largest (Q, max|omega| T) of the
+    filter's rules over the n steps.
     """
 
     L: np.ndarray  # (d, d, DK, DK) matrices on H_{K_l}
@@ -319,6 +321,7 @@ class TransportSet:
     warnings: tuple
     gap: float
     sector0: SectorSpectrum
+    rule: tuple = (0, 0.0)
 
     @property
     def dim(self):
@@ -362,6 +365,7 @@ def _transport_attempt(path, n, ls, g, consts):
 
     sec_prev = sec0
     c_norm_max = 0.0
+    rule = {lv: (0, 0.0) for lv in ls}
     warnings = []
     for m in range(1, n + 1):
         s_prev, s_next = ss[m - 1], ss[m]
@@ -381,9 +385,10 @@ def _transport_attempt(path, n, ls, g, consts):
         for lv in ls:
             params, warns = _filter(g, consts, lv, sec_next.values_in)
             warnings.extend(warns)
-            R_small, _ = _localized_R_batch(
+            R_small, _, size = _localized_R_batch(
                 S_prev, S_next, sec_prev.values_in, params, regions[lv], G, overlap=C
             )
+            rule[lv] = tuple(map(max, rule[lv], size))
             L[lv] = _recursion_step(c, R_small, L[lv])
         sec_prev = sec_next
 
@@ -415,6 +420,7 @@ def _transport_attempt(path, n, ls, g, consts):
             warnings=tuple(warnings),
             gap=g,
             sector0=sec0,
+            rule=rule[lv],
         )
     return out
 

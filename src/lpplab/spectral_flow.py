@@ -405,8 +405,9 @@ def integrate_flows(path, ls, ds, K=None, track=None):
     for j in range(n_steps):
         smid = (j + 0.5) * ds
         B, Y = _resolvent_factor(path, smid) if moving else (None, None)
-        s1 = (j + 1) * ds
         last = j == n_steps - 1
+        # (j + 1) * ds can fall a rounding step short of 1 at the end
+        s1 = 1.0 if last else (j + 1) * ds
         B1 = sector_basis(path, s1) if last or any(tracked) else None
         for i, r in enumerate(rows):
             if moving and Y[r].any():

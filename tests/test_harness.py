@@ -489,6 +489,22 @@ def test_impurity_runners_report_final_step_counts(monkeypatch):
     assert consts["n_steps_final"] == 8
 
 
+def test_filter_runners_report_their_rule_sizes_per_radius():
+    # the node count and max|omega| T of the filter's rules go into the
+    # manifest's constants, one entry per radius; T grows with l, and so
+    # do both
+    consts = run_weak_step({
+        "schema_version": 1, "experiment": "weak-step",
+        "model": {"kind": "transverse-field-Ising", "n": 6, "h": 20.0},
+        "perturbation": {"site": 0, "epsilon": 0.05}, "sweep": {"l_values": [1, 2, 3]},
+    })["constants"]
+    Q, theta = consts["quadrature_nodes"], consts["omega_T_max"]
+    assert len(Q) == len(theta) == 3
+    assert Q == sorted(Q) and theta == sorted(set(theta)) and theta[0] > 0
+    consts = run_impurity_lppl(IMPURITY_SMALL)["constants"]
+    assert len(consts["quadrature_nodes"]) == len(consts["omega_T_max"]) == 3
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
     """Counts of eigendecompose calls made through models and sectors."""
@@ -805,7 +821,9 @@ def test_cli_invalid_config_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-UNUSED_BY_DENSE_RUNS = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+UNUSED_BY_DENSE_RUNS = (
+    "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special"
+)
 
 
 def test_dense_cli_run_imports_no_scipy_linalg(tmp_path):

@@ -6,14 +6,12 @@ panel-doubling time quadrature in quadrature_oracle, commuting (H, H0)
 reducing the whole R matrix to scalar Gaussians at eigenvalue
 differences, and an unperturbed step that must return the identity
 exactly because the sector eigenvalue sits on an interpolation node.
-These check the full-volume R stack of transport_oracle; the library's
-R, localized from its factors, is checked against the partial trace of
-that stack.
+These check the full-volume R stack of transport_oracle, which takes
+Phi in the Faddeeva closed form; the library's Gauss-Legendre factor W
+and its comp are checked against that form entry by entry, and its R,
+localized from its factors, against the partial trace of the stack.
 """
 
-import os
-import sys
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +25,9 @@ from transport_oracle import (
     build_R,
     build_R_stack,
     einsum_recursion_step,
+    faddeeva_factor,
     full_space_mismatch,
+    gauss_truncated,
     gaussian_filtered_projector,
     loop_impurity_transform,
 )
@@ -183,7 +183,7 @@ def test_coefficients_out_of_range_warn():
 @pytest.mark.parametrize("omega", [0.0, 0.7, 3.1, 30.0, 1e4])
 @pytest.mark.parametrize("alpha,T", [(0.25, 1.0), (2.0, 3.0), (0.05, 3.0), (0.25, 2.0)])
 def test_gauss_truncated_matches_quadrature(omega, alpha, T):
-    val = ql._gauss_truncated(np.array([omega]), alpha, T)[0]
+    val = gauss_truncated(np.array([omega]), alpha, T)[0]
 
     def envelope(t):
         return np.sqrt(alpha / np.pi) * np.exp(-alpha * t * t)
@@ -276,8 +276,8 @@ def test_build_R_commuting_closed_form():
             om = lam0 - lam
             full = np.exp(-(om**2) / (4 * alpha))
             expected[j] += w * (
-                ql._gauss_truncated(np.array([om + shift[j]]), alpha, T)[0]
-                - ql._gauss_truncated(np.array([om]), alpha, T)[0]
+                gauss_truncated(np.array([om + shift[j]]), alpha, T)[0]
+                - gauss_truncated(np.array([om]), alpha, T)[0]
                 + full
             )
     assert np.allclose(np.diag(R).real, expected, atol=1e-9)
@@ -319,7 +319,7 @@ def test_build_R_matches_entrywise_quadrature():
             ref[p, q] = re + 1j * im
     comp = np.sum(
         a * (np.exp(-((lam0 - nodes) ** 2) / (4 * alpha))
-             - ql._gauss_truncated(lam0 - nodes, alpha, T))
+             - gauss_truncated(lam0 - nodes, alpha, T))
     )
     ref += comp * np.eye(4)
     assert np.abs(R - ref).max() < 1e-8
@@ -365,9 +365,9 @@ def test_build_R_shares_bitwise_equal_eigenvalues():
     S0, S1, params, lam0s = _R_case("past-cutoff")
     lam0s = [lam0s[0], lam0s[1], lam0s[0], lam0s[0]]
     G, region = lattice.chain(3), (1, 2)
-    R_loc, _ = ql._localized_R_batch(S0, S1, lam0s, params, region, G)
+    R_loc, _, _ = ql._localized_R_batch(S0, S1, lam0s, params, region, G)
     one_by_one = [ql._localized_R_batch(S0, S1, [lam], params, region, G) for lam in lam0s]
-    assert np.array_equal(R_loc, np.concatenate([R for R, _ in one_by_one]))
+    assert np.array_equal(R_loc, np.concatenate([R for R, _, _ in one_by_one]))
 
 
 def _hermitian_pair(D, dtype, seed):
@@ -396,7 +396,7 @@ def test_localized_R_matches_partial_trace_of_the_stack(dtype, region):
     params = _manual_params(0.3, 2.0, S1.values[:2])
     lam0s = [S0.values[0], S0.values[1], S0.values[0]]
     psi0 = S0.vectors[:, :3]
-    R_loc, R_psi0 = ql._localized_R_batch(S0, S1, lam0s, params, region, G, states=psi0)
+    R_loc, R_psi0, _ = ql._localized_R_batch(S0, S1, lam0s, params, region, G, states=psi0)
     stack, _ = build_R_stack(S0, S1, lam0s, params)
     assert R_loc.dtype == stack.dtype == np.result_type(dtype, float)
     for i in range(3):
@@ -406,49 +406,43 @@ def test_localized_R_matches_partial_trace_of_the_stack(dtype, region):
     assert np.array_equal(R_loc[0], R_loc[2])
 
 
-@pytest.mark.parametrize(
-    "D, dtype, blocks",
-    [(100, float, (24, 500)), (64, complex, (24, 500)), (256, float, None)],
-)
-def test_build_R_is_bitwise_the_same_at_every_thread_budget(D, dtype, blocks, monkeypatch):
-    # D = 100 splits unevenly over 3 threads; the small blocks give each
-    # thread several Phi blocks and W row blocks at a test-sized D
-    if blocks:
-        monkeypatch.setattr(ql, "R_ROWS", blocks[0])
-        monkeypatch.setattr(ql, "PHI_BLOCK", blocks[1])
-    if D == 100:
-        G = lattice.LatticeGraph(3, [(0, 1), (1, 2)], site_dims=(4, 5, 5))
-    else:
-        G = lattice.chain(int(np.log2(D)))
-    S0, S1 = _hermitian_pair(D, dtype, seed=D)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_factored_filter_matches_the_faddeeva_form(dtype):
+    # W and comp from the Gauss-Legendre rule against the closed form, on
+    # a pair whose max|omega| T passes 73, the largest a shipped config
+    # reaches (weak-step and transport at l = 5); the d = 3 sector's first
+    # and last lambda_i0 are equal and share one W
+    G = lattice.chain(6)
+    S0, S1 = _hermitian_pair(64, dtype, seed=71)
     params = _manual_params(0.3, 2.0, S1.values[:2])
-    # a d = 3 sector whose first and last lambda_i0 are equal
+    C = S1.vectors.conj().T @ S0.vectors
     lam0s = [S0.values[0], S0.values[1], S0.values[0]]
-    psi0 = S0.vectors[:, :3]
+    for lam0 in lam0s[:2]:
+        shift = lam0 - params.nodes
+        W, comp, Q, theta = ql._filter_factor(S0, S1, C, shift, params)
+        W_ref, comp_ref = faddeeva_factor(S0, S1, C, shift, params)
+        assert theta >= 73
+        assert W.dtype == np.result_type(dtype, float)
+        assert np.abs(W - W_ref).max() <= 1e-14
+        assert abs(comp - comp_ref) <= 1e-14
+    R_loc, _, (Q_max, theta_max) = ql._localized_R_batch(S0, S1, lam0s, params, (1, 2), G)
+    assert (Q_max, theta_max) == max(
+        ql._filter_factor(S0, S1, C, lam0 - params.nodes, params)[2:] for lam0 in lam0s
+    )
+    assert np.array_equal(R_loc[0], R_loc[2])
 
-    threads = set()
-    g_T = ql._gauss_truncated
 
-    def recording(*args):
-        threads.add(threading.get_ident())
-        return g_T(*args)
-
-    monkeypatch.setattr(ql, "_gauss_truncated", recording)
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the threads' writes finely
-    try:
-        for budget in (1, 2, 3):
-            monkeypatch.setattr(os, "cpu_count", lambda budget=budget: budget)
-            threads.clear()
-            results.append(ql._localized_R_batch(S0, S1, lam0s, params, (1, 2), G, states=psi0))
-            assert (len(threads) > 1) == (budget > 1)
-    finally:
-        sys.setswitchinterval(interval)
-    assert results[0][0].dtype == np.result_type(dtype, float)
-    for R_loc, R_psi0 in results[1:]:
-        assert np.array_equal(results[0][0], R_loc)
-        assert np.array_equal(results[0][1], R_psi0)
+@pytest.mark.parametrize("alpha, T", [(0.3, 2.0), (0.05, 3.0), (2.0, 0.5)])
+@pytest.mark.parametrize("theta", [0.5, 14.6, 73.0, 200.0])
+def test_gauss_rule_meets_the_closed_form_within_its_reach(alpha, T, theta):
+    # the rule sized for max|omega| T = theta integrates every e^{i omega t}
+    # with |omega| T <= theta, on and far off resonance; a larger reach
+    # takes no fewer nodes
+    t, w, Q = ql._gauss_rule(alpha, T, 1.0, theta)
+    omega = np.linspace(-theta / T, theta / T, 401)
+    vals = (w * np.exp(1j * np.outer(omega, t))).real.sum(axis=1)
+    assert np.abs(vals - gauss_truncated(omega, alpha, T)).max() <= 1e-14
+    assert ql._gauss_rule(alpha, T, 1.0, 2 * theta)[2] >= Q
 
 
 @pytest.mark.parametrize("J, h, d", [(0.05, 1.0, 1), (1.0, 0.3, 2)],
@@ -463,7 +457,7 @@ def test_localized_R_at_eps_zero_is_the_identity(J, h, d, lv):
     sec, S = path.sector(0.3), path.spectral(0.3)
     params, _ = ql._filter(sec.gap, path.constants(), lv, sec.values_in)
     Kl = tuple(sorted(lattice.fatten(path.graph, path.K, lv)))
-    R_loc, R_states = ql._localized_R_batch(
+    R_loc, R_states, _ = ql._localized_R_batch(
         S, S, sec.values_in, params, Kl, path.graph, states=sec.basis
     )
     assert R_loc.shape == (d, 2 ** len(Kl), 2 ** len(Kl))

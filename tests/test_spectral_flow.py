@@ -509,6 +509,17 @@ def test_ramped_block_takes_one_eigh_per_grid_point(monkeypatch):
     assert len(calls) == 21  # s = 0, 0.05, ..., 1: endpoints and midpoints
 
 
+def test_flow_grid_ends_at_one(monkeypatch):
+    # 49 * (1/49) is 0.9999999999999999; the grid still ends at s = 1, so
+    # a later read of s = 1.0 finds the flow's spectrum there
+    path = sf.BlockSectorPath(two_impurity_system(), 1)
+    (_, grid, _), = sf.integrate_flows(path, [None], 1 / 49, track=())
+    assert grid[-1] == 1.0
+    calls = _count_block_eigh(monkeypatch, path.dim)
+    sf.sector_basis(path, 1.0)
+    assert calls == []
+
+
 def test_untracked_flow_reads_the_spectrum_at_the_midpoints_and_ends(monkeypatch):
     # track=() skips the ten inner endpoints: s = 0, the ten midpoints
     # and s = 1; U and the s = 1 errors are bitwise the tracked pass's

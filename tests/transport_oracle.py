@@ -4,6 +4,10 @@
                             V0^dagger + comp_i 1 as an (n_i, D, D) stack,
                             one lambda_i0 at a time on one thread;
   build_R                   the same for a single lambda_i0;
+  faddeeva_factor           its factor W_i = V (C o Phi_i) and comp_i;
+  gauss_truncated           the truncated Gaussian integral g_T(omega)
+                            in closed form, through the Faddeeva
+                            function;
   einsum_recursion_step     one step of L^(m)_{iq} = sum_p c_{ip} R_p
                             L^(m-1)_{pq} as two `np.einsum` contractions,
                             in complex arithmetic;
@@ -16,17 +20,44 @@
                             the full-time filter P_lambda = sum_kappa
                             e^{-(kappa-lam)^2/4a} Q_kappa from a spectrum.
 
-The library localizes R from its factors without forming the stack,
-writes the recursion as a batched matmul and a tensordot in the dtype of
-its inputs, takes T_l as one index contraction, and takes the mismatch
-in span[B1, T B0]; each form agrees with these to rounding.
+The library takes Phi by a Gauss-Legendre rule in time, factored into
+one real matrix product, localizes R from its factors without forming
+the stack, writes the recursion as a batched matmul and a tensordot in
+the dtype of its inputs, takes T_l as one index contraction, and takes
+the mismatch in span[B1, T B0]; each form agrees with these to
+rounding.
 """
 
 import numpy as np
 from embed_oracle import embed
+from scipy.special import wofz
 
 from lpplab.operators import embed_matrix, operator_norm
-from lpplab.quasilocal import _gauss_truncated
+
+
+def gauss_truncated(omega, alpha, T):
+    """sqrt(a/pi) int_{-T}^{T} e^{-a t^2} e^{i omega t} dt, closed form.
+
+    Faddeeva form e^{-omega^2/4a} - e^{-aT^2} Re[e^{-i omega T} w(iz)] with
+    z = sqrt(a) T + i omega / (2 sqrt(a)).  Im(iz) = sqrt(a) T > 0, where
+    w is bounded, so no omega overflows and none needs a cutoff: far off
+    resonance the value decays like 2 e^{-aT^2} sin(omega T) / omega.
+    """
+    omega = np.asarray(omega, dtype=float)
+    ra = np.sqrt(alpha)
+    iz = -omega / (2 * ra) + 1j * ra * T
+    edge = np.real(np.exp(-1j * T * omega) * wofz(iz))
+    return np.exp(-(omega**2) / (4 * alpha)) - np.exp(-alpha * T * T) * edge
+
+
+def faddeeva_factor(S0, S, C, shift, params):
+    """(W, comp) for one lambda_i0, shift = lambda_i0 - params.nodes, with
+    every entry of Phi and comp from gauss_truncated: W = V (C o Phi)."""
+    alpha, T, a = params.alpha, params.T, params.a
+    omega = S.values[:, None] - S0.values[None, :]
+    phi = sum(w * gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shift))
+    comp = np.sum(a * (np.exp(-(shift**2) / (4 * alpha)) - gauss_truncated(shift, alpha, T)))
+    return S.vectors @ (C * phi), float(comp)
 
 
 def build_R_stack(S0, S, lam0s, params, overlap=None):
@@ -34,20 +65,15 @@ def build_R_stack(S0, S, lam0s, params, overlap=None):
     if params.nodes is None or params.a is None:
         raise ValueError("filter coefficients not solved; call with_coefficients")
     lam0s = np.asarray(lam0s, dtype=float)
-    alpha, T, nodes, a = params.alpha, params.T, params.nodes, params.a
     C = overlap if overlap is not None else S.vectors.conj().T @ S0.vectors
-    omega = S.values[:, None] - S0.values[None, :]
-    shifts = lam0s[:, None] - nodes[None, :]
-    comp = np.sum(
-        a * (np.exp(-(shifts**2) / (4 * alpha)) - _gauss_truncated(shifts, alpha, T)),
-        axis=1,
-    )
-    stack = []
-    for shift, c in zip(shifts, comp):
-        phi = sum(w * _gauss_truncated(omega + s, alpha, T) for w, s in zip(a, shift))
-        R = S.vectors @ (C * phi) @ S0.vectors.conj().T
-        stack.append(R + c * np.eye(len(R)))
-    return np.array(stack), {"sum_a": float(a.sum()), "tail_compensation": comp}
+    stack, comps = [], []
+    for lam0 in lam0s:
+        W, comp = faddeeva_factor(S0, S, C, lam0 - params.nodes, params)
+        R = W @ S0.vectors.conj().T
+        stack.append(R + comp * np.eye(len(R)))
+        comps.append(comp)
+    return np.array(stack), {"sum_a": float(params.a.sum()),
+                             "tail_compensation": np.array(comps)}
 
 
 def build_R(S0, S, lam0, params, overlap=None):
