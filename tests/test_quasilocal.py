@@ -419,16 +419,15 @@ def test_factored_filter_matches_the_faddeeva_form(dtype):
     lam0s = [S0.values[0], S0.values[1], S0.values[0]]
     for lam0 in lam0s[:2]:
         shift = lam0 - params.nodes
-        W, comp, Q, theta = ql._filter_factor(S0, S1, C, shift, params)
+        W, comp, _, theta = ql._filter_factor(S0, S1, C, shift, params)
         W_ref, comp_ref = faddeeva_factor(S0, S1, C, shift, params)
         assert theta >= 73
         assert W.dtype == np.result_type(dtype, float)
         assert np.abs(W - W_ref).max() <= 1e-14
         assert abs(comp - comp_ref) <= 1e-14
-    R_loc, _, (Q_max, theta_max) = ql._localized_R_batch(S0, S1, lam0s, params, (1, 2), G)
-    assert (Q_max, theta_max) == max(
-        ql._filter_factor(S0, S1, C, lam0 - params.nodes, params)[2:] for lam0 in lam0s
-    )
+    R_loc, _, rule = ql._localized_R_batch(S0, S1, lam0s, params, (1, 2), G)
+    sizes = [ql._filter_factor(S0, S1, C, lam0 - params.nodes, params)[2:] for lam0 in lam0s]
+    assert rule == tuple(map(max, *sizes))
     assert np.array_equal(R_loc[0], R_loc[2])
 
 
