@@ -17,10 +17,13 @@ speed claim compares two such files taken on the same machine, and
 equal digests in the two show that a change kept the outputs
 byte-identical.
 
-Before the configs it starts 5 fresh processes that import `lpplab.cli`
-and print the public `scipy.*` subpackages the import loaded, and
-records the median wall time and peak RSS of the five, with that list,
-in a `startup` block.  The environment block also records
+Before the configs it starts 15 fresh processes that import
+`lpplab.cli` and print the public `scipy.*` subpackages the import
+loaded and whether it loaded `jsonschema`, and records the median wall
+time, CPU time (user + system) and peak RSS of the fifteen, with that
+list and flag, in a `startup` block.  The CPU time resolves an import
+change of a few tens of milliseconds that the wall time, with its
+spread, cannot.  The environment block also records
 `PYTHONDONTWRITEBYTECODE`: when it is set, every process compiles
 lpplab's sources again, and that is part of every wall time here.
 """
@@ -45,11 +48,13 @@ import scipy
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
-STARTUP_RUNS = 5
-# imports the CLI, then prints the public scipy subpackages that import loaded
+STARTUP_RUNS = 15
+# imports the CLI, then prints the public scipy subpackages that import
+# loaded and whether it loaded jsonschema
 STARTUP_SCRIPT = (
-    "import sys, lpplab.cli; print(' '.join(sorted(m for m, mod in sys.modules.items()"
-    " if m.startswith('scipy.') and '._' not in m and hasattr(mod, '__path__'))))"
+    "import json, sys, lpplab.cli; print(json.dumps([sorted(m for m, mod in sys.modules.items()"
+    " if m.startswith('scipy.') and '._' not in m and hasattr(mod, '__path__')),"
+    " 'jsonschema' in sys.modules]))"
 )
 
 
@@ -116,9 +121,10 @@ def timed(cmd, root, **popen):
 
 
 def startup(root):
-    """Median wall s and peak RSS MB of STARTUP_RUNS fresh processes that
-    import lpplab.cli, and the public scipy subpackages the import loaded."""
-    walls, rss = [], []
+    """Median wall s, CPU s and peak RSS MB of STARTUP_RUNS fresh processes
+    that import lpplab.cli, the public scipy subpackages the import loaded
+    and whether it loaded jsonschema."""
+    walls, cpus, rss = [], [], []
     with tempfile.TemporaryFile("w+") as out:
         for _ in range(STARTUP_RUNS):
             out.seek(0)
@@ -130,15 +136,18 @@ def startup(root):
             if status != 0:
                 raise SystemExit(f"importing lpplab.cli failed with status {status}")
             walls.append(wall)
+            cpus.append(usage.ru_utime + usage.ru_stime)
             rss.append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB
         out.seek(0)
-        modules = out.read().split()
+        modules, jsonschema_loaded = json.loads(out.read())
     return {
         "command": "python -c 'import lpplab.cli'",
         "runs": STARTUP_RUNS,
         "median_wall_s": round(statistics.median(walls), 3),
+        "median_cpu_s": round(statistics.median(cpus), 3),
         "median_peak_rss_mb": round(statistics.median(rss), 1),
         "scipy_subpackages": modules,
+        "jsonschema_loaded": jsonschema_loaded,
     }
 
 
@@ -176,8 +185,10 @@ def main(argv=None):
     configs = sorted((root / "configs").glob("*.json"))
     start = startup(root)
     print(f"startup: median wall {start['median_wall_s']:.3f} s, "
+          f"cpu {start['median_cpu_s']:.3f} s, "
           f"peak {start['median_peak_rss_mb']:.1f} MB, "
-          f"scipy {' '.join(start['scipy_subpackages'])}")
+          f"scipy {' '.join(start['scipy_subpackages'])}, "
+          f"jsonschema {'loaded' if start['jsonschema_loaded'] else 'not loaded'}")
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:

@@ -8,14 +8,23 @@ starves any Python threads that run next.  So the rule is: a thread
 budget either feeds BLAS or runs independent tasks with BLAS at 1
 thread, never both at once.
 
-- `blas_threads(n)` caps both libraries for the length of a block; the
-  CLI runs every runner under `blas_threads(1)`.
+- `blas_threads(n)` caps every bundled OpenBLAS loaded in the process
+  for the length of a block; the CLI runs every runner under
+  `blas_threads(1)`.
 - `thread_budget()` is `os.cpu_count()` outside any pool and
   `budget // workers` inside a `pmap` worker.
 - `pmap` maps a sweep over `workers` threads and caps BLAS at each
   worker's share, for library callers that run outside the CLI.
 - `fan_out` splits one stage over the budget: contiguous ranges of an
   index, one per thread, with BLAS at 1 thread.
+
+numpy's OpenBLAS is loaded with numpy; scipy's only when scipy.linalg
+is, which only the iterative solver does.  This module loads neither:
+it looks each library up among those already loaded (RTLD_NOLOAD), at
+every cap, count and `adopt_loaded_blas()` call, so a library that
+loads inside an open cap is capped from then on and restored when the
+cap ends.  Loading scipy's OpenBLAS starts a thread pool that spins
+for about 0.1 CPU-s, which is why it is not loaded ahead of need.
 
 Where no bundled OpenBLAS is found (a system or MKL build), the cap
 does nothing and `blas_thread_counts` is empty.
@@ -24,14 +33,15 @@ does nothing and `blas_thread_counts` is empty.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from importlib.util import find_spec
 
 import numpy
-import scipy
 
 # (getter, setter) names: numpy's 64-bit-integer build, then scipy's
 _SYMBOLS = (
@@ -40,34 +50,69 @@ _SYMBOLS = (
 )
 
 _local = threading.local()  # .budget, set in the threads of a pool
+_lock = threading.Lock()
+_found = {}  # library path -> (get, set), in the order found
+_caps = {}  # token -> (n, {path: count before the cap}) per open cap, outermost first
 
 
-def _load_libraries():
-    """(get, set) function pairs of every bundled OpenBLAS found."""
-    found = []
-    for pkg in (numpy, scipy):
-        libdir = os.path.dirname(pkg.__file__) + ".libs"
-        for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):
-            lib = ctypes.CDLL(path)
-            for get_name, set_name in _SYMBOLS:
-                if hasattr(lib, get_name) and hasattr(lib, set_name):
-                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    found.append((get, set_))
-                    break
-    return tuple(found)
+@functools.cache
+def _candidates():
+    """Paths of the OpenBLAS libraries bundled with numpy and scipy,
+    numpy's first; scipy is located, not imported."""
+    dirs = [os.path.dirname(numpy.__file__)]
+    spec = find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        dirs.append(spec.submodule_search_locations[0])
+    return tuple(
+        path
+        for d in dirs
+        for path in sorted(glob.glob(os.path.join(d + ".libs", "libscipy_openblas*")))
+    )
 
 
-# Loaded on import, so scipy's OpenBLAS starts its thread pool while the
-# package imports rather than inside the first runner: a pool started
-# late spins for tens of milliseconds of CPU that a cap does not stop.
-_LIBRARIES = _load_libraries()
+def _functions(lib):
+    """The (get, set) thread-count pair a library exports, or None."""
+    for get_name, set_name in _SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+def _libraries():
+    """(path, get, set) of every bundled OpenBLAS loaded now, numpy's
+    first.  A library seen for the first time while caps are open is
+    capped by each of them, outermost first.  Call with _lock held."""
+    for path in _candidates():
+        if path in _found:
+            continue
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # not loaded (yet)
+            continue
+        pair = _found[path] = _functions(lib)
+        if pair is None:
+            continue
+        get, set_ = pair
+        for n, before in _caps.values():
+            before[path] = get()
+            set_(min(before[path], n))
+    return [(path, *pair) for path, pair in _found.items() if pair]
+
+
+def adopt_loaded_blas():
+    """Bring a bundled OpenBLAS loaded since the last look under the caps
+    open now; call after importing a module that may load one."""
+    with _lock:
+        _libraries()
 
 
 def blas_thread_counts():
-    """Current thread count of each bundled OpenBLAS, numpy's first."""
-    return [get() for get, _ in _LIBRARIES]
+    """Current thread count of each bundled OpenBLAS loaded, numpy's first."""
+    with _lock:
+        return [get() for _, get, _ in _libraries()]
 
 
 @contextmanager
@@ -78,14 +123,19 @@ def blas_threads(n):
     process-wide, so worker threads started inside the block see it too;
     the previous counts come back on exit.
     """
-    old = [get() for get, _ in _LIBRARIES]
-    for (_, set_), k in zip(_LIBRARIES, old):
-        set_(min(k, max(1, int(n))))
+    n, token, before = max(1, int(n)), object(), {}
+    with _lock:
+        for path, get, set_ in _libraries():
+            before[path] = get()
+            set_(min(before[path], n))
+        _caps[token] = (n, before)
     try:
         yield
     finally:
-        for (_, set_), k in zip(_LIBRARIES, old):
-            set_(k)
+        with _lock:
+            del _caps[token]
+            for path, k in before.items():
+                _found[path][1](k)
 
 
 def thread_budget():

@@ -19,11 +19,16 @@ from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
-import scipy
+from numpy.random import default_rng
 
 from .blas import blas_thread_counts, blas_threads, thread_budget
 from .harness import load_config, write_csv, write_manifest
 from .harness.experiments import RUNNERS
+
+# Read at import, as numpy.random is imported above, so that a run loads
+# no module the import did not (a metadata lookup loads email.parser);
+# scipy itself is imported by the iterative solver alone.
+SCIPY_VERSION = version("scipy")
 
 
 def _build_parser():
@@ -56,14 +61,14 @@ def main(argv=None):
             )
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rng = np.random.default_rng(args.seed)
+        rng = default_rng(args.seed)
 
         t0 = time.perf_counter()
         with blas_threads(1):
             report = RUNNERS[args.experiment](config, workers=args.workers, rng=rng)
             environment = {
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
+                "scipy": SCIPY_VERSION,
                 "blas_thread_counts": blas_thread_counts(),
                 "cpu_count": os.cpu_count(),
                 "thread_budget": thread_budget(),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lattice
-from .kernels import embed_sparse
+from .kernels import EmbeddingPlan
 from .operators import HamiltonianAction, LocalOperator, operator_norm
 
 
@@ -147,12 +147,13 @@ def lr_bound_rhs(A: LocalOperator, B: LocalOperator, t, phi, decay):
 
 
 def assemble_hamiltonian(phi: InteractionFamily, G):
-    """sum(Phi) as a HamiltonianAction (CSR); `.dense()` gives the array.
+    """sum(Phi) as a HamiltonianAction; `.dense()` gives the array.
 
     The terms are embedded and added in order; the sum is float64 unless
     a term has an imaginary part.
     """
-    H = HamiltonianAction((G.dimension(),) * 2)
+    terms = []
     for t in phi.terms:
-        H = H + embed_sparse(t.matrix, t.support, G.site_dims)
-    return HamiltonianAction(H)
+        plan = EmbeddingPlan(G.site_dims, t.support)
+        terms.append((t.support, plan.local(t.matrix), plan.idx))
+    return HamiltonianAction(G.site_dims, [(1.0, tuple(terms))])

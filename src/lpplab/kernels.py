@@ -14,7 +14,6 @@ inputs give real results.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 # Recorded in the benchmark's environment block; numpy is the only backend.
 BACKEND = "numpy"
@@ -61,7 +60,10 @@ class EmbeddingPlan:
 
 
 def embed_sparse(matrix, sites, dims):
-    """A x 1 on the full space as CSR; float64 when A has no imaginary part."""
+    """A x 1 on the full space as CSR; float64 when A has no imaginary part.
+    Only the iterative solver needs it, so scipy.sparse is loaded here."""
+    import scipy.sparse as sp
+
     plan = EmbeddingPlan(dims, sites)
     A, idx = plan.local(matrix), plan.idx
     a, b = np.nonzero(A)

@@ -70,7 +70,7 @@ class Model:
     )
 
     def hamiltonian(self):
-        """H as a HamiltonianAction (CSR); `.dense()` gives the array."""
+        """H as a HamiltonianAction; `.dense()` gives the array."""
         return itx.assemble_hamiltonian(self.family, self.graph)
 
     def spectral(self, mode="auto", k=6):

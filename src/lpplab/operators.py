@@ -3,8 +3,13 @@
 Conventions: site 0 is the slowest tensor axis (kron order by ascending
 site id), operators on a region are matrices over the sites of the region
 sorted ascending.  Dense spectral work is intended for total dimension up
-to 2**13; above that the iterative eigensolver works on the sparse
-(CSR) Hamiltonian directly.
+to 2**13; above that the iterative eigensolver works on a CSR form of
+the Hamiltonian, built only there, so scipy is loaded only by that
+branch.
+
+An assembled Hamiltonian (HamiltonianAction) holds its local terms and
+their embedding tables, not a matrix: `dense()` writes them into one
+array, `sparse()` into CSR.
 
 Dense embeddings and assembled Hamiltonians are float64 whenever no
 input matrix has a nonzero imaginary part, and complex128 otherwise;
@@ -25,10 +30,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .blas import adopt_loaded_blas
 from .exceptions import EigensolverFailed
-from .kernels import EmbeddingPlan, apply_embedded
+from .kernels import EmbeddingPlan, apply_embedded, embed_sparse
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -255,16 +260,84 @@ class SpectralCache(OrderedDict):
         return value
 
 
-class HamiltonianAction(sp.csr_matrix):
-    """An assembled Hamiltonian: the CSR sum of its embedded local terms.
+class HamiltonianAction:
+    """An assembled Hamiltonian: H = sum_g c_g sum_t (A_t x 1).
 
-    `dense()` is the one place an assembled H is densified, so perfbench
-    times it as its own span (operators.HamiltonianAction.dense).
+    Each group g is a coefficient and a tuple of local terms, each held
+    as (support, matrix, EmbeddingPlan table) with the matrix real when
+    it has no imaginary part; `H_phi + s * V` makes the two-group H(s)
+    of a path without densifying either.  `dense()` is the one place an
+    assembled H is densified, so perfbench times it as its own span
+    (operators.HamiltonianAction.dense).
     """
+
+    def __init__(self, dims, groups):
+        self.dims = tuple(dims)
+        self.groups = tuple(groups)
+        D = int(np.prod(self.dims, dtype=np.int64))
+        self.shape = (D, D)
+        self.dtype = np.result_type(
+            float, *(A for _, terms in self.groups for _, A, _ in terms)
+        )
+
+    def __add__(self, other):
+        return HamiltonianAction(self.dims, self.groups + other.groups)
+
+    def __rmul__(self, c):
+        return HamiltonianAction(self.dims, [(c * k, terms) for k, terms in self.groups])
+
+    def any(self):
+        """Whether H has a nonzero entry.  Tested on the sites the terms
+        touch, where each entry is the same sum of the same addends as on
+        the full space, so no D x D array is formed."""
+        sites = sorted({x for _, terms in self.groups for sup, _, _ in terms for x in sup})
+        dims = [self.dims[x] for x in sites]
+        groups = []
+        for c, terms in self.groups:
+            local = []
+            for sup, A, _ in terms:
+                sup = tuple(sites.index(x) for x in sup)
+                local.append((sup, A, EmbeddingPlan(dims, sup).idx))
+            groups.append((c, local))
+        m = int(np.prod(dims, dtype=np.int64))
+        return bool(_group_sum(groups, (m, m)).any())
 
     def dense(self):
         """The full matrix, in the dtype of the sum."""
-        return self.toarray()
+        return _group_sum(self.groups, self.shape)
+
+    def sparse(self):
+        """The same sum as a CSR matrix, for the iterative solver; loads
+        scipy.sparse."""
+        import scipy.sparse as sp
+
+        H = None
+        for c, terms in self.groups:
+            G = sp.csr_matrix(self.shape)
+            for sup, A, _ in terms:
+                G = G + embed_sparse(A, sup, self.dims)
+            if c != 1.0:
+                G = c * G
+            H = G if H is None else H + G
+        return H
+
+
+def _group_sum(groups, shape):
+    """sum_g c_g G_g as an array: each group's terms scatter-added in order
+    through their tables into a zero G_g, as embed_matrix writes one
+    term, and c_g times each later group added to the first."""
+    H = None
+    for c, terms in groups:
+        G = np.zeros(shape, dtype=np.result_type(float, *(A for _, A, _ in terms)))
+        for _, A, idx in terms:
+            G[idx[:, None, :], idx[None, :, :]] += A[:, :, None]
+        if c != 1.0:
+            G *= c
+        if H is None:
+            H = G
+        else:
+            H = np.add(H, G, out=H if H.dtype == np.result_type(H, G) else G)
+    return H
 
 
 DENSE_LIMIT = 2**13
@@ -273,20 +346,21 @@ DENSE_LIMIT = 2**13
 def eigendecompose(H, mode="auto", k=6, spin_flip=False):
     """Eigenpairs of a hermitian operator.
 
-    H is a dense array or a sparse matrix, which is taken as a
-    HamiltonianAction (CSR).  mode "dense" produces the full
-    decomposition (LAPACK) of the densified H in its dtype; "iterative"
-    produces the k lowest pairs (ARPACK Lanczos on H itself) from a fixed
-    start vector, so its results repeat run to run; "auto" picks dense up
-    to 2**13 total dimension.  spin_flip=True declares that H, on a chain
-    of spin-1/2 sites, commutes with the global spin flip: the dense mode
-    then diagonalizes the two D/2 parity blocks instead (SpectralData
-    `blocks`), after checking that P H P is bitwise H.
-    residual_tol is max_j ||H v_j - w_j v_j|| in either mode, taken with
-    the full H.  A solver failure is raised as EigensolverFailed
-    carrying dim, dtype and mode.
+    H is a dense array or a HamiltonianAction.  mode "dense" produces the
+    full decomposition (LAPACK) of the densified H in its dtype;
+    "iterative" produces the k lowest pairs (ARPACK Lanczos on the CSR
+    form of H) from a fixed start vector, so its results repeat run to
+    run; "auto" picks dense up to 2**13 total dimension.  spin_flip=True
+    declares that H, on a chain of spin-1/2 sites, commutes with the
+    global spin flip: the dense mode then diagonalizes the two D/2
+    parity blocks instead (SpectralData `blocks`), after checking that
+    P H P is bitwise H.  residual_tol is max_j ||H v_j - w_j v_j|| in
+    either mode, taken with the full H in the form the solver used.  A
+    solver failure is raised as EigensolverFailed carrying dim, dtype
+    and mode.
     """
-    H = HamiltonianAction(H) if sp.issparse(H) else np.asarray(H)
+    if not isinstance(H, HamiltonianAction):
+        H = np.asarray(H)
     dim = int(H.shape[0])
     if mode == "auto":
         mode = "dense" if dim <= DENSE_LIMIT else "iterative"
@@ -295,19 +369,22 @@ def eigendecompose(H, mode="auto", k=6, spin_flip=False):
     if mode == "iterative" and k >= dim - 1:
         raise ValueError("iterative mode needs k < dim - 1")
 
-    if mode == "dense" and spin_flip:
-        blocks = tuple(
-            FlipBlock(p, *_dense_eigh(B)) for p, B in zip((1, -1), _flip_blocks(H))
-        )
-        res = max(_residual(H, b.lift(), b.values) for b in blocks)
-        vals = np.concatenate([b.values for b in blocks])[_merge_order(blocks)]
-        return SpectralData(vals, None, mode, res, dim, blocks)
     if mode == "dense":
-        vals, vecs = _dense_eigh(H.dense() if sp.issparse(H) else H)
+        H = H.dense() if isinstance(H, HamiltonianAction) else H
+        if spin_flip:
+            blocks = tuple(
+                FlipBlock(p, *_dense_eigh(B)) for p, B in zip((1, -1), _flip_blocks(H))
+            )
+            res = max(_residual(H, b.lift(), b.values) for b in blocks)
+            vals = np.concatenate([b.values for b in blocks])[_merge_order(blocks)]
+            return SpectralData(vals, None, mode, res, dim, blocks)
+        vals, vecs = _dense_eigh(H)
     else:
-        # imported here: it loads scipy.linalg, which no dense run needs
+        # imported here: scipy is loaded by no dense run
         import scipy.sparse.linalg as spla
 
+        adopt_loaded_blas()  # scipy's OpenBLAS joins the caps open now
+        H = H.sparse() if isinstance(H, HamiltonianAction) else H
         v0 = np.random.default_rng(0).standard_normal(dim).astype(H.dtype)
         try:
             vals, vecs = spla.eigsh(H, k=k, which="SA", tol=0.0, v0=v0)
@@ -330,19 +407,16 @@ def _dense_eigh(M):
 
 
 def _flip_blocks(H):
-    """The even and odd blocks of H in the spin-flip basis.
+    """The even and odd blocks of the dense H in the spin-flip basis.
 
     With P H P = H, the block of parity p is H[s, s'] + p H[s, s'-bar]
     over the half-states s, s' < D/2, so both come from the first D/2
     rows of H, and the blocks between the two parities are exactly 0.
     """
-    dim = H.shape[0]
-    flip = np.arange(dim)[::-1]
-    H = HamiltonianAction(H)
-    if (H[flip][:, flip] != H).nnz:
+    if not np.array_equal(H[::-1, ::-1], H):
         raise ValueError("H does not commute with the global spin flip")
-    top = H[: dim // 2].toarray()
-    left, mirror = top[:, : dim // 2], top[:, ::-1][:, : dim // 2]
+    half = H.shape[0] // 2
+    left, mirror = H[:half, :half], H[:half, ::-1][:, :half]
     return left + mirror, left - mirror
 
 

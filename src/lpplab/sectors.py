@@ -24,7 +24,6 @@ from .interactions import (
 )
 from .operators import (
     DENSE_LIMIT,
-    HamiltonianAction,
     SpectralCache,
     SpectralData,
     eigendecompose,
@@ -186,15 +185,13 @@ class HamiltonianPath:
     """H(s) = sum(Phi) + s W on a fixed graph, with sector tracking.
 
     Phi and the slope W are InteractionFamily instances (no W: a
-    constant path), each assembled once as CSR, so H(s) = H_Phi + s V
-    with V = sum(W); s = 0 gives H_Phi itself, in its own dtype.  K is
-    the union of W's supports.  Spectral data is kept in a SpectralCache
-    keyed by float(s): transport sweeps touch consecutive path points
-    only.  A path whose V is zero has one H for every s, so it keys
-    every s to 0.0 and takes one spectrum.  The path holds V for its
-    lifetime but never H(s): a long-lived CSR matrix made between D x D
-    temporaries can pin them in the heap (about +8 MB of peak memory at
-    D = 1024), so V is made in __init__, before any spectrum.
+    constant path), each assembled once as a HamiltonianAction, so
+    H(s) = H_Phi + s V with V = sum(W) is two groups of terms, densified
+    only where a spectrum needs it; s = 0 gives H_Phi itself, in its own
+    dtype.  K is the union of W's supports.  Spectral data is kept in a
+    SpectralCache keyed by float(s): transport sweeps touch consecutive
+    path points only.  A path whose V is zero has one H for every s, so
+    it keys every s to 0.0 and takes one spectrum.
     """
 
     def __init__(
@@ -216,17 +213,17 @@ class HamiltonianPath:
         self._cache = SpectralCache()
         self._H_phi = assemble_hamiltonian(phi, G)
         V = assemble_hamiltonian(self.W, G)
-        self._V = V if V.data.any() else None
+        self._V = V if V.any() else None
 
     @property
     def K(self):
         return tuple(sorted(set().union(*self.W.regions())))
 
     def hamiltonian(self, s):
-        """H(s) as a HamiltonianAction (CSR); `.dense()` gives the array."""
+        """H(s) as a HamiltonianAction; `.dense()` gives the array."""
         if self._V is None or s == 0:
             return self._H_phi
-        return HamiltonianAction(self._H_phi + float(s) * self._V)
+        return self._H_phi + float(s) * self._V
 
     def spectral(self, s) -> SpectralData:
         # ARPACK pairs for the iterative mode: the sector plus a margin

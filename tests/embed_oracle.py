@@ -17,13 +17,20 @@
   scaled_terms       the terms of s W as the former per-s path gave
                      them: s times each slope matrix, made Hermitian as
                      (M + M^H) / 2.
+  csr_sum            the former Hamiltonian assembly: a float64 CSR zero
+                     plus kernels.embed_sparse of each term, in order.
   per_s_hamiltonian  the former per-s path assembly: the CSR sum of the
-                     terms of Phi and then scaled_terms, in order.
+                     terms of Phi and then scaled_terms, in order, as an
+                     array.
+  csr_path_hamiltonian  the former path H(s): the CSR H_Phi + s V of the
+                     two csr_sums, H_Phi alone at s = 0, as an array.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from lpplab.interactions import InteractionFamily, assemble_hamiltonian
+from lpplab.interactions import InteractionFamily
+from lpplab.kernels import embed_sparse
 from lpplab.operators import LocalOperator, embed_matrix, operator_norm
 
 
@@ -125,8 +132,26 @@ def scaled_terms(W, s):
     return out
 
 
+def csr_sum(terms, dims):
+    """sum of embed_sparse over LocalOperator terms, added in order."""
+    H = sp.csr_matrix((int(np.prod(dims, dtype=np.int64)),) * 2)
+    for t in terms:
+        H = H + embed_sparse(t.matrix, t.support, dims)
+    return H
+
+
 def per_s_hamiltonian(path, s):
     """H(s) of a HamiltonianPath assembled afresh at s: H_Phi plus each
-    term of s W embedded as CSR, added in order."""
+    term of s W embedded as CSR, added in order; dense."""
     terms = list(path.phi) + scaled_terms(path.W, s)
-    return assemble_hamiltonian(InteractionFamily(terms), path.graph)
+    return csr_sum(terms, path.graph.site_dims).toarray()
+
+
+def csr_path_hamiltonian(path, s):
+    """H(s) = H_Phi + s V of a HamiltonianPath with both sums in CSR, as
+    the path formed it before it held terms; dense."""
+    dims = path.graph.site_dims
+    H = csr_sum(path.phi, dims)
+    if s != 0:
+        H = H + float(s) * csr_sum(path.W, dims)
+    return H.toarray()

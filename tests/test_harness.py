@@ -10,6 +10,7 @@ import sys
 import threading
 from dataclasses import replace
 
+import jsonschema
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,7 +18,7 @@ from embed_oracle import commutator_norm
 from flow_oracle import block_projector
 from tqo_oracle import full_space_tqo_check
 
-from lpplab import lattice, models, operators, quasilocal, sectors
+from lpplab import blas, lattice, models, operators, quasilocal, sectors
 from lpplab import spectral_flow as sflow
 from lpplab.blas import blas_thread_counts, fan_out, pmap, thread_budget
 from lpplab.cli import main
@@ -31,6 +32,7 @@ from lpplab.harness import (
     write_csv,
     write_manifest,
 )
+from lpplab.harness import config as hconfig
 from lpplab.harness import experiments
 from lpplab.harness.experiments import (
     RUNNERS,
@@ -223,10 +225,7 @@ def test_load_config_roundtrip(tmp_path):
 
 def test_shipped_schema_passes_its_metaschema():
     # the loader trusts the packaged schema, so its metaschema check is here
-    from lpplab.harness import config as hconfig
-
-    validator = hconfig._validator()
-    type(validator).check_schema(validator.schema)
+    jsonschema.Draft202012Validator.check_schema(hconfig._schema())
     with pytest.raises(ValueError, match="config invalid at model/nu"):
         validate_config(
             {"schema_version": 1, "experiment": "kato-flow", "model": {"kind": "xy-ring", "nu": 3}}
@@ -822,12 +821,21 @@ def test_cli_invalid_config_exits_1(tmp_path, capsys):
 
 
 UNUSED_BY_DENSE_RUNS = (
-    "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special"
+    "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph",
+    "scipy.special", "jsonschema",
 )
 
 
-def test_dense_cli_run_imports_no_scipy_linalg(tmp_path):
-    # a fresh process, since this suite's own imports load these modules
+def _fresh_python(script):
+    """The last stdout line of `script` run in a fresh interpreter on src/,
+    since this suite's own imports load the modules under test."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
+def test_dense_cli_run_imports_no_scipy_or_jsonschema(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lr-cone",
                                **SWEEP_CONFIGS["lr-cone"]}))
@@ -838,7 +846,71 @@ def test_dense_cli_run_imports_no_scipy_linalg(tmp_path):
         f"'--out', {str(tmp_path / 'out')!r}])\n"
         f"print(status, [m for m in {UNUSED_BY_DENSE_RUNS!r} if m in sys.modules])\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert _fresh_python(script) == "0 []"
+
+
+RUN_CONFIGS = {
+    "weak-step": {
+        "model": {"kind": "transverse-field-Ising", "n": 6, "h": 20.0},
+        "perturbation": {"site": 0, "epsilon": 0.05},
+        "sweep": {"l_values": [1, 2, 3]},
+    },
+    "impurity-lppl": {k: v for k, v in IMPURITY_SMALL.items() if k != "experiment"},
+    "kato-flow": FLOW_CONFIGS["kato-flow"],
+}
+
+
+def test_cli_runs_import_nothing_the_setup_did_not(tmp_path):
+    # setup is `import lpplab.cli` plus load_config, as in perfbench; a
+    # module first loaded inside cli.main would move its cost into the run
+    calls = []
+    for experiment, body in RUN_CONFIGS.items():
+        cfg = tmp_path / f"{experiment}.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": experiment, **body}))
+        calls.append([experiment, "--config", str(cfg), "--out", str(tmp_path / experiment)])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from lpplab import cli\n"
+        "from lpplab.harness import load_config\n"
+        f"calls = {calls!r}\n"
+        "for call in calls:\n"
+        "    load_config(call[2])\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    statuses = [cli.main(call) for call in calls]\n"
+        "print(json.dumps([statuses, sorted(set(sys.modules) - before)]))\n"
+    )
+    statuses, new = json.loads(_fresh_python(script))
+    assert all(status in (0, 2) for status in statuses), statuses  # 2: a check failed
+    assert new == []
+
+
+@pytest.mark.skipif(
+    len(blas._candidates()) < 2,
+    reason="numpy and scipy do not both bundle an OpenBLAS",
+)
+def test_iterative_solve_inside_a_cap_caps_the_openblas_it_loads():
+    # scipy's OpenBLAS loads with scipy.sparse.linalg, inside the cap; the
+    # counts read during eigsh are those of the libraries the solver found,
+    # read without a new look, so they show its own adoption of the cap
+    script = (
+        "import json\n"
+        "from lpplab import blas, models\n"
+        "model = models.build_gapped_chain('transverse-field-Ising', {'n': 6})\n"
+        "seen = {'outside': blas.blas_thread_counts()}\n"
+        "def counting(*args, **kwargs):\n"
+        "    seen['during'] = [pair[0]() for pair in blas._found.values() if pair]\n"
+        "    return eigsh(*args, **kwargs)\n"
+        "with blas.blas_threads(1):\n"
+        "    seen['capped'] = blas.blas_thread_counts()\n"
+        "    import scipy.sparse.linalg as spla\n"
+        "    eigsh, spla.eigsh = spla.eigsh, counting\n"
+        "    model.spectral(mode='iterative', k=4)\n"
+        "seen['after'] = blas.blas_thread_counts()\n"
+        "print(json.dumps(seen))\n"
+    )
+    seen = json.loads(_fresh_python(script))
+    assert len(seen["outside"]) == 1  # numpy's alone: scipy's is not loaded yet
+    assert seen["capped"] == [1]
+    assert seen["during"] == [1, 1]
+    assert len(seen["after"]) == 2 and seen["after"][0] == seen["outside"][0]

@@ -295,9 +295,11 @@ def test_assemble_matvec_agrees_with_dense():
     H = act.dense()
     rng = np.random.default_rng(7)
     x = rng.normal(size=32) + 1j * rng.normal(size=32)
-    assert isinstance(act, HamiltonianAction) and act.format == "csr"
+    assert isinstance(act, HamiltonianAction) and act.shape == (32, 32)
     assert isinstance(H, np.ndarray) and H.shape == (32, 32)
-    assert np.allclose(act @ x, H @ x, atol=1e-12)
+    csr = act.sparse()
+    assert csr.format == "csr"
+    assert np.allclose(csr @ x, H @ x, atol=1e-12)
 
 
 def test_assemble_empty_is_zero():

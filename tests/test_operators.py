@@ -210,7 +210,7 @@ def test_eigendecompose_dense_on_known_matrix():
 
 
 def test_eigendecompose_iterative_matches_dense():
-    # 8-spin Ising chain: ARPACK on the CSR against LAPACK on its dense form
+    # 8-spin Ising chain: ARPACK on the CSR form against LAPACK on the dense
     G = lattice.chain(8)
     terms = [
         from_graph(
@@ -222,7 +222,7 @@ def test_eigendecompose_iterative_matches_dense():
         for i in range(8)
     ]
     H = itx.assemble_hamiltonian(itx.InteractionFamily(terms), G)
-    dense = eigendecompose(H.toarray(), mode="dense")
+    dense = eigendecompose(H.dense(), mode="dense")
     it = eigendecompose(H, mode="iterative", k=4)
     assert np.allclose(it.values, dense.values[:4], atol=1e-8)
     assert it.mode == "iterative"
@@ -239,12 +239,15 @@ def test_matvec_agrees_with_dense_assembly():
         for i in range(5)
     ]
     H = itx.assemble_hamiltonian(itx.InteractionFamily(terms), G)
-    assert H.format == "csr"
+    csr = H.sparse()
+    assert csr.format == "csr"
     x = rng.normal(size=64) + 1j * rng.normal(size=64)
-    assert np.allclose(H @ x, term_sum(terms, G.site_dims) @ x, atol=1e-12)
+    want = term_sum(terms, G.site_dims) @ x
+    assert np.allclose(csr @ x, want, atol=1e-12)
+    assert np.allclose(H.dense() @ x, want, atol=1e-12)
 
 
-def _tfim_csr(G, pauli_field=sigma_x):
+def _tfim(G, pauli_field=sigma_x):
     terms = [
         from_graph(G, (a, b), -np.kron(sigma_z, sigma_z), hermitian=True)
         for a, b in G.edges
@@ -271,8 +274,8 @@ def test_embedding_is_real_exactly_when_the_input_is():
 def test_dense_assembly_and_spectrum_stay_real_for_real_terms():
     G = lattice.chain(5)
     for field, dtype in ((sigma_x, np.float64), (sigma_y, np.complex128)):
-        act = _tfim_csr(G, field)
-        H = act.toarray()
+        act = _tfim(G, field)
+        H = act.dense()
         assert H.dtype == dtype
         S = eigendecompose(act, mode="dense")
         assert S.vectors.dtype == dtype
@@ -283,7 +286,7 @@ def test_dense_assembly_and_spectrum_stay_real_for_real_terms():
 
 
 def test_iterative_start_vector_is_fixed():
-    act = _tfim_csr(lattice.chain(8))
+    act = _tfim(lattice.chain(8))
     first = eigendecompose(act, mode="iterative", k=4)
     again = eigendecompose(act, mode="iterative", k=4)
     assert np.array_equal(first.values, again.values)
@@ -303,7 +306,7 @@ def test_lapack_failure_is_typed(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(EigensolverFailed) as info:
-        eigendecompose(_tfim_csr(lattice.chain(3)), mode="dense")
+        eigendecompose(_tfim(lattice.chain(3)), mode="dense")
     err = info.value
     assert (err.dim, err.dtype, err.mode) == (8, np.float64, "dense")
     assert err.__cause__ is cause
@@ -317,7 +320,7 @@ def test_arpack_failure_is_typed(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", failing_eigsh)
     with pytest.raises(EigensolverFailed) as info:
-        eigendecompose(_tfim_csr(lattice.chain(8), sigma_y), mode="iterative", k=4)
+        eigendecompose(_tfim(lattice.chain(8), sigma_y), mode="iterative", k=4)
     err = info.value
     assert (err.dim, err.dtype, err.mode) == (256, np.complex128, "iterative")
     assert err.__cause__ is cause

@@ -8,7 +8,7 @@ machinery itself is under test.
 
 import numpy as np
 import pytest
-from embed_oracle import per_s_hamiltonian, site_slope
+from embed_oracle import csr_path_hamiltonian, per_s_hamiltonian, site_slope
 from transport_oracle import sector_projector
 
 from lpplab import interactions as itx
@@ -288,14 +288,15 @@ def _slope_paths():
 
 
 def test_path_hamiltonian_is_bitwise_the_per_s_assembly():
-    # H_Phi + s V against the terms of s W embedded and added afresh at s
+    # H_Phi + s V against the terms of s W embedded and added afresh at s,
+    # and against the same two sums formed in CSR
     kinds = set()
     for name, path in _slope_paths():
         for s in (0.0, 0.25, 0.37, 1.0):
             H = path.hamiltonian(s).dense()
-            want = per_s_hamiltonian(path, s).dense()
-            assert H.dtype == want.dtype, (name, s)
-            assert np.array_equal(H, want), (name, s)
+            for want in (per_s_hamiltonian(path, s), csr_path_hamiltonian(path, s)):
+                assert H.dtype == want.dtype, (name, s)
+                assert np.array_equal(H, want), (name, s)
             kinds.add((name, s, H.dtype.kind))
     assert ("y", 0.0, "f") in kinds and ("y", 0.37, "c") in kinds
     assert ("impurity-y", 1.0, "c") in kinds and ("impurity-z", 1.0, "f") in kinds
@@ -398,13 +399,19 @@ def test_iterative_gap_grid_reads_the_cached_spectrum(monkeypatch):
     assert calls == [(32, 32)]
 
 
-def test_path_hamiltonian_is_csr():
-    # H(s) is the CSR sum of Phi and W(s); .dense() is its array
+def test_path_hamiltonian_is_two_term_groups():
+    # H(s) holds the terms of Phi and of W, weighted 1 and s; .dense() is
+    # its array and .sparse() the same matrix in CSR
     path = tfim_path(4)
     H = path.hamiltonian(0.5)
-    assert isinstance(H, HamiltonianAction) and H.format == "csr"
+    assert isinstance(H, HamiltonianAction)
+    assert [c for c, _ in H.groups] == [1.0, 0.5]
+    assert [len(terms) for _, terms in H.groups] == [len(path.phi), len(path.W)]
     ramp = H.dense() - path.hamiltonian(0.0).dense()
     assert np.allclose(ramp, embed_matrix(0.5 * 0.4 * sigma_z, (0,), [2] * 4), atol=1e-14)
+    csr = H.sparse()
+    assert csr.format == "csr" and csr.dtype == H.dtype == H.dense().dtype
+    assert np.array_equal(csr.toarray(), H.dense())
 
 
 def test_path_initial_basis_override():
@@ -484,8 +491,17 @@ def test_path_reuses_the_spectrum_of_an_unchanged_hamiltonian(monkeypatch):
     spectra = [still.spectral(s) for s in (0.0, 0.5, 1.0)]
     assert len(calls) == 1
     assert all(S is spectra[0] for S in spectra)
+    # so is a W whose terms cancel, each nonzero: V = sum(W) is zero
+    G = lattice.chain(5)
+    Z = LocalOperator((1,), (2,), 0.3 * sigma_z, hermitian=True)
+    ZZ = LocalOperator((1, 2), (2, 2), np.kron(-0.3 * sigma_z, np.eye(2)), hermitian=True)
+    cancelling = sectors.HamiltonianPath(
+        G, tfim_family(G, 1.0, 2.0), W=itx.InteractionFamily([Z, ZZ])
+    )
+    assert [cancelling.spectral(s) for s in (0.0, 0.5)][1] is cancelling.spectral(0.0)
+    assert len(calls) == 2
     # a moving W needs a decomposition per point
     moving = tfim_path(5)
     for s in (0.0, 0.5, 1.0):
         moving.spectral(s)
-    assert len(calls) == 1 + 3
+    assert len(calls) == 2 + 3
