@@ -424,8 +424,7 @@ def run_weak_step(config, workers=1, rng=None):
     ls = [float(v) for v in config.get("sweep", {}).get("l_values", [1, 2, 3, 4, 5])]
 
     out = quasilocal.weak_step(path, s0, eps, ls)
-    g = float(out["gap"])
-    consts = _constants(model.family, decay, g=g)
+    consts = _constants(model.family, decay, g=out["gap"])
     errs = [float(max(e)) for e in out["errors"]]
     unloc = [float(max(e)) for e in out["unlocalized_errors"]]
     warnings = list(out["warnings"])
@@ -460,7 +459,8 @@ def run_weak_step(config, workers=1, rng=None):
             }
         ],
         "records": {"localized_step_error": record},
-        "constants": dict(consts, s0=s0, epsilon=eps, **_rule_sizes(out["rules"])),
+        "constants": dict(consts, s0=s0, epsilon=eps, gap_certified=out["gap_certified"],
+                          **_rule_sizes(out["rules"])),
         "checks": checks,
         "warnings": warnings,
     }
@@ -479,8 +479,7 @@ def run_transport(config, workers=1, rng=None):
 
     tsets = quasilocal.transport_sweep(path, n0, ls)
     first = tsets[ls[0]]
-    g = float(first.gap)
-    consts = _constants(model.family, decay, g=g)
+    consts = _constants(model.family, decay, g=first.gap)
     c_bound = first.c_bound
     c_of = {l: tsets[l].c_norm_max for l in ls}
     c_max = max(c_of.values())
@@ -519,7 +518,8 @@ def run_transport(config, workers=1, rng=None):
             }
         ],
         "records": {"transport_error": record},
-        "constants": dict(consts, **_rule_sizes(tsets[l].rule for l in ls)),
+        "constants": dict(consts, gap_certified=first.gap_certified,
+                          **_rule_sizes(tsets[l].rule for l in ls)),
         "checks": checks,
         "warnings": warnings,
     }
@@ -545,11 +545,10 @@ def run_impurity_lppl(config, workers=1, rng=None):
     warnings = []
 
     tsets = quasilocal.transport_sweep(path, n0, ls)
-    g = float(tsets[ls[0]].gap)
-    consts = _constants(model.family, DecayFunctions(G, mu), g=g)
-    # the sweeps' step counts after any doublings and the sizes of the
-    # filter's rules, for the manifest only
-    steps = {"n_steps_final": tsets[ls[0]].n, **_rule_sizes(tsets[l].rule for l in ls)}
+    consts = _constants(model.family, DecayFunctions(G, mu), g=tsets[ls[0]].gap)
+    # for the manifest only: step counts after doublings, the certified gap, rule sizes
+    steps = {"n_steps_final": tsets[ls[0]].n, "gap_certified": tsets[ls[0]].gap_certified,
+             **_rule_sizes(tsets[l].rule for l in ls)}
 
     rows, proj_pts = [], []
     for l in ls:
@@ -759,7 +758,8 @@ def run_clustering(config, workers=1, rng=None):
                 f"over {ts.n} steps",
             )
         )
-        consts = dict(consts, n_steps_final=ts.n, **_rule_sizes([ts.rule]))
+        consts = dict(consts, n_steps_final=ts.n, gap_certified=ts.gap_certified,
+                      **_rule_sizes([ts.rule]))
 
     return {
         "experiment": "clustering",

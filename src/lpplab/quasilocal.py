@@ -48,7 +48,6 @@ from .operators import LocalOperator, _span_error, partial_trace_localize
 from .sectors import (
     SectorSpectrum,
     _cluster_slices,
-    _sector_gap,
     align_phases,
     solve_step_coefficients,
     verify_gap_along_path,
@@ -247,12 +246,6 @@ def _filter(g, consts, l, sigma_in):
     return params.with_coefficients(nodes, a), info["warnings"]
 
 
-def _step_gap(path, s0, s1):
-    gaps = [path.sector(s0).gap, path.sector(s1).gap]
-    _, g_mid = _sector_gap(path, (s0 + s1) / 2)
-    return min(gaps + [g_mid])
-
-
 def weak_step(path, s0, eps, ls):
     """Localized single-step transformations R_i^l and their errors.
 
@@ -260,12 +253,12 @@ def weak_step(path, s0, eps, ls):
     Returns a dict of per-l lists: the localized errors
     ||(P(s0+eps) - R_i^l) psi_i(s0)||, the unlocalized errors, the
     filter parameters and the largest (Q, max|omega| T) of the filter's
-    rules, plus the gap and the solver warnings.
+    rules, plus the gap, its certified bound and the solver warnings.
     """
     consts = path.constants()
-    g = _step_gap(path, s0, s0 + eps)
     sec0 = path.sector(s0)
     sec1 = path.sector(s0 + eps)
+    g, _, certified = verify_gap_along_path(path, [s0, s0 + eps])
     S0, S1 = path.spectral(s0), path.spectral(s0 + eps)
     C = S1.vectors.conj().T @ S0.vectors
     K = path.K
@@ -275,7 +268,7 @@ def weak_step(path, s0, eps, ls):
     proj0 = sec1.basis @ (sec1.basis.conj().T @ psi0)
 
     out = {"l": [], "errors": [], "unlocalized_errors": [], "params": [], "rules": [],
-           "warnings": [], "gap": g}
+           "warnings": [], "gap": g, "gap_certified": certified}
     for lv in ls:
         params, warns = _filter(g, consts, lv, sec1.values_in)
         Kl = tuple(sorted(lattice.fatten(G, K, lv)))
@@ -307,7 +300,7 @@ class TransportSet:
     the n steps and c_bound their 2 sqrt(D) bound
     (sectors.solve_step_coefficients); sector0 is the s = 0 sector the
     transport started from; rule is the largest (Q, max|omega| T) of the
-    filter's rules over the n steps.
+    filter's rules over the n steps; gap_certified bounds the gap on [0, 1].
     """
 
     L: np.ndarray  # (d, d, DK, DK) matrices on H_{K_l}
@@ -322,6 +315,7 @@ class TransportSet:
     gap: float
     sector0: SectorSpectrum
     rule: tuple = (0, 0.0)
+    gap_certified: float | None = None
 
     @property
     def dim(self):
@@ -345,7 +339,7 @@ def _recursion_step(c, R_small, L):
     return out
 
 
-def _transport_attempt(path, n, ls, g, consts):
+def _transport_attempt(path, n, ls, g, certified, consts):
     G = path.graph
     K = path.K
     sec0 = path.sector(0.0)  # kept for the endpoint errors
@@ -421,19 +415,20 @@ def _transport_attempt(path, n, ls, g, consts):
             gap=g,
             sector0=sec0,
             rule=rule[lv],
+            gap_certified=certified,
         )
     return out
 
 
 def transport_sweep(path, n, ls):
-    """path_transport over a shared l-grid with adaptive step count."""
+    """path_transport over a shared l-grid, adaptive in n, on a gap certified on [0, 1]."""
     ls = [float(v) for v in np.atleast_1d(ls)]
     consts = path.constants()
-    g, _ = verify_gap_along_path(path, n_check=max(9, min(n + 1, 33)))
+    g, _, certified = verify_gap_along_path(path, np.linspace(0.0, 1.0, n + 1))
     attempt = n
     while attempt <= STEP_CAP:
         try:
-            return _transport_attempt(path, attempt, ls, g, consts)
+            return _transport_attempt(path, attempt, ls, g, certified, consts)
         except _PredicateFailure:
             attempt *= 2
     raise StepTooLarge(f"step predicates still failing at n={STEP_CAP}")

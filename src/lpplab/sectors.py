@@ -1,12 +1,12 @@
 """Gapped-sector bookkeeping along Hamiltonian paths.
 
 A sector is a group of eigenvalues sigma_in separated from the rest of
-the spectrum by a gap g > 0.  Two selection rules are supported: the
-lowest-D eigenvalues ("fixed_d", D) and an energy window
-("window", lo, hi).  Eigenbases along a path are made comparable by
-align_phases, which fixes the residual phase (and, inside degenerate
-clusters, basis-mixing) freedom so that consecutive overlap matrices
-have positive-definite Hermitian part.
+the spectrum by a gap g > 0, picked as the lowest D ("fixed_d", D) or by
+an energy window ("window", lo, hi); verify_gap_along_path certifies g
+between the path points a caller diagonalizes.  align_phases makes
+eigenbases along a path comparable: it fixes the residual phase (and,
+inside degenerate clusters, basis-mixing) freedom so that consecutive
+overlap matrices have positive-definite Hermitian part.
 """
 
 from __future__ import annotations
@@ -250,14 +250,8 @@ class HamiltonianPath:
         return sec
 
     def sector_values(self, s):
-        """Eigenvalues for gap grids.
-
-        A dense path that moves takes them from `eigvalsh` alone, outside
-        the cache: a gap grid runs before any eigenpairs exist at its
-        points.  A constant path reads its one cached spectrum, and above
-        DENSE_LIMIT they are the cached iterative spectrum's values.
-        """
-        if self._V is not None and self.dim <= DENSE_LIMIT:
+        """Eigenvalues at s: cached, else, on a dense path that moves, by `eigvalsh`."""
+        if self._V is not None and self.dim <= DENSE_LIMIT and float(s) not in self._cache:
             return np.linalg.eigvalsh(self.hamiltonian(s).dense())
         return self.spectral(s).values
 
@@ -268,21 +262,32 @@ class HamiltonianPath:
         return decay_constants(self.phi, self.decay)
 
 
-def _sector_gap(path: HamiltonianPath, s):
-    """(sigma_in, gap) at s from the path's gap-grid eigenvalues; raises
-    GapClosed with s when the gap is closed."""
-    values = path.sector_values(s)
-    in_idx, _, gap = split_sector(
-        values, path.rule, s=s, complete=len(values) == path.dim
-    )
-    return values[in_idx], gap
+def verify_gap_along_path(path: HamiltonianPath, ss):
+    """(g, width, certified): the sector's least gap and largest width read
+    at the points ss, and the least of (g_a + g_b)/2 - (b - a) sum ||W_i||
+    over neighbouring points a < b, which by Weyl bounds the gap on [a, b]
+    while the sector keeps its eigenvalue indices.  An interval without a
+    positive bound or with changed indices is split at its midpoint, read
+    too; a gap read below GAP_TOL raises GapClosed with its s."""
 
+    def read(s):
+        values = path.sector_values(s)
+        in_idx, _, gap = split_sector(values, path.rule, s=s, complete=len(values) == path.dim)
+        return in_idx, gap, float(np.ptp(values[in_idx]))
 
-def verify_gap_along_path(path: HamiltonianPath, n_check=9):
-    """(g_min, width_max) over an s-grid; raises GapClosed with the s hit."""
-    g_min, width_max = np.inf, 0.0
-    for s in np.linspace(0.0, 1.0, n_check):
-        vin, gap = _sector_gap(path, s)
-        g_min = min(g_min, gap)
-        width_max = max(width_max, float(vin.max() - vin.min()))
-    return g_min, width_max
+    def certify(a, b):
+        (idx_a, g_a, _), (idx_b, g_b, _) = points[a], points[b]
+        bound = (g_a + g_b) / 2 - (b - a) * sum(path.W._norms)
+        if bound > 0 and np.array_equal(idx_a, idx_b):
+            return bound
+        m = (a + b) / 2
+        if not a < m < b:
+            raise ValueError(f"no gap certified between adjacent s={a!r} and s={b!r}")
+        points[m] = read(m)
+        return min(certify(a, m), certify(m, b))
+
+    ss = sorted(map(float, ss))
+    points = {s: read(s) for s in ss}
+    bounds = list(map(certify, ss, ss[1:]))
+    _, gaps, widths = zip(*points.values())
+    return min(gaps), max(widths), min(bounds, default=min(gaps))

@@ -469,7 +469,8 @@ def test_dressed_deviations_ignore_the_sector_basis(experiment, monkeypatch):
 
 
 def test_impurity_runners_report_final_step_counts(monkeypatch):
-    # every sweep that starts at n = 4 doubles once; the control's n = 2 does not
+    # every sweep that starts at n = 4 doubles once; the control's n = 2
+    # does not; the gap certified on the first grid is reported as it is
     attempt = quasilocal._transport_attempt
 
     def doubling(path, n, *args):
@@ -480,12 +481,14 @@ def test_impurity_runners_report_final_step_counts(monkeypatch):
     monkeypatch.setattr(quasilocal, "_transport_attempt", doubling)
     consts = run_impurity_lppl(IMPURITY_SMALL)["constants"]
     assert (consts["n_steps_final"], consts["control_n_steps_final"]) == (8, 2)
+    assert 0 < consts["gap_certified"] <= consts["g"]
     consts = run_clustering({
         "schema_version": 1, "experiment": "clustering", "mode": "impurity",
         "model": {"kind": "transverse-field-Ising", "n": 6, "J": 1.0, "h": 2.0},
         "impurity": {"site": 3}, "sweep": {"l_values": [2], "n_steps": 4},
     })["constants"]
     assert consts["n_steps_final"] == 8
+    assert 0 < consts["gap_certified"] <= consts["g"]
 
 
 def test_filter_runners_report_their_rule_sizes_per_radius():
@@ -535,7 +538,7 @@ def test_runners_diagonalize_each_model_once(eig_calls):
     assert eig_calls == {"models": 3, "sectors": 1}
 
 
-def test_transport_runners_diagonalize_each_path_point_once(eig_calls):
+def test_transport_runners_diagonalize_each_path_point_once(eig_calls, monkeypatch):
     # no builder diagonalizes; clustering reads s = 1 after its 4-step
     # sweep, which leaves it cached
     run_clustering({
@@ -549,13 +552,24 @@ def test_transport_runners_diagonalize_each_path_point_once(eig_calls):
     # 2-step control, whose W = 0 leaves H(s) the same at all 3 points
     run_impurity_lppl(IMPURITY_SMALL)
     assert eig_calls == {"models": 1, "sectors": 11}
-    # weak-step reads the path at s0 and s0 + epsilon, and nothing else
-    run_weak_step({
+    # weak-step reads the path at s0 and s0 + epsilon, and nothing else:
+    # its gap check reads those two cached spectra, so no full-size
+    # eigvalsh is taken
+    eigvalsh, full = np.linalg.eigvalsh, []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        full.append(len(a) == 2**6)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    consts = run_weak_step({
         "schema_version": 1, "experiment": "weak-step",
         "model": {"kind": "transverse-field-Ising", "n": 6, "h": 20.0},
         "perturbation": {"site": 0, "epsilon": 0.05}, "sweep": {"l_values": [1, 2, 3]},
-    })
+    })["constants"]
     assert eig_calls == {"models": 1, "sectors": 13}
+    assert full and not any(full)
+    assert 0 < consts["gap_certified"] <= consts["g"]
 
 
 def test_flow_runners_diagonalize_only_the_points_they_read(monkeypatch):

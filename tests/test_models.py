@@ -303,8 +303,8 @@ def test_attach_impurity_zero_coupling_projector_is_product():
 
 def test_attach_impurity_gap_preserved_on_ramp():
     _, path = _xy_with_impurity(theta=0.4)
-    g, width = sectors.verify_gap_along_path(path, n_check=5)
-    assert g > 0.8
+    g, width, certified = sectors.verify_gap_along_path(path, np.linspace(0, 1, 5))
+    assert g > 0.8 and 0 < certified <= g
     assert width < 0.2
 
 

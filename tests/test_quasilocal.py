@@ -575,18 +575,28 @@ def test_transport_endpoint_reconstruction():
 
 def test_transport_sweep_diagonalizes_each_grid_point_once(monkeypatch):
     # s = 0, 1/4, ..., 1 once each: the endpoint errors reuse the s = 0
-    # sector the sweep started from, which the cache has dropped by then
-    calls = []
+    # sector the sweep started from, which the cache has dropped by then;
+    # the gap is read at the same 5 points and certified between them
+    calls, gap_reads = [], []
+    eigvalsh = np.linalg.eigvalsh
 
     def counting(H, *args, **kwargs):
         calls.append(H.shape)
         return eigendecompose(H, *args, **kwargs)
 
-    monkeypatch.setattr(sectors, "eigendecompose", counting)
+    def counting_eigvalsh(a, *args, **kwargs):
+        if len(a) == path.dim:
+            gap_reads.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
     path = decayed_path(5, J=0.02, h=1.0, site=2, W_final=0.3 * sigma_z)
+    monkeypatch.setattr(sectors, "eigendecompose", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     sweep = ql.transport_sweep(path, 4, [1, 4])
     assert sweep[1.0].n == sweep[4.0].n == 4
     assert len(calls) == 5
+    assert len(gap_reads) == 5
+    assert 0 < sweep[1.0].gap_certified <= sweep[1.0].gap
 
 
 def test_transport_error_stable_in_n():

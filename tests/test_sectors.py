@@ -12,7 +12,7 @@ from embed_oracle import csr_path_hamiltonian, per_s_hamiltonian, site_slope
 from transport_oracle import sector_projector
 
 from lpplab import interactions as itx
-from lpplab import lattice, models, operators, quasilocal, sectors
+from lpplab import lattice, models, operators, sectors
 from lpplab.exceptions import GapClosed, StepTooLarge
 from lpplab.harness.experiments import _impurity_slope
 from lpplab.operators import (
@@ -268,10 +268,14 @@ def test_step_coefficients_singular_gram():
 
 
 def test_path_gap_certificate_weak_ramp():
+    # the certified bound sits below the gap read anywhere on the path,
+    # here on a grid 16 times finer than the one certified
     path = tfim_path(6, w=0.4)
-    g_min, width_max = sectors.verify_gap_along_path(path, n_check=7)
+    g_min, width_max, certified = sectors.verify_gap_along_path(path, np.linspace(0, 1, 7))
     assert g_min > 0.5
     assert width_max == 0.0  # one-dimensional sector
+    fine = [np.diff(path.sector_values(s)[:2])[0] for s in np.linspace(0, 1, 97)]
+    assert 0 < certified <= min(fine)
 
 
 def _slope_paths():
@@ -312,20 +316,55 @@ def test_path_gap_constant_without_perturbation():
     assert np.ptp(gaps) < 1e-12
 
 
-def _crossing_path(rule):
-    # single site, levels 0 and 1 - 2s cross at s = 1/2
+def _crossing_path(rule, slope=2.0):
+    # single site, levels 0 and 1 - slope s cross at s = 1/slope
     G = lattice.LatticeGraph(1, [])
     phi = itx.InteractionFamily(
         [LocalOperator((0,), (2,), np.diag([0.0, 1.0]).astype(complex), hermitian=True)]
     )
-    W = site_slope(G, 0, np.diag([0.0, -2.0]))
+    W = site_slope(G, 0, np.diag([0.0, -slope]))
     return sectors.HamiltonianPath(G, phi, W=W, rule=rule)
 
 
 def test_path_detects_crossing():
+    # the crossing lies between the two points read: the interval's
+    # bound is negative, so it is split at s = 1/2, which is sampled
     path = _crossing_path(("fixed_d", 1))
-    with pytest.raises(GapClosed):
-        sectors.verify_gap_along_path(path, n_check=9)
+    with pytest.raises(GapClosed) as hit:
+        sectors.verify_gap_along_path(path, [0.0, 1.0])
+    assert hit.value.s == 0.5
+
+
+def test_path_detects_crossing_off_the_grid():
+    # levels 0 and 1 - 3s cross at s = 1/3, which no split lands on:
+    # the splits close in on it until a sampled gap is below GAP_TOL
+    path = _crossing_path(("fixed_d", 1), slope=3.0)
+    with pytest.raises(GapClosed) as hit:
+        sectors.verify_gap_along_path(path, np.linspace(0, 1, 5))
+    assert abs(hit.value.s - 1 / 3) < 1e-9
+    assert hit.value.gap < sectors.GAP_TOL
+
+
+def test_window_index_change_is_split_not_certified(monkeypatch):
+    # levels 0, 1, 3 - 1.5s and 10 under the window [-0.5, 2]: the third
+    # enters the window at s = 2/3 while every gap stays >= 1, so the
+    # Weyl bound of [0, 1] is positive, but the sector's indices differ
+    # at its ends; the interval is split down to s = 2/3 and not certified
+    G = lattice.LatticeGraph(1, [], site_dims=4)
+    phi = itx.InteractionFamily(
+        [LocalOperator((0,), (4,), np.diag([0.0, 1.0, 3.0, 10.0]), hermitian=True)]
+    )
+    W = site_slope(G, 0, np.diag([0.0, 0.0, -1.5, 0.0]))
+    path = sectors.HamiltonianPath(G, phi, W=W, rule=("window", -0.5, 2.0))
+    g0, g1 = path.sector(0.0).gap, path.sector(1.0).gap
+    assert (g0 + g1) / 2 - 1.5 > 0
+    read = []
+    values = path.sector_values
+    monkeypatch.setattr(path, "sector_values", lambda s: read.append(s) or values(s))
+    with pytest.raises(ValueError, match="no gap certified"):
+        sectors.verify_gap_along_path(path, [0.0, 1.0])
+    assert len(read) > 2
+    assert min(abs(s - 2 / 3) for s in read) < 1e-9
 
 
 def test_split_sector_rules():
@@ -344,23 +383,24 @@ def test_split_sector_rules():
 
 
 def test_one_sector_rule_for_every_gap_consumer():
-    # identify_sector, verify_gap_along_path and the weak-step gap agree
-    # on where the gap closes and on an ill-posed window
+    # identify_sector, the transport grid [0, 1/2, 1] and the weak-step
+    # grid [s0, s0 + eps] agree on where the gap closes and on an
+    # ill-posed window
     path = _crossing_path(("fixed_d", 1))
     with pytest.raises(GapClosed) as at_sector:
         path.sector(0.5)
     with pytest.raises(GapClosed) as at_grid:
-        sectors.verify_gap_along_path(path, n_check=3)
+        sectors.verify_gap_along_path(path, [0.0, 0.5, 1.0])
     with pytest.raises(GapClosed) as at_step:
-        quasilocal._step_gap(path, 0.25, 0.75)
+        sectors.verify_gap_along_path(path, [0.25, 0.75])
     assert at_sector.value.s == at_grid.value.s == at_step.value.s == 0.5
     assert at_sector.value.gap == at_grid.value.gap == at_step.value.gap == 0.0
 
     empty = _crossing_path(("window", 5.0, 6.0))
     for probe in (
         lambda: empty.sector(0.0),
-        lambda: sectors.verify_gap_along_path(empty, n_check=3),
-        lambda: quasilocal._step_gap(empty, 0.0, 0.1),
+        lambda: sectors.verify_gap_along_path(empty, [0.0, 0.5, 1.0]),
+        lambda: sectors.verify_gap_along_path(empty, [0.0, 0.1]),
     ):
         with pytest.raises(ValueError, match="no eigenvalues inside window"):
             probe()
