@@ -542,9 +542,9 @@ def run_impurity_lppl(config, workers=1, rng=None):
     sweep = config.get("sweep", {})
     ls = [float(v) for v in sweep.get("l_values", [1, 2, 3, 4])]
     n0 = int(sweep.get("n_steps", 4))
-    warnings = []
 
     tsets = quasilocal.transport_sweep(path, n0, ls)
+    warnings = list(tsets[ls[0]].warnings)
     consts = _constants(model.family, DecayFunctions(G, mu), g=tsets[ls[0]].gap)
     # for the manifest only: step counts after doublings, the certified gap, rule sizes
     steps = {"n_steps_final": tsets[ls[0]].n, "gap_certified": tsets[ls[0]].gap_certified,
@@ -659,15 +659,11 @@ def run_clustering(config, workers=1, rng=None):
         icfg = config.get("impurity", {})
         k = int(icfg.get("site", G.n_sites // 2))
         W = float(icfg.get("strength", 3.0)) * PAULI[icfg.get("pauli", "z")]
-        path = HamiltonianPath(
-            G, model.family, W=_site_slope(G, k, W), rule=_sector_rule(config), decay=decay
-        )
-        # transported-step coefficient norms on the same perturbed path;
-        # the sweep ends at s = 1, so the spectrum there stays cached
-        sweep = config.get("sweep", {})
-        ts = quasilocal.path_transport(
-            path, int(sweep.get("n_steps", 4)), float(sweep.get("l_values", [2])[0])
-        )
+        path = HamiltonianPath(G, model.family, W=_site_slope(G, k, W), rule=_sector_rule(config))
+        # step coefficient norms on the same perturbed path; the walk ends
+        # at s = 1, whose spectrum the path keeps
+        walk = quasilocal.sector_walk(path, int(config.get("sweep", {}).get("n_steps", 4)))
+        warnings.extend(walk.warnings)
         S1 = path.spectral(1.0)
         gap = float(S1.values[1] - S1.values[0])
         if gap < _tol(config, "degeneracy_gap", 1e-8):
@@ -753,13 +749,12 @@ def run_clustering(config, workers=1, rng=None):
         checks.append(
             _check(
                 "coefficient-one-norms",
-                ts.c_norm_max <= ts.c_bound + 1e-12,
-                f"max ||c_i||_1 = {ts.c_norm_max:.4f} vs 2 sqrt(D) = {ts.c_bound:.4f} "
-                f"over {ts.n} steps",
+                walk.c_norm_max <= walk.c_bound + 1e-12,
+                f"max ||c_i||_1 = {walk.c_norm_max:.4f} vs 2 sqrt(D) = {walk.c_bound:.4f} "
+                f"over {walk.n} steps",
             )
         )
-        consts = dict(consts, n_steps_final=ts.n, gap_certified=ts.gap_certified,
-                      **_rule_sizes([ts.rule]))
+        consts = dict(consts, n_steps_final=walk.n, gap_certified=walk.gap_certified)
 
     return {
         "experiment": "clustering",

@@ -242,9 +242,10 @@ class SpectralCache(OrderedDict):
     """The one spectral cache: a least-recently-used window of CACHE_SIZE
     entries.
 
-    Paths key it by the path point float(s), models by their solver
-    mode.  A path walks its s-grid forward, so a small window serves it,
-    and dense eigenvectors at 12+ spins are too large to keep in bulk.
+    Block paths key it by the path point float(s), models by their
+    solver mode.  A flow walks its s-grid forward, so a small window
+    serves it, and dense eigenvectors at 12+ spins are too large to keep
+    in bulk.
     """
 
     def fetch(self, key, compute):

@@ -25,11 +25,11 @@ The construction chain:
      right=V0) + comp_i 1), so the D x D matrix R_i is never formed.
      The weak step's unlocalized R_i psi is V (C o Phi_i) V0^dagger psi
      + comp_i psi, a few matrix-vector products.
-  5. path_transport iterates localized steps through the coefficient
-     recursion L^(m) = c(m) R^(m) L^(m-1) entirely on H_{K_l}: each
-     product R_p L_pq is formed once and accumulated into the output
-     blocks it feeds, with L kept in the dtype of c and R (real on a
-     real path).
+  5. sector_walk chains the sector bases and step coefficients c(m);
+     g, certified on [0, 1], sets every filter, so transport_sweep then
+     localizes the walk's steps, iterating L^(m) = c(m) R^(m) L^(m-1) on
+     H_{K_l}: each R_p L_pq is formed once and accumulated into the
+     output blocks it feeds, in the dtype of c and R (real on a real path).
 
 Everything here works on explicit spectral data; no contour integrals.
 """
@@ -292,15 +292,62 @@ def weak_step(path, s0, eps, ls):
 # ---------------------------------------------------------- path transport
 
 
+@dataclass(frozen=True)
+class SectorWalk:
+    """Sectors at the grid ss, each aligned to the one before, the step
+    coefficients between them, their largest row 1-norm and its 2 sqrt(D)
+    bound, the gap and its bound on [0, 1], and the sectors' warnings."""
+
+    ss: np.ndarray
+    sectors: tuple
+    coefficients: tuple
+    c_norm_max: float
+    c_bound: float
+    gap: float
+    gap_certified: float
+    warnings: tuple
+
+    @property
+    def n(self):
+        return len(self.ss) - 1
+
+
+def sector_walk(path, n) -> SectorWalk:
+    """The sector walk over n steps, doubled until every step aligns and
+    meets the 2 sqrt(D) bound; the gap is certified on the first grid."""
+    g, _, certified = verify_gap_along_path(path, np.linspace(0.0, 1.0, n + 1))
+    sec0 = path.sector(0.0)
+    while n <= STEP_CAP:
+        ss = np.linspace(0.0, 1.0, n + 1)
+        secs, cs, norms = [sec0], [], []
+        try:
+            for s in ss[1:]:
+                sec = align_phases(secs[-1], path.sector(s))
+                c, info = solve_step_coefficients(secs[-1], sec)
+                if info["violations"]:
+                    raise StepTooLarge("coefficient rows exceed 2 sqrt(D)")
+                secs.append(sec)
+                cs.append(c)
+                norms.append(info["one_norms"].max())
+        except StepTooLarge:
+            n *= 2
+            continue
+        return SectorWalk(
+            ss=ss, sectors=tuple(secs), coefficients=tuple(cs),
+            c_norm_max=float(max(norms)), c_bound=info["bound"], gap=g,
+            gap_certified=certified,
+            warnings=tuple(dict.fromkeys(w for sec in secs for w in sec.warnings)),
+        )
+    raise StepTooLarge(f"step predicates still failing at n={STEP_CAP}")
+
+
 @dataclass
 class TransportSet:
-    """Iterated localized transport L_ij^l over an n-step path.
+    """Iterated localized transport L_ij^l over a SectorWalk's n steps.
 
-    c_norm_max is the largest row 1-norm of the step coefficients over
-    the n steps and c_bound their 2 sqrt(D) bound
-    (sectors.solve_step_coefficients); sector0 is the s = 0 sector the
-    transport started from; rule is the largest (Q, max|omega| T) of the
-    filter's rules over the n steps; gap_certified bounds the gap on [0, 1].
+    n, c_norm_max, c_bound, gap, gap_certified and sector0 (the s = 0
+    sector) are the walk's, and warnings the walk's and the filter's;
+    rule is the largest (Q, max|omega| T) of the filter's rules.
     """
 
     L: np.ndarray  # (d, d, DK, DK) matrices on H_{K_l}
@@ -322,10 +369,6 @@ class TransportSet:
         return self.L.shape[0]
 
 
-class _PredicateFailure(Exception):
-    pass
-
-
 def _recursion_step(c, R_small, L):
     """L^(m)_{iq} = sum_p c_{ip} R_p L^(m-1)_{pq}, accumulated into the
     output one (p, q) product at a time: besides L and the output, only
@@ -339,57 +382,40 @@ def _recursion_step(c, R_small, L):
     return out
 
 
-def _transport_attempt(path, n, ls, g, certified, consts):
+def transport_sweep(path, n, ls):
+    """path_transport over a shared l-grid: sector_walk(path, n), then one
+    localization pass over its steps for every radius in ls."""
+    ls = [float(v) for v in np.atleast_1d(ls)]
+    consts = path.constants()
+    walk = sector_walk(path, n)
     G = path.graph
-    K = path.K
-    sec0 = path.sector(0.0)  # kept for the endpoint errors
-    d = sec0.dim
-    ss = np.linspace(0.0, 1.0, n + 1)
+    d = walk.sectors[0].dim
 
-    regions = {}
-    L = {}
-    for lv in ls:
-        Kl = tuple(sorted(lattice.fatten(G, K, lv)))
-        regions[lv] = Kl
-        dims = tuple(G.site_dims[x] for x in Kl)
-        DK = int(np.prod(dims, dtype=np.int64))
-        # float64 identity: the first step promotes L to result_type(c, R)
-        L[lv] = np.zeros((d, d, DK, DK))
-        L[lv][range(d), range(d)] = np.eye(DK)
+    regions = {lv: tuple(sorted(lattice.fatten(G, path.K, lv))) for lv in ls}
+    dims = {lv: tuple(G.site_dims[x] for x in Kl) for lv, Kl in regions.items()}
+    # float64 identity: the first step promotes L to result_type(c, R)
+    L = {lv: np.multiply.outer(np.eye(d), np.eye(np.prod(dims[lv], dtype=np.int64)))
+         for lv in ls}
 
-    sec_prev = sec0
-    c_norm_max = 0.0
     rule = {lv: (0, 0.0) for lv in ls}
-    warnings = []
-    for m in range(1, n + 1):
-        s_prev, s_next = ss[m - 1], ss[m]
-        try:
-            sec_next = align_phases(sec_prev, path.sector(s_next))
-            c, info = solve_step_coefficients(sec_prev, sec_next)
-        except StepTooLarge as exc:
-            raise _PredicateFailure(str(exc))
-        if info["violations"]:
-            raise _PredicateFailure(
-                f"step {m}: {info['violations']} coefficient rows exceed 2 sqrt(D)"
-            )
-        c_norm_max = max(c_norm_max, float(info["one_norms"].max()))
-
-        S_prev, S_next = path.spectral(s_prev), path.spectral(s_next)
+    warnings = list(walk.warnings)
+    for m, c in enumerate(walk.coefficients, 1):
+        sec_prev, sec_next = walk.sectors[m - 1], walk.sectors[m]
+        S_prev, S_next = path.spectral(walk.ss[m - 1]), path.spectral(walk.ss[m])
         C = S_next.vectors.conj().T @ S_prev.vectors
         for lv in ls:
-            params, warns = _filter(g, consts, lv, sec_next.values_in)
+            params, warns = _filter(walk.gap, consts, lv, sec_next.values_in)
             warnings.extend(warns)
             R_small, _, size = _localized_R_batch(
                 S_prev, S_next, sec_prev.values_in, params, regions[lv], G, overlap=C
             )
             rule[lv] = tuple(map(max, rule[lv], size))
             L[lv] = _recursion_step(c, R_small, L[lv])
-        sec_prev = sec_next
 
     # endpoint reconstruction errors
-    psi0 = sec0.basis
-    psi1 = sec_prev.basis
-    errors = {}
+    psi0 = walk.sectors[0].basis
+    psi1 = walk.sectors[-1].basis
+    out = {}
     for lv in ls:
         errs = []
         for i in range(d):
@@ -398,40 +424,22 @@ def _transport_attempt(path, n, ls, g, certified, consts):
                 for j in range(d)
             )
             errs.append(float(np.linalg.norm(psi1[:, i] - acc)))
-        errors[lv] = np.array(errs)
-
-    out = {}
-    for lv in ls:
         out[lv] = TransportSet(
             L=L[lv],
             support=regions[lv],
-            dims=tuple(G.site_dims[x] for x in regions[lv]),
-            n=n,
-            l=float(lv),
-            c_norm_max=c_norm_max,
-            c_bound=info["bound"],
-            errors=errors[lv],
+            dims=dims[lv],
+            n=walk.n,
+            l=lv,
+            c_norm_max=walk.c_norm_max,
+            c_bound=walk.c_bound,
+            errors=np.array(errs),
             warnings=tuple(warnings),
-            gap=g,
-            sector0=sec0,
+            gap=walk.gap,
+            sector0=walk.sectors[0],
             rule=rule[lv],
-            gap_certified=certified,
+            gap_certified=walk.gap_certified,
         )
     return out
-
-
-def transport_sweep(path, n, ls):
-    """path_transport over a shared l-grid, adaptive in n, on a gap certified on [0, 1]."""
-    ls = [float(v) for v in np.atleast_1d(ls)]
-    consts = path.constants()
-    g, _, certified = verify_gap_along_path(path, np.linspace(0.0, 1.0, n + 1))
-    attempt = n
-    while attempt <= STEP_CAP:
-        try:
-            return _transport_attempt(path, attempt, ls, g, certified, consts)
-        except _PredicateFailure:
-            attempt *= 2
-    raise StepTooLarge(f"step predicates still failing at n={STEP_CAP}")
 
 
 def path_transport(path, n, l) -> TransportSet:

@@ -22,12 +22,7 @@ from .interactions import (
     assemble_hamiltonian,
     decay_constants,
 )
-from .operators import (
-    DENSE_LIMIT,
-    SpectralCache,
-    SpectralData,
-    eigendecompose,
-)
+from .operators import SpectralData, eigendecompose
 
 GAP_TOL = 1e-10
 CLUSTER_TOL = 1e-9
@@ -188,10 +183,11 @@ class HamiltonianPath:
     constant path), each assembled once as a HamiltonianAction, so
     H(s) = H_Phi + s V with V = sum(W) is two groups of terms, densified
     only where a spectrum needs it; s = 0 gives H_Phi itself, in its own
-    dtype.  K is the union of W's supports.  Spectral data is kept in a
-    SpectralCache keyed by float(s): transport sweeps touch consecutive
-    path points only.  A path whose V is zero has one H for every s, so
-    it keys every s to 0.0 and takes one spectrum.
+    dtype.  K is the union of W's supports.  Every spectrum the path
+    takes is kept, keyed by float(s), so a transport's gap check, walk
+    and localization read one spectrum per grid point.  A path whose V
+    is zero has one H for every s, so it keys every s to 0.0 and takes
+    one spectrum.
     """
 
     def __init__(
@@ -210,7 +206,7 @@ class HamiltonianPath:
         self.decay = decay
         self.initial_basis = None if initial_basis is None else np.asarray(initial_basis)
         self.dim = int(np.prod(G.site_dims, dtype=np.int64))
-        self._cache = SpectralCache()
+        self._cache = {}
         self._H_phi = assemble_hamiltonian(phi, G)
         V = assemble_hamiltonian(self.W, G)
         self._V = V if V.any() else None
@@ -230,7 +226,9 @@ class HamiltonianPath:
         d = self.rule[1] if self.rule[0] == "fixed_d" else 2
         k = min(self.dim - 2, max(6, int(d) + 5))
         key = 0.0 if self._V is None else float(s)
-        return self._cache.fetch(key, lambda: eigendecompose(self.hamiltonian(key), k=k))
+        if key not in self._cache:
+            self._cache[key] = eigendecompose(self.hamiltonian(key), k=k)
+        return self._cache[key]
 
     def sector(self, s) -> SectorSpectrum:
         sec = identify_sector(self.spectral(s), self.rule, s=s)
@@ -250,9 +248,7 @@ class HamiltonianPath:
         return sec
 
     def sector_values(self, s):
-        """Eigenvalues at s: cached, else, on a dense path that moves, by `eigvalsh`."""
-        if self._V is not None and self.dim <= DENSE_LIMIT and float(s) not in self._cache:
-            return np.linalg.eigvalsh(self.hamiltonian(s).dense())
+        """Eigenvalues at s, from the path's spectrum there."""
         return self.spectral(s).values
 
     def constants(self):

@@ -469,19 +469,21 @@ def test_dressed_deviations_ignore_the_sector_basis(experiment, monkeypatch):
 
 
 def test_impurity_runners_report_final_step_counts(monkeypatch):
-    # every sweep that starts at n = 4 doubles once; the control's n = 2
-    # does not; the gap certified on the first grid is reported as it is
-    attempt = quasilocal._transport_attempt
+    # a row violation flagged on the 4th step solve doubles a walk that
+    # starts at n = 4; the control's n = 2 does not double; the gap
+    # certified on the first grid is reported as it is
+    solve, calls = quasilocal.solve_step_coefficients, []
 
-    def doubling(path, n, *args):
-        if n == 4:
-            raise quasilocal._PredicateFailure("forced")
-        return attempt(path, n, *args)
+    def violating_fourth(prev, next):
+        c, info = solve(prev, next)
+        calls.append(None)
+        return c, dict(info, violations=1) if len(calls) == 4 else info
 
-    monkeypatch.setattr(quasilocal, "_transport_attempt", doubling)
+    monkeypatch.setattr(quasilocal, "solve_step_coefficients", violating_fourth)
     consts = run_impurity_lppl(IMPURITY_SMALL)["constants"]
     assert (consts["n_steps_final"], consts["control_n_steps_final"]) == (8, 2)
     assert 0 < consts["gap_certified"] <= consts["g"]
+    calls.clear()
     consts = run_clustering({
         "schema_version": 1, "experiment": "clustering", "mode": "impurity",
         "model": {"kind": "transverse-field-Ising", "n": 6, "J": 1.0, "h": 2.0},
@@ -540,7 +542,7 @@ def test_runners_diagonalize_each_model_once(eig_calls):
 
 def test_transport_runners_diagonalize_each_path_point_once(eig_calls, monkeypatch):
     # no builder diagonalizes; clustering reads s = 1 after its 4-step
-    # sweep, which leaves it cached
+    # walk, which the path keeps
     run_clustering({
         "schema_version": 1, "experiment": "clustering", "mode": "impurity",
         "model": {"kind": "transverse-field-Ising", "n": 6, "J": 1.0, "h": 2.0},
@@ -570,6 +572,29 @@ def test_transport_runners_diagonalize_each_path_point_once(eig_calls, monkeypat
     assert eig_calls == {"models": 1, "sectors": 13}
     assert full and not any(full)
     assert 0 < consts["gap_certified"] <= consts["g"]
+
+
+def test_impurity_clustering_runs_the_walk_alone(monkeypatch):
+    # clustering reads the walk's coefficient norms, step count and gap
+    # bound, so no filter, R or recursion runs, and no rule size is kept
+    localized = []
+    batch = quasilocal._localized_R_batch
+
+    def counting(*args, **kwargs):
+        localized.append(None)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(quasilocal, "_localized_R_batch", counting)
+    report = run_clustering({
+        "schema_version": 1, "experiment": "clustering", "mode": "impurity",
+        "model": {"kind": "transverse-field-Ising", "n": 6, "J": 1.0, "h": 2.0},
+        "impurity": {"site": 3}, "sweep": {"l_values": [2], "n_steps": 4},
+    })
+    assert localized == []
+    norms = next(c for c in report["checks"] if c["name"] == "coefficient-one-norms")
+    assert norms["passed"] and norms["detail"].endswith("over 4 steps")
+    assert report["constants"]["n_steps_final"] == 4
+    assert "quadrature_nodes" not in report["constants"]
 
 
 def test_flow_runners_diagonalize_only_the_points_they_read(monkeypatch):

@@ -536,6 +536,25 @@ def test_transport_zero_coupling_is_identity():
     assert np.abs(ts.L[0, 0] - np.eye(DK)).max() < 1e-9
 
 
+def _count_spectra(monkeypatch, dim):
+    """Lists of path eigendecompositions and of eigvalsh calls of size dim."""
+    calls, gap_reads = [], []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(H, *args, **kwargs):
+        calls.append(H.shape)
+        return eigendecompose(H, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        if len(a) == dim:
+            gap_reads.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sectors, "eigendecompose", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return calls, gap_reads
+
+
 def test_zero_slope_sweep_takes_one_spectrum(monkeypatch):
     # W = 0 leaves one H on the whole path: the gap grid and every step
     # read one eigendecomposition, and no eigvalsh of the full H is taken
@@ -544,22 +563,9 @@ def test_zero_slope_sweep_takes_one_spectrum(monkeypatch):
         G, tfim_family(G, 1.0, 2.0), W=site_slope(G, 1, np.zeros((2, 2))),
         rule=("fixed_d", 1), decay=itx.DecayFunctions(G, 0.7),
     )
-    calls = []
-    eigendecompose, eigvalsh = sectors.eigendecompose, np.linalg.eigvalsh
-
-    def counting_eigendecompose(H, *args, **kwargs):
-        calls.append("eigendecompose")
-        return eigendecompose(H, *args, **kwargs)
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        if len(a) == path.dim:
-            calls.append("eigvalsh")
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(sectors, "eigendecompose", counting_eigendecompose)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    calls, gap_reads = _count_spectra(monkeypatch, path.dim)
     tsets = ql.transport_sweep(path, 2, [1, 2])
-    assert calls == ["eigendecompose"]
+    assert len(calls) == 1 and gap_reads == []
     assert all(ts.errors.max() < 1e-9 for ts in tsets.values())
 
 
@@ -574,29 +580,56 @@ def test_transport_endpoint_reconstruction():
 
 
 def test_transport_sweep_diagonalizes_each_grid_point_once(monkeypatch):
-    # s = 0, 1/4, ..., 1 once each: the endpoint errors reuse the s = 0
-    # sector the sweep started from, which the cache has dropped by then;
-    # the gap is read at the same 5 points and certified between them
-    calls, gap_reads = [], []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(H, *args, **kwargs):
-        calls.append(H.shape)
-        return eigendecompose(H, *args, **kwargs)
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        if len(a) == path.dim:
-            gap_reads.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
-
+    # s = 0, 1/4, ..., 1 once each: the gap check, the walk and the
+    # localization read the path's one spectrum per point, so no
+    # full-size eigvalsh is taken
     path = decayed_path(5, J=0.02, h=1.0, site=2, W_final=0.3 * sigma_z)
-    monkeypatch.setattr(sectors, "eigendecompose", counting)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    calls, gap_reads = _count_spectra(monkeypatch, path.dim)
     sweep = ql.transport_sweep(path, 4, [1, 4])
     assert sweep[1.0].n == sweep[4.0].n == 4
     assert len(calls) == 5
-    assert len(gap_reads) == 5
+    assert gap_reads == []
     assert 0 < sweep[1.0].gap_certified <= sweep[1.0].gap
+
+
+def test_doubled_walk_reuses_the_spectra_of_its_first_grid(monkeypatch):
+    # a row violation flagged on the 4th step solve doubles n = 4 to 8:
+    # the 8-step grid holds the 5 points already taken, so 4 are new
+    path = decayed_path(5, J=0.02, h=1.0, site=2, W_final=0.3 * sigma_z)
+    ref = ql.transport_sweep(path, 8, [1])[1.0]
+    path = decayed_path(5, J=0.02, h=1.0, site=2, W_final=0.3 * sigma_z)
+    calls, gap_reads = _count_spectra(monkeypatch, path.dim)
+    solve, solves = ql.solve_step_coefficients, []
+
+    def violating_fourth(prev, next):
+        c, info = solve(prev, next)
+        solves.append(None)
+        return c, dict(info, violations=1) if len(solves) == 4 else info
+
+    monkeypatch.setattr(ql, "solve_step_coefficients", violating_fourth)
+    ts = ql.transport_sweep(path, 4, [1])[1.0]
+    assert ts.n == 8
+    assert len(calls) == 9
+    assert gap_reads == []
+    assert np.array_equal(ts.L, ref.L) and np.array_equal(ts.errors, ref.errors)
+
+
+def test_transport_carries_the_sector_warnings():
+    # levels 0 and 5e-10 on site 0, which the coupling leaves alone: the
+    # sector boundary lies inside an eigenvalue cluster, which
+    # identify_sector flags and the walk keeps
+    G = lattice.LatticeGraph(2, [(0, 1)], site_dims=2)
+    phi = itx.InteractionFamily([
+        from_graph(G, (0,), np.diag([0.0, 5e-10]), True),
+        from_graph(G, (1,), np.diag([0.0, 1.0]), True),
+        from_graph(G, (0, 1), 0.1 * np.kron(np.eye(2), sigma_x), True),
+    ])
+    path = sectors.HamiltonianPath(
+        G, phi, W=site_slope(G, 0, np.zeros((2, 2))), rule=("fixed_d", 1),
+        decay=itx.DecayFunctions(G, 0.7),
+    )
+    ts = ql.transport_sweep(path, 2, [1])[1.0]
+    assert "sector boundary lies inside an eigenvalue cluster" in ts.warnings
 
 
 def test_transport_error_stable_in_n():

@@ -16,7 +16,6 @@ from lpplab import lattice, models, operators, sectors
 from lpplab.exceptions import GapClosed, StepTooLarge
 from lpplab.harness.experiments import _impurity_slope
 from lpplab.operators import (
-    CACHE_SIZE,
     HamiltonianAction,
     LocalOperator,
     eigendecompose,
@@ -406,24 +405,21 @@ def test_one_sector_rule_for_every_gap_consumer():
             probe()
 
 
-def test_path_spectral_cache_reuse_and_eviction():
+def test_path_spectral_cache_keeps_every_point():
+    # a path keeps each spectrum it takes, so a walk's grid, and the grid
+    # a doubling adds to it, are diagonalized once per point
     path = tfim_path(5)
     S1 = path.spectral(0.25)
-    assert path.spectral(0.25) is S1
-    for s in (0.5, 0.75, 1.0):  # the third evicts 0.25 (cache size 3)
+    for s in (0.5, 0.75, 1.0, 0.125):
         path.spectral(s)
-        assert len(path._cache) <= CACHE_SIZE
-    again = path.spectral(0.25)
-    assert again is not S1
-    assert np.array_equal(again.values, S1.values)
-    assert np.array_equal(again.vectors, S1.vectors)
+    assert sorted(path._cache) == [0.125, 0.25, 0.5, 0.75, 1.0]
+    assert path.spectral(0.25) is S1
 
 
 def test_iterative_gap_grid_reads_the_cached_spectrum(monkeypatch):
     # above DENSE_LIMIT the gap grid's eigenvalues are the path's
     # iterative spectrum, so a later spectral(s) is a cache hit
-    for module in (operators, sectors):
-        monkeypatch.setattr(module, "DENSE_LIMIT", 16)
+    monkeypatch.setattr(operators, "DENSE_LIMIT", 16)
     calls = []
 
     def counting(H, *args, **kwargs):
