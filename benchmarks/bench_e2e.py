@@ -1,6 +1,6 @@
 """End-to-end cost of every shipped config, one fresh process each.
 
-    python benchmarks/bench_e2e.py [--root CHECKOUT]
+    python benchmarks/bench_e2e.py [--root CHECKOUT] [--parent CHECKOUT] [--pairs K]
 
 Runs each `configs/*.json` of the checkout (default: this repository)
 through `python -m lpplab <experiment> --seed 1 --workers 1` with the
@@ -26,6 +26,19 @@ change of a few tens of milliseconds that the wall time, with its
 spread, cannot.  The environment block also records
 `PYTHONDONTWRITEBYTECODE`: when it is set, every process compiles
 lpplab's sources again, and that is part of every wall time here.
+
+With `--parent CHECKOUT` it measures a parent/change pair in one go: per
+config, and for the startup block, it runs the parent and the change K
+times each (`--pairs K`), alternating them and swapping which goes
+first in each pair, and writes both `BENCH_*.json` files at the
+change's root.  A config's `wall_s`, `cpu_s` and `peak_rss_mb` (and the
+startup block's medians) are then medians over the K runs; `quartiles`
+holds the first and third quartiles of each, and `change_won`, the same
+in both files, counts the pairs in which the change read lower.  The
+startup block's pair is one batch of 15 imports per side, its medians
+and quartiles are over all K batches' imports, and a pair is won on the
+batch medians.  `--pairs K` without `--parent` repeats each config K
+times on one checkout; `--pairs 1` without it is the single run above.
 """
 
 from __future__ import annotations
@@ -47,6 +60,8 @@ import numpy
 import scipy
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+DIGITS = {"wall_s": 3, "cpu_s": 3, "peak_rss_mb": 1}
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 STARTUP_RUNS = 15
 # imports the CLI, then prints the public scipy subpackages that import
@@ -120,11 +135,11 @@ def timed(cmd, root, **popen):
     return time.perf_counter() - t0, usage, os.waitstatus_to_exitcode(status)
 
 
-def startup(root):
-    """Median wall s, CPU s and peak RSS MB of STARTUP_RUNS fresh processes
+def startup_batch(root):
+    """Wall s, CPU s and peak RSS MB of each of STARTUP_RUNS fresh processes
     that import lpplab.cli, the public scipy subpackages the import loaded
     and whether it loaded jsonschema."""
-    walls, cpus, rss = [], [], []
+    batch = {"wall_s": [], "cpu_s": [], "peak_rss_mb": []}
     with tempfile.TemporaryFile("w+") as out:
         for _ in range(STARTUP_RUNS):
             out.seek(0)
@@ -135,20 +150,68 @@ def startup(root):
             )
             if status != 0:
                 raise SystemExit(f"importing lpplab.cli failed with status {status}")
-            walls.append(wall)
-            cpus.append(usage.ru_utime + usage.ru_stime)
-            rss.append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB
+            batch["wall_s"].append(wall)
+            batch["cpu_s"].append(usage.ru_utime + usage.ru_stime)
+            batch["peak_rss_mb"].append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB
         out.seek(0)
-        modules, jsonschema_loaded = json.loads(out.read())
-    return {
+        batch["modules"], batch["jsonschema_loaded"] = json.loads(out.read())
+    return batch
+
+
+def startup(batches):
+    """The startup block of one checkout's batches: the medians over all
+    their processes, and with more than one batch their quartiles."""
+    pooled = {m: [x for b in batches for x in b[m]] for m in METRICS}
+    block = {
         "command": "python -c 'import lpplab.cli'",
-        "runs": STARTUP_RUNS,
-        "median_wall_s": round(statistics.median(walls), 3),
-        "median_cpu_s": round(statistics.median(cpus), 3),
-        "median_peak_rss_mb": round(statistics.median(rss), 1),
-        "scipy_subpackages": modules,
-        "jsonschema_loaded": jsonschema_loaded,
+        "runs": len(pooled["wall_s"]),
+        "median_wall_s": round(statistics.median(pooled["wall_s"]), 3),
+        "median_cpu_s": round(statistics.median(pooled["cpu_s"]), 3),
+        "median_peak_rss_mb": round(statistics.median(pooled["peak_rss_mb"]), 1),
+        "scipy_subpackages": batches[0]["modules"],
+        "jsonschema_loaded": batches[0]["jsonschema_loaded"],
     }
+    if len(batches) > 1:
+        block["quartiles"] = {m: quartiles(pooled[m], DIGITS[m]) for m in METRICS}
+    return block
+
+
+def quartiles(xs, digits):
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return [round(q1, digits), round(q3, digits)]
+
+
+def merge_runs(runs):
+    """One config's entry from its runs on one checkout: the medians, the
+    first exit status that is not 0 and the first run's digests, and with
+    more than one run the quartiles and whether every run wrote the same
+    CSV bytes."""
+    entry = {"experiment": runs[0]["experiment"]}
+    for m in METRICS:
+        entry[m] = round(statistics.median(r[m] for r in runs), DIGITS[m])
+    entry["exit_status"] = next((r["exit_status"] for r in runs if r["exit_status"]), 0)
+    entry["csv_sha256"] = runs[0]["csv_sha256"]
+    if len(runs) > 1:
+        entry["runs"] = len(runs)
+        entry["quartiles"] = {m: quartiles([r[m] for r in runs], DIGITS[m]) for m in METRICS}
+        entry["csv_same_every_run"] = all(r["csv_sha256"] == entry["csv_sha256"] for r in runs)
+    return entry
+
+
+def change_won(parent, change):
+    """Per metric, the pairs in which the change read lower than the parent."""
+    return {m: sum(c < p for p, c in zip(parent[m], change[m])) for m in METRICS}
+
+
+def alternate(measure, sides, pairs):
+    """measure(side) `pairs` times per side, one pair at a time, the side
+    that goes first swapped from pair to pair; the results per side."""
+    runs = [[] for _ in sides]
+    for k in range(pairs):
+        order = list(enumerate(sides))
+        for i, side in order[::-1] if k % 2 else order:
+            runs[i].append(measure(side))
+    return runs
 
 
 def run_tier1(root):
@@ -177,42 +240,83 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--root", default=Path(__file__).resolve().parents[1], type=Path,
-        help="checkout to measure (default: this repository)",
+        help="checkout to measure, the change of a pair (default: this repository)",
     )
-    root = parser.parse_args(argv).root.resolve()
-    commit = _git(root, "rev-parse", "HEAD")
-    dirty = bool(_git(root, "status", "--porcelain", "--untracked-files=no"))
-    configs = sorted((root / "configs").glob("*.json"))
-    start = startup(root)
-    print(f"startup: median wall {start['median_wall_s']:.3f} s, "
-          f"cpu {start['median_cpu_s']:.3f} s, "
-          f"peak {start['median_peak_rss_mb']:.1f} MB, "
-          f"scipy {' '.join(start['scipy_subpackages'])}, "
-          f"jsonschema {'loaded' if start['jsonschema_loaded'] else 'not loaded'}")
-    results = {}
+    parser.add_argument(
+        "--parent", type=Path, help="checkout of the parent commit, to measure as a pair"
+    )
+    parser.add_argument("--pairs", type=int, default=1, help="runs per config and side")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    root = args.root.resolve()
+    sides = [root] if args.parent is None else [args.parent.resolve(), root]
+    commits = [_git(side, "rev-parse", "HEAD") for side in sides]
+    if len(set(commits)) < len(commits):
+        raise SystemExit("the parent and the change are the same commit")
+    labels = ["change"] if len(sides) == 1 else ["parent", "change"]
+
+    batches = alternate(startup_batch, sides, args.pairs)
+    starts = [startup(b) for b in batches]
+    if len(sides) == 2:
+        medians = [{m: [statistics.median(b[m]) for b in bs] for m in METRICS} for bs in batches]
+        for block in starts:
+            block["change_won"] = change_won(*medians)
+    for label, start in zip(labels, starts):
+        print(f"startup ({label}): median wall {start['median_wall_s']:.3f} s, "
+              f"cpu {start['median_cpu_s']:.3f} s, "
+              f"peak {start['median_peak_rss_mb']:.1f} MB, "
+              f"scipy {' '.join(start['scipy_subpackages'])}, "
+              f"jsonschema {'loaded' if start['jsonschema_loaded'] else 'not loaded'}")
+
+    names = sorted({c.name for side in sides for c in (side / "configs").glob("*.json")})
+    results = [{} for _ in sides]
     with tempfile.TemporaryDirectory() as tmp:
-        for config in configs:
-            results[config.name] = run_config(root, config, Path(tmp))
-            r = results[config.name]
-            print(f"{config.name}: wall {r['wall_s']:.2f} s, cpu {r['cpu_s']:.2f} s, "
-                  f"peak {r['peak_rss_mb']:.1f} MB, exit {r['exit_status']}")
-    tier1 = run_tier1(root)
-    print(f"tier-1: wall {tier1['wall_s']:.1f} s, {tier1['summary']}")
-    report = {
-        "commit": commit,
-        "dirty": dirty,
-        "seed": 1,
-        "workers": 1,
-        "environment": environment(),
-        "startup": start,
-        "configs": results,
-        "total_wall_s": round(sum(r["wall_s"] for r in results.values()), 3),
-        "tier1": tier1,
-    }
-    out = root / f"BENCH_{commit[:12]}.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}")
-    return 0 if all(r["exit_status"] == 0 for r in results.values()) else 1
+        for name in names:
+            present = [i for i, side in enumerate(sides) if (side / "configs" / name).is_file()]
+            runs = alternate(
+                lambda i: run_config(sides[i], sides[i] / "configs" / name, Path(tmp) / str(i)),
+                present, args.pairs,
+            )
+            for i, r in zip(present, runs):
+                results[i][name] = merge_runs(r)
+            if len(present) == 2:
+                won = change_won(*({m: [x[m] for x in r] for m in METRICS} for r in runs))
+                for i in present:
+                    results[i][name]["change_won"] = won
+            for i in present:
+                r = results[i][name]
+                print(f"{name} ({labels[i]}): wall {r['wall_s']:.2f} s, cpu {r['cpu_s']:.2f} s, "
+                      f"peak {r['peak_rss_mb']:.1f} MB, exit {r['exit_status']}"
+                      + (f", change won {r['change_won']['wall_s']}/{args.pairs} on wall"
+                         if "change_won" in r else ""))
+
+    status = 0
+    for i, side in enumerate(sides):
+        tier1 = run_tier1(side)
+        print(f"tier-1 ({labels[i]}): wall {tier1['wall_s']:.1f} s, {tier1['summary']}")
+        report = {
+            "commit": commits[i],
+            "dirty": bool(_git(side, "status", "--porcelain", "--untracked-files=no")),
+            "seed": 1,
+            "workers": 1,
+            "environment": environment(),
+            "startup": starts[i],
+            "configs": results[i],
+            "total_wall_s": round(sum(r["wall_s"] for r in results[i].values()), 3),
+            "tier1": tier1,
+        }
+        if len(sides) == 2:
+            report["pairs"] = args.pairs
+            report["paired_with"] = commits[1 - i]
+        elif args.pairs > 1:
+            report["pairs"] = args.pairs
+        out = root / f"BENCH_{commits[i][:12]}.json"
+        out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {out}")
+        if any(r["exit_status"] != 0 for r in results[i].values()):
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

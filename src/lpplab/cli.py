@@ -4,8 +4,10 @@ One subcommand per experiment.  The runner produces a report in memory;
 this layer owns all file I/O: one CSV per table plus a JSON manifest
 with the config echo, model constants, fit results, check outcomes,
 wall time and the environment the runner ran in.  The runner runs with
-BLAS at 1 thread (see blas.py).  Exit status: 0 when every check
-passed, 2 when a check failed, 1 on error.
+BLAS at 1 thread (see blas.py), and a process that imports this module
+before numpy starts OpenBLAS at 1 thread unless OPENBLAS_NUM_THREADS is
+set.  Exit status: 0 when every check passed, 2 when a check failed, 1
+on error.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ import gc
 import os
 import sys
 import time
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
+
+# Set before numpy loads its OpenBLAS, which reads it once: the library
+# then starts no thread pool to spin up and cap (a caller's value wins).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 from numpy.random import default_rng
@@ -25,10 +30,28 @@ from .blas import blas_thread_counts, blas_threads, thread_budget
 from .harness import load_config, write_csv, write_manifest
 from .harness.experiments import RUNNERS
 
-# Read at import, as numpy.random is imported above, so that a run loads
-# no module the import did not (a metadata lookup loads email.parser);
-# scipy itself is imported by the iterative solver alone.
-SCIPY_VERSION = version("scipy")
+
+def _dist_version(name):
+    """The version in the name of the first `<name>-<version>.dist-info`
+    directory on sys.path, which is where importlib.metadata finds it,
+    or "unknown" when there is none."""
+    prefix, suffix = f"{name}-", ".dist-info"
+    for entry in sys.path:
+        try:
+            children = os.listdir(entry or ".")
+        except OSError:  # a zip archive or a missing directory
+            continue
+        for child in children:
+            if child.startswith(prefix) and child.endswith(suffix):
+                return child[len(prefix) : -len(suffix)]
+    return "unknown"
+
+
+# Read once at import from the directory names, with no importlib.metadata
+# (which loads email and locale); scipy itself is imported by the
+# iterative solver alone.
+SCIPY_VERSION = _dist_version("scipy")
+PACKAGE_VERSION = _dist_version("lpplab")
 
 
 def _build_parser():
@@ -46,12 +69,17 @@ def _build_parser():
     return parser
 
 
+# Built once, at import: argparse's first build loads gettext and locale,
+# which a run would otherwise load after the setup.
+PARSER = _build_parser()
+
+
 def main(argv=None):
     # What is alive now, the imported modules above all, outlives the run:
     # frozen, it is not scanned again by the full collections in the runner
     # (about 35 ms each for the ~50k objects the imports leave).
     gc.freeze()
-    args = _build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         config = load_config(args.config)
         if config["experiment"] != args.experiment:
@@ -86,13 +114,9 @@ def main(argv=None):
                 write_csv(out_dir / f"{stem}.csv", table["header"], table["rows"])
             )
 
-        try:
-            pkg_version = version("lpplab")
-        except PackageNotFoundError:
-            pkg_version = "unknown"
         manifest = {
             "command": " ".join([args.experiment, "--config", str(args.config)]),
-            "package_version": pkg_version,
+            "package_version": PACKAGE_VERSION,
             "config": config,
             "seed": args.seed,
             "workers": args.workers,

@@ -22,6 +22,7 @@ from .interactions import (
     assemble_hamiltonian,
     decay_constants,
 )
+from . import operators
 from .operators import SpectralData, eigendecompose
 
 GAP_TOL = 1e-10
@@ -248,7 +249,10 @@ class HamiltonianPath:
         return sec
 
     def sector_values(self, s):
-        """Eigenvalues at s, from the path's spectrum there."""
+        """Eigenvalues at s: the kept spectrum's, else, on a dense path that
+        moves, from an `eigvalsh` that is kept nowhere."""
+        if self._V is not None and self.dim <= operators.DENSE_LIMIT and float(s) not in self._cache:
+            return np.linalg.eigvalsh(self.hamiltonian(s).dense())
         return self.spectral(s).values
 
     def constants(self):
@@ -264,10 +268,12 @@ def verify_gap_along_path(path: HamiltonianPath, ss):
     over neighbouring points a < b, which by Weyl bounds the gap on [a, b]
     while the sector keeps its eigenvalue indices.  An interval without a
     positive bound or with changed indices is split at its midpoint, read
-    too; a gap read below GAP_TOL raises GapClosed with its s."""
+    too; a gap read below GAP_TOL raises GapClosed with its s.  The points
+    ss are read from the spectra the path keeps, which the caller reads
+    next; a midpoint through `sector_values`, which on a dense path takes
+    its values alone and keeps nothing."""
 
-    def read(s):
-        values = path.sector_values(s)
+    def read(s, values):
         in_idx, _, gap = split_sector(values, path.rule, s=s, complete=len(values) == path.dim)
         return in_idx, gap, float(np.ptp(values[in_idx]))
 
@@ -279,11 +285,11 @@ def verify_gap_along_path(path: HamiltonianPath, ss):
         m = (a + b) / 2
         if not a < m < b:
             raise ValueError(f"no gap certified between adjacent s={a!r} and s={b!r}")
-        points[m] = read(m)
+        points[m] = read(m, path.sector_values(m))
         return min(certify(a, m), certify(m, b))
 
     ss = sorted(map(float, ss))
-    points = {s: read(s) for s in ss}
+    points = {s: read(s, path.spectral(s).values) for s in ss}
     bounds = list(map(certify, ss, ss[1:]))
     _, gaps, widths = zip(*points.values())
     return min(gaps), max(widths), min(bounds, default=min(gaps))

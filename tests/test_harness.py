@@ -18,7 +18,7 @@ from embed_oracle import commutator_norm
 from flow_oracle import block_projector
 from tqo_oracle import full_space_tqo_check
 
-from lpplab import blas, lattice, models, operators, quasilocal, sectors
+from lpplab import blas, cli, lattice, models, operators, quasilocal, sectors
 from lpplab import spectral_flow as sflow
 from lpplab.blas import blas_thread_counts, fan_out, pmap, thread_budget
 from lpplab.cli import main
@@ -865,10 +865,16 @@ UNUSED_BY_DENSE_RUNS = (
 )
 
 
-def _fresh_python(script):
+def _fresh_python(script, **env_vars):
     """The last stdout line of `script` run in a fresh interpreter on src/,
-    since this suite's own imports load the modules under test."""
+    since this suite's own imports load the modules under test.  Keyword
+    arguments set the child's environment variables; None unsets one."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()[-1]
@@ -953,3 +959,51 @@ def test_iterative_solve_inside_a_cap_caps_the_openblas_it_loads():
     assert seen["capped"] == [1]
     assert seen["during"] == [1, 1]
     assert len(seen["after"]) == 2 and seen["after"][0] == seen["outside"][0]
+
+
+CLI_START_SCRIPT = (
+    "import json, sys\n"
+    "from lpplab import cli\n"
+    "from lpplab import blas\n"
+    "print(json.dumps([blas.blas_thread_counts(),\n"
+    "                  [m for m in ('importlib.metadata', 'email') if m in sys.modules]]))\n"
+)
+
+
+def test_cli_import_starts_openblas_at_one_thread_without_package_metadata():
+    counts, loaded = json.loads(_fresh_python(CLI_START_SCRIPT, OPENBLAS_NUM_THREADS=None))
+    assert counts == [1]
+    assert loaded == []
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for a 2-thread OpenBLAS")
+def test_cli_import_keeps_the_callers_openblas_threads():
+    counts, _ = json.loads(_fresh_python(CLI_START_SCRIPT, OPENBLAS_NUM_THREADS="2"))
+    assert counts == [2]
+
+
+def _metadata_version(name):
+    """The oracle: importlib.metadata's version of a distribution, or
+    "unknown" where it finds none."""
+    from importlib import metadata
+
+    try:
+        return metadata.version(name)
+    except metadata.PackageNotFoundError:
+        return "unknown"
+
+
+@pytest.mark.parametrize("name", ["numpy", "scipy", "lpplab", "no-such-distribution"])
+def test_version_reader_matches_importlib_metadata(name):
+    assert cli._dist_version(name) == _metadata_version(name)
+
+
+def test_version_reader_on_an_installed_and_an_uninstalled_checkout(tmp_path, monkeypatch):
+    info = tmp_path / "lpplab-0.1.0.dist-info"
+    info.mkdir()
+    (info / "METADATA").write_text("Metadata-Version: 2.1\nName: lpplab\nVersion: 0.1.0\n")
+    monkeypatch.setattr(sys, "path", [str(ROOT / "src"), str(tmp_path)])
+    assert cli._dist_version("lpplab") == _metadata_version("lpplab") == "0.1.0"
+    monkeypatch.setattr(sys, "path", [str(ROOT / "src")])
+    assert cli._dist_version("lpplab") == _metadata_version("lpplab") == "unknown"
+    assert cli._dist_version("numpy") == _metadata_version("numpy") == "unknown"

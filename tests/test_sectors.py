@@ -336,12 +336,14 @@ def test_path_detects_crossing():
 
 def test_path_detects_crossing_off_the_grid():
     # levels 0 and 1 - 3s cross at s = 1/3, which no split lands on:
-    # the splits close in on it until a sampled gap is below GAP_TOL
+    # the splits close in on it until a sampled gap is below GAP_TOL; the
+    # midpoints are read by values alone, so the path keeps only its grid
     path = _crossing_path(("fixed_d", 1), slope=3.0)
     with pytest.raises(GapClosed) as hit:
         sectors.verify_gap_along_path(path, np.linspace(0, 1, 5))
     assert abs(hit.value.s - 1 / 3) < 1e-9
     assert hit.value.gap < sectors.GAP_TOL
+    assert sorted(path._cache) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_window_index_change_is_split_not_certified(monkeypatch):
