@@ -865,16 +865,15 @@ UNUSED_BY_DENSE_RUNS = (
 )
 
 
-def _fresh_python(script, **env_vars):
+def _fresh_python(script, openblas_threads=None):
     """The last stdout line of `script` run in a fresh interpreter on src/,
-    since this suite's own imports load the modules under test.  Keyword
-    arguments set the child's environment variables; None unsets one."""
+    since this suite's own imports load the modules under test.  The
+    child gets OPENBLAS_NUM_THREADS only when openblas_threads is given:
+    this suite's own import of lpplab.cli has set it to 1 here."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for name, value in env_vars.items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()[-1]
@@ -971,14 +970,14 @@ CLI_START_SCRIPT = (
 
 
 def test_cli_import_starts_openblas_at_one_thread_without_package_metadata():
-    counts, loaded = json.loads(_fresh_python(CLI_START_SCRIPT, OPENBLAS_NUM_THREADS=None))
+    counts, loaded = json.loads(_fresh_python(CLI_START_SCRIPT))
     assert counts == [1]
     assert loaded == []
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for a 2-thread OpenBLAS")
 def test_cli_import_keeps_the_callers_openblas_threads():
-    counts, _ = json.loads(_fresh_python(CLI_START_SCRIPT, OPENBLAS_NUM_THREADS="2"))
+    counts, _ = json.loads(_fresh_python(CLI_START_SCRIPT, openblas_threads=2))
     assert counts == [2]
 
 
