@@ -25,9 +25,9 @@ every cap, count and `adopt_loaded_blas()` call, so a library that
 loads inside an open cap is capped from then on and restored when the
 cap ends.  Loading scipy's OpenBLAS starts a thread pool that spins
 for about 0.1 CPU-s, which is why it is not loaded ahead of need.
-Under the CLI neither library starts a pool: importing `lpplab.cli`
-sets OPENBLAS_NUM_THREADS to 1 (unless the caller set it) before numpy
-loads, and this module, which library users import, leaves it alone.
+Under the CLI numpy's starts none: importing `lpplab.cli` sets
+OPENBLAS_NUM_THREADS to 1 (unless set) while numpy loads, then removes
+it; this module, which library users import, leaves it alone.
 
 Where no bundled OpenBLAS is found (a system or MKL build), the cap
 does nothing and `blas_thread_counts` is empty.

@@ -6,8 +6,8 @@ with the config echo, model constants, fit results, check outcomes,
 wall time and the environment the runner ran in.  The runner runs with
 BLAS at 1 thread (see blas.py), and a process that imports this module
 before numpy starts OpenBLAS at 1 thread unless OPENBLAS_NUM_THREADS is
-set.  Exit status: 0 when every check passed, 2 when a check failed, 1
-on error.
+set, and leaves the variable as it found it.  Exit status: 0 when every
+check passed, 2 when a check failed, 1 on error.
 """
 
 from __future__ import annotations
@@ -19,11 +19,15 @@ import sys
 import time
 from pathlib import Path
 
-# Set before numpy loads its OpenBLAS, which reads it once: the library
-# then starts no thread pool to spin up and cap (a caller's value wins).
+# Set while numpy loads its OpenBLAS, which reads it once: the library then
+# starts no thread pool to spin up and cap.  A caller's value wins, and one
+# set here is removed once read, so that child processes do not inherit it.
+_PIN_BLAS = "OPENBLAS_NUM_THREADS" not in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import numpy as np
+
+if _PIN_BLAS:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 from numpy.random import default_rng
 
 from .blas import blas_thread_counts, blas_threads, thread_budget

@@ -261,7 +261,7 @@ def _flip_commutators(S, sigma, site_a, n_sites):
 
 def _full_commutators(S, sigma, site_a, dims):
     """t -> (b -> ||[A(t), sigma_b]||) from A(t) on the full volume, for
-    models without a declared spin flip."""
+    spectra without spin-flip blocks."""
     V, evals = S.vectors, S.values
     WA = V.conj().T @ embed_matrix(sigma, (site_a,), dims) @ V
 
@@ -278,8 +278,8 @@ def run_lr_cone(config, workers=1, rng=None):
 
     A is the probe Pauli on the perturbation site, evolved exactly from
     the dense spectrum, and B the same Pauli on one site per distance.
-    On a model that declares the spin flip (the transverse-field Ising
-    chain) the norms come from the two D/2 parity blocks of the
+    When the spectrum came in spin-flip blocks (the transverse-field
+    Ising chain, the toric code) the norms come from the two D/2 parity blocks of the
     spectrum: an odd probe (y, z) takes one `eigvalsh` of a D/2 matrix
     per norm and an even probe (x) two, and no D x D matrix is formed
     (_flip_commutators).  Other models form A(t) once per t in the

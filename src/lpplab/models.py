@@ -11,11 +11,11 @@ Three families:
     for topological-order checks.
 
 Builders are pure and return a Model; none of them diagonalizes.  The
-spectrum is taken where it is read, through Model.spectral.  The
-transverse-field Ising builder declares the global spin flip
-P = prod sigma_x, which commutes with -J sum ZZ - h sum X for every J
-and h on open and periodic chains, so its dense spectrum is taken in the
-two D/2 parity blocks (operators.FlipBlock).
+spectrum is taken where it is read, through Model.spectral.  Every
+builder's sites are spin-1/2.  The global spin flip prod sigma_x commutes
+with the transverse-field Ising chain (any J, h; open or periodic) and
+the toric code, so eigendecompose, which reads that off the dense H,
+takes their spectra in the two D/2 parity blocks (operators.FlipBlock).
 """
 
 from __future__ import annotations
@@ -53,18 +53,16 @@ class Model:
 
     Spectral data is kept in a SpectralCache keyed by the resolved solver
     mode (and, in iterative mode, the eigen-depth k), so every consumer
-    of the same mode shares one decomposition.  spin_flip declares that
-    H commutes with the global spin flip of its spin-1/2 sites; the dense
-    decomposition then comes from the two parity blocks, with the blocks
-    kept in the SpectralData and the vectors lifted when first read.  It
-    picks a solver route only, so it takes no part in equality.
+    of the same mode shares one decomposition.  A dense H symmetric
+    under the global spin flip is diagonalized in the two parity blocks,
+    which eigendecompose detects from H itself; the blocks are kept in
+    the SpectralData and the vectors lifted when first read.
     """
 
     graph: lattice.LatticeGraph
     family: itx.InteractionFamily
     kind: str
     params: dict = field(default_factory=dict)
-    spin_flip: bool = field(default=False, compare=False)
     _spectra: SpectralCache = field(
         default_factory=SpectralCache, init=False, repr=False, compare=False
     )
@@ -78,9 +76,7 @@ class Model:
             mode = "dense" if self.graph.dimension() <= DENSE_LIMIT else "iterative"
         return self._spectra.fetch(
             (mode, None if mode == "dense" else k),
-            lambda: eigendecompose(
-                self.hamiltonian(), mode=mode, k=k, spin_flip=self.spin_flip
-            ),
+            lambda: eigendecompose(self.hamiltonian(), mode=mode, k=k),
         )
 
 
@@ -103,9 +99,7 @@ def build_gapped_chain(kind, params):
         terms += [
             LocalOperator((x,), (2,), -h * sigma_x, hermitian=True) for x in G.sites()
         ]
-        return Model(
-            G, itx.InteractionFamily(terms), kind, dict(params), spin_flip=True
-        )
+        return Model(G, itx.InteractionFamily(terms), kind, dict(params))
     if kind == "xy-with-potential":
         n = int(params["n"])
         gamma = float(params["gamma"])

@@ -16,12 +16,13 @@ input matrix has a nonzero imaginary part, and complex128 otherwise;
 the dense eigensolver keeps the dtype it is given, so real Hamiltonians
 are diagonalized in real arithmetic.
 
-A chain of spin-1/2 sites whose H commutes with the global spin flip
-P = prod sigma_x (P|s> = |s-bar>, all bits flipped, index D - 1 - s) is
-diagonalized in its two parity blocks: the real orthonormal basis
-(|s> + p |s-bar>)/sqrt(2), p = +-1, with s over the first D/2 states
-(those whose site 0 is up).  FlipBlock holds one block's eigenpairs in
-that basis, and flip_action says how a one-site Pauli maps the blocks.
+A dense H of even dimension D that is bitwise symmetric under the index
+reversal s -> s-bar = D - 1 - s (the global spin flip prod sigma_x on
+spin-1/2 sites) is diagonalized in its two parity blocks, a route read
+off H, not declared: the real orthonormal basis (|s> + p |s-bar>)/sqrt(2),
+p = +-1, with s over the first D/2 states.  FlipBlock holds one block's
+eigenpairs in that basis; flip_action, which assumes spin-1/2 sites,
+says how a one-site Pauli maps the blocks.
 """
 
 from __future__ import annotations
@@ -174,10 +175,11 @@ class SpectralData:
     """Eigenpairs of a hermitian operator, ascending.
 
     vectors holds eigenvectors as columns.  residual_tol is the largest
-    measured ||H v - w v||; mode records which solver produced the data.
-    Data from the two spin-flip blocks keeps them in `blocks` (even,
-    odd); its values are the two blocks' values merged, and its vectors
-    are lifted to the full space on first read, in the same order.
+    measured ||M v - w v|| over the matrices M the solver diagonalized;
+    mode records which solver produced the data.  Data from the two
+    spin-flip blocks keeps them in `blocks` (even, odd); its values are
+    the two blocks' values merged, and its vectors are lifted to the
+    full space on first read, in the same order.
     """
 
     values: np.ndarray
@@ -344,21 +346,20 @@ def _group_sum(groups, shape):
 DENSE_LIMIT = 2**13
 
 
-def eigendecompose(H, mode="auto", k=6, spin_flip=False):
+def eigendecompose(H, mode="auto", k=6):
     """Eigenpairs of a hermitian operator.
 
     H is a dense array or a HamiltonianAction.  mode "dense" produces the
-    full decomposition (LAPACK) of the densified H in its dtype;
-    "iterative" produces the k lowest pairs (ARPACK Lanczos on the CSR
-    form of H) from a fixed start vector, so its results repeat run to
-    run; "auto" picks dense up to 2**13 total dimension.  spin_flip=True
-    declares that H, on a chain of spin-1/2 sites, commutes with the
-    global spin flip: the dense mode then diagonalizes the two D/2
-    parity blocks instead (SpectralData `blocks`), after checking that
-    P H P is bitwise H.  residual_tol is max_j ||H v_j - w_j v_j|| in
-    either mode, taken with the full H in the form the solver used.  A
-    solver failure is raised as EigensolverFailed carrying dim, dtype
-    and mode.
+    full decomposition (LAPACK) of the densified H in its dtype: when D
+    is even and H[::-1, ::-1] is bitwise H, from the two D/2 parity
+    blocks (SpectralData `blocks`), else from H itself.  "iterative"
+    produces the k lowest pairs (ARPACK Lanczos on the CSR form of H)
+    from a fixed start vector, so its results repeat run to run; "auto"
+    picks dense up to 2**13 total dimension.  residual_tol is
+    max_j ||M v_j - w_j v_j|| over the matrices M the solver took, each
+    on its own vectors: H in the form the solver used, or each parity
+    block.  A solver failure is raised as EigensolverFailed carrying H's
+    dim and dtype and the mode.
     """
     if not isinstance(H, HamiltonianAction):
         H = np.asarray(H)
@@ -372,14 +373,13 @@ def eigendecompose(H, mode="auto", k=6, spin_flip=False):
 
     if mode == "dense":
         H = H.dense() if isinstance(H, HamiltonianAction) else H
-        if spin_flip:
-            blocks = tuple(
-                FlipBlock(p, *_dense_eigh(B)) for p, B in zip((1, -1), _flip_blocks(H))
-            )
-            res = max(_residual(H, b.lift(), b.values) for b in blocks)
+        if dim % 2 == 0 and np.array_equal(H[::-1, ::-1], H):
+            Bs = _flip_blocks(H)
+            blocks = tuple(FlipBlock(p, *_dense_eigh(B, dim)) for p, B in zip((1, -1), Bs))
+            res = max(_residual(B, b.vectors, b.values) for B, b in zip(Bs, blocks))
             vals = np.concatenate([b.values for b in blocks])[_merge_order(blocks)]
             return SpectralData(vals, None, mode, res, dim, blocks)
-        vals, vecs = _dense_eigh(H)
+        vals, vecs = _dense_eigh(H, dim)
     else:
         # imported here: scipy is loaded by no dense run
         import scipy.sparse.linalg as spla
@@ -396,26 +396,26 @@ def eigendecompose(H, mode="auto", k=6, spin_flip=False):
     return SpectralData(vals, vecs, mode, _residual(H, vecs, vals), dim)
 
 
-def _dense_eigh(M):
-    """LAPACK eigenpairs of a dense hermitian matrix, in its dtype."""
+def _dense_eigh(M, dim):
+    """LAPACK eigenpairs of a dense hermitian matrix, in its dtype; a
+    failure names the operator of dimension dim that M belongs to."""
     scale = max(np.abs(M).max(), 1.0)
     if np.abs(M - M.conj().T).max() > 1e-10 * scale:
         raise ValueError("operator is not hermitian")
     try:
         return np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverFailed(M.shape[0], M.dtype, "dense") from exc
+        raise EigensolverFailed(dim, M.dtype, "dense") from exc
 
 
 def _flip_blocks(H):
-    """The even and odd blocks of the dense H in the spin-flip basis.
+    """The even and odd blocks of a reversal-symmetric dense H.
 
-    With P H P = H, the block of parity p is H[s, s'] + p H[s, s'-bar]
-    over the half-states s, s' < D/2, so both come from the first D/2
-    rows of H, and the blocks between the two parities are exactly 0.
+    The block of parity p is H[s, s'] + p H[s, s'-bar] over the
+    half-states s, s' < D/2, so both come from the first D/2 rows of H,
+    and the blocks between the two parities are exactly 0.  Both blocks
+    are hermitian exactly when H is.
     """
-    if not np.array_equal(H[::-1, ::-1], H):
-        raise ValueError("H does not commute with the global spin flip")
     half = H.shape[0] // 2
     left, mirror = H[:half, :half], H[:half, ::-1][:, :half]
     return left + mirror, left - mirror

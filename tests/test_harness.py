@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from embed_oracle import commutator_norm
+from fermion_oracle import probe_commutator_norms
 from flow_oracle import block_projector
 from tqo_oracle import full_space_tqo_check
 
@@ -307,6 +308,26 @@ def test_lr_cone_norms_match_dense_commutators(pauli):
             want = commutator_norm(U @ A @ U.conj().T, embed_matrix(sigma, (b,), dims))
             assert abs(measured - want) <= 1e-12, (mcfg, site, t, d, b, measured, want)
         assert max(r[3] for r in rows) > 0.1  # the grid reaches visible growth
+
+
+@pytest.mark.parametrize("pauli", ["y", "z"])
+def test_lr_cone_norms_match_the_free_fermion_form(pauli):
+    # oracle: ||[P_0(t), P_b]|| from e^{tM} of the 2n x 2n Majorana
+    # generator, computed with no many-body spectrum
+    n, J, h = 8, 0.9, 1.3
+    rows = run_lr_cone({
+        "schema_version": 1, "experiment": "lr-cone",
+        "model": {"kind": "transverse-field-Ising", "n": n, "J": J, "h": h},
+        "probes": {"pauli": pauli},
+        "sweep": {"t_max": 2.0, "n_times": 5},
+    })["tables"][0]["rows"]
+    assert len(rows) == 5 * (n - 1)
+    for t, d, b, measured, _ in rows:
+        assert b == d
+        want = probe_commutator_norms(n, J, h, pauli, t)[b]
+        # the eigensolver's floor is near 1e-14
+        assert abs(measured - want) <= 1e-13, (t, b, measured, want)
+    assert max(r[3] for r in rows) > 1.0  # the grid reaches visible growth
 
 
 def test_lr_cone_on_the_ising_chain_forms_no_full_volume_matrix(monkeypatch):
@@ -868,8 +889,8 @@ UNUSED_BY_DENSE_RUNS = (
 def _fresh_python(script, openblas_threads=None):
     """The last stdout line of `script` run in a fresh interpreter on src/,
     since this suite's own imports load the modules under test.  The
-    child gets OPENBLAS_NUM_THREADS only when openblas_threads is given:
-    this suite's own import of lpplab.cli has set it to 1 here."""
+    child gets OPENBLAS_NUM_THREADS only when openblas_threads is given,
+    whatever the environment of this process holds."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
@@ -973,6 +994,21 @@ def test_cli_import_starts_openblas_at_one_thread_without_package_metadata():
     counts, loaded = json.loads(_fresh_python(CLI_START_SCRIPT))
     assert counts == [1]
     assert loaded == []
+
+
+def test_cli_import_leaves_no_openblas_threads_to_child_processes():
+    script = (
+        "import json, subprocess, sys\n"
+        "from lpplab import cli\n"
+        "from lpplab import blas\n"
+        "child = subprocess.run([sys.executable, '-c', 'import os; "
+        "print(os.environ.get(\"OPENBLAS_NUM_THREADS\"))'],\n"
+        "                       capture_output=True, text=True, check=True)\n"
+        "print(json.dumps([blas.blas_thread_counts(), child.stdout.strip()]))\n"
+    )
+    counts, seen = json.loads(_fresh_python(script))
+    assert counts == [1]
+    assert seen == "None"
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for a 2-thread OpenBLAS")

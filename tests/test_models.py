@@ -22,6 +22,7 @@ from lpplab import lattice, models, sectors
 from lpplab.exceptions import NotApplicable
 from lpplab.operators import (
     CACHE_SIZE,
+    HamiltonianAction,
     LocalOperator,
     eigendecompose,
     embed_matrix,
@@ -84,20 +85,85 @@ def test_tfim_flip_blocks_match_the_full_eigh(periodic):
     dense = H.dense()
     # oracle: the full-volume eigh that the two blocks replace
     assert np.abs(S.values - np.linalg.eigh(dense)[0]).max() <= 1e-12
+    # oracle for residual_tol: ||B_p u - w u|| on each block's own
+    # vectors, with B_p[s, s'] = H[s, s'] + p H[s, s'-bar] gathered entry
+    # by entry over the half-states
+    half = len(dense) // 2
+    s = np.arange(half)
+    per_block = [
+        np.linalg.norm(
+            (dense[s[:, None], s] + b.parity * dense[s[:, None], 2 * half - 1 - s])
+            @ b.vectors - b.vectors * b.values,
+            axis=0,
+        ).max()
+        for b in S.blocks
+    ]
+    assert S.residual_tol == max(per_block) <= 1e-10
+    # the lifted vectors solve the full H as well
     V = S.vectors
     res = np.linalg.norm(dense @ V - V * S.values, axis=0)
-    assert res.max() <= S.residual_tol <= 1e-10
+    assert res.max() <= 1e-10
     assert np.abs(V.T @ V - np.eye(len(V))).max() <= 1e-12
     # the blocks between the parities, (H[s, s'] - H[s, s'-bar]
     # + H[s-bar, s'] - H[s-bar, s'-bar]) / 2 over the half-states s, s',
     # are exactly 0
-    half = len(dense) // 2
     top, bottom = dense[:half], dense[half:][::-1]
     off = top[:, :half] - top[:, ::-1][:, :half]
     off += bottom[:, :half] - bottom[:, ::-1][:, :half]
     assert not off.any()
-    with pytest.raises(ValueError, match="global spin flip"):
-        eigendecompose(dense + np.diag(np.arange(2 * half)), spin_flip=True)
+    # a diagonal that breaks the symmetry sends H to the full eigh
+    assert eigendecompose(dense + np.diag(np.arange(2 * half))).blocks == ()
+
+
+def _ising(n=6):
+    return models.build_gapped_chain("transverse-field-Ising", {"n": n, "h": 1.3})
+
+
+def _ising_ramp(pauli):
+    model = _ising()
+    path = sectors.HamiltonianPath(
+        model.graph, model.family, W=site_slope(model.graph, 2, 0.8 * pauli)
+    )
+    return path.hamiltonian(0.3)
+
+
+def _impurity_h_phi():
+    W = np.kron(sigma_z, sigma_x)  # any slope: only H_Phi is read
+    return models.attach_impurity(_ising(5), 2, 2, W).hamiltonian(0.0)
+
+
+# (H, whether eigendecompose should take the two D/2 parity blocks); the
+# odd-dimensional H is reversal-symmetric but has no even split
+ROUTE_CASES = {
+    "ising": (lambda: _ising().hamiltonian(), True),
+    "ising-x-slope": (lambda: _ising_ramp(sigma_x), True),
+    "impurity-h-phi": (_impurity_h_phi, True),
+    "toric-2": (lambda: models.build_toric_code(2)[0].hamiltonian(), True),
+    "ising-z-slope": (lambda: _ising_ramp(sigma_z), False),
+    "xy-with-potential": (
+        lambda: models.build_gapped_chain(
+            "xy-with-potential", {"n": 6, "gamma": 0.7}
+        ).hamiltonian(),
+        False,
+    ),
+    "odd-dimension": (
+        lambda: np.array([[1.0, 0.5, 0.2], [0.5, 3.0, 0.5], [0.2, 0.5, 1.0]]), False
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_dense_route_is_read_off_the_hamiltonian(case):
+    make, blocks = ROUTE_CASES[case]
+    H = make()
+    S = eigendecompose(H, mode="dense")
+    dense = H.dense() if isinstance(H, HamiltonianAction) else H
+    assert (len(dense) % 2 == 0 and np.array_equal(dense[::-1, ::-1], dense)) == blocks
+    assert [b.parity for b in S.blocks] == ([1, -1] if blocks else [])
+    # oracle: the full-volume eigh
+    assert np.abs(S.values - np.linalg.eigh(dense)[0]).max() <= 1e-12
+    V = S.vectors
+    assert np.linalg.norm(dense @ V - V * S.values, axis=0).max() <= 1e-10
 
 
 def test_xy_chain_kind_matches_single_particle():

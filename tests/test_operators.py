@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from embed_oracle import commutator_norm, embed, from_graph, term_sum
 
 from lpplab import interactions as itx
-from lpplab import lattice
+from lpplab import lattice, models
 from lpplab.exceptions import EigensolverFailed
 from lpplab.operators import (
     CACHE_SIZE,
@@ -309,6 +309,14 @@ def test_lapack_failure_is_typed(monkeypatch):
         eigendecompose(_tfim(lattice.chain(3)), mode="dense")
     err = info.value
     assert (err.dim, err.dtype, err.mode) == (8, np.float64, "dense")
+    assert err.__cause__ is cause
+    # an Ising Model.spectral takes the two D/2 flip blocks; the failure
+    # still carries the dimension of H
+    model = models.build_gapped_chain("transverse-field-Ising", {"n": 4})
+    with pytest.raises(EigensolverFailed) as info:
+        model.spectral(mode="dense")
+    err = info.value
+    assert (err.dim, err.dtype, err.mode) == (16, np.float64, "dense")
     assert err.__cause__ is cause
 
 
