@@ -278,10 +278,10 @@ def run_lr_cone(config, workers=1, rng=None):
 
     A is the probe Pauli on the perturbation site, evolved exactly from
     the dense spectrum, and B the same Pauli on one site per distance.
-    When the spectrum came in spin-flip blocks (the transverse-field
-    Ising chain, the toric code) the norms come from the two D/2 parity blocks of the
-    spectrum: an odd probe (y, z) takes one `eigvalsh` of a D/2 matrix
-    per norm and an even probe (x) two, and no D x D matrix is formed
+    When the spectrum comes in spin-flip blocks (the transverse-field
+    Ising chain, the toric code) the norms come from its two D/2 parity
+    blocks: an odd probe (y, z) takes one `eigvalsh` of a D/2 matrix per
+    norm and an even probe (x) two, and no D x D matrix is formed
     (_flip_commutators).  Other models form A(t) once per t in the
     computational basis; since B = P+ - P- with P+- its eigenprojectors,
 
